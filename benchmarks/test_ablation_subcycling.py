@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.amr import Simulation, advecting_pulse
-from repro.amr.subcycle import SubcycledSimulation
 from repro.core import BlockID
 
 from _tables import emit_table
@@ -22,7 +21,7 @@ from _tables import emit_table
 T_END = 0.06
 
 
-def build(cls, deep):
+def build(subcycle, deep):
     p = advecting_pulse(2)
     forest = p.config.make_forest(p.scheme.nvar)
     p.init_forest(forest)
@@ -30,16 +29,16 @@ def build(cls, deep):
     if deep:
         forest.adapt([BlockID(1, (1, 1)), BlockID(1, (0, 0))])
     p.init_forest(forest)
-    return p, cls(forest, p.scheme)
+    return p, Simulation(forest, p.scheme, subcycle=subcycle)
 
 
 def run_case(deep):
-    p, sim_g = build(Simulation, deep)
+    p, sim_g = build(False, deep)
     sim_g.run(t_end=T_END)
     err_g = sim_g.error_vs(p.exact(T_END))
     updates_g = sim_g.step_count * sim_g.forest.n_blocks
 
-    p, sim_s = build(SubcycledSimulation, deep)
+    p, sim_s = build(True, deep)
     coarse_steps = 0
     while sim_s.time < T_END - 1e-12:
         dt = min(sim_s.stable_dt(), T_END - sim_s.time)

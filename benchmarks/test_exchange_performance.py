@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlockForest, fill_ghosts
-from repro.core.ghost import _compile_plan
+from repro.core.ghost import compile_plan
 from repro.util.geometry import Box
 from repro.util.timing import measure
 
@@ -63,7 +63,7 @@ def test_exchange_amortization(benchmark):
 
 def test_plan_cache_effectiveness(benchmark):
     f = forest_of(8)
-    t_build = measure(lambda: _compile_plan(f, True), repeats=3).best
+    t_build = measure(lambda: compile_plan(f), repeats=3).best
     fill_ghosts(f)  # warm the cache
     t_fill = measure(lambda: fill_ghosts(f), repeats=5).best
     emit_table(
@@ -82,4 +82,4 @@ def test_plan_cache_effectiveness(benchmark):
     # Building costs several cached fills — caching on the topology
     # revision is what makes frequent exchanges cheap.
     assert t_build > 1.5 * t_fill
-    benchmark(lambda: _compile_plan(f, True))
+    benchmark(lambda: compile_plan(f))

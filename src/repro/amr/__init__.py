@@ -26,7 +26,6 @@ from repro.amr.sampling import (
     resample_uniform,
     sample_points,
 )
-from repro.amr.subcycle import SubcycledSimulation
 from repro.amr.visualize import render_blocks, render_field, render_line
 from repro.amr.problems import (
     Problem,
@@ -64,7 +63,6 @@ __all__ = [
     "line_cut",
     "resample_uniform",
     "sample_points",
-    "SubcycledSimulation",
     "render_blocks",
     "render_field",
     "render_line",

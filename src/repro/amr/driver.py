@@ -20,14 +20,14 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional
 
 import numpy as np
 
 from repro.amr.config import SimulationConfig
 from repro.core.block_id import BlockID
 from repro.core.forest import AdaptSummary, BlockForest
-from repro.core.ghost import BoundaryHandler, fill_ghosts
+from repro.core.ghost import BoundaryHandler, fill_ghosts, ghost_plan
 from repro.kernels import get_backend
 from repro.core.refine_criteria import RefinementCriterion, compute_flags
 from repro.obs.metrics import METRICS
@@ -314,25 +314,35 @@ class Simulation:
 
     # ------------------------------------------------------------------
 
-    def fill_ghosts(self) -> None:
+    def fill_ghosts(self, dest: Optional[FrozenSet[BlockID]] = None) -> None:
         """Exchange ghost cells and apply physical BCs.
+
+        ``dest`` names the blocks whose ghosts the caller reads next
+        (None: every block); the ghosts of the others may be left stale
+        (see :func:`repro.core.ghost.fill_ghosts`).
 
         Under the sanitizer every ghost cell is re-poisoned first, so
         each exchange must prove afresh that it fills everything the
-        stencil kernels will read."""
+        stencil kernels of the ``dest`` blocks will read, and every
+        ghost cell it read on the way."""
         if self.sanitizer is not None:
             self.sanitizer.before_exchange(self.forest)
         with self.timer.phase("ghost_exchange"):
             fill_ghosts(
                 self.forest,
                 self.bc,
+                dest=dest,
                 batched_copies=self.engine == "batched",
                 kernels=self.scheme.kernels if self.engine == "batched" else None,
             )
         if METRICS.enabled:
             METRICS.inc("ghost.exchanges")
         if self.sanitizer is not None:
-            self.sanitizer.after_exchange(self.forest)
+            blocks = self.forest.blocks
+            self.sanitizer.after_exchange(
+                self.forest if dest is None else [blocks[bid] for bid in dest],
+                reads=ghost_plan(self.forest, dest).ghost_reads(),
+            )
 
     def stable_dt(self) -> float:
         with self.timer.phase("cfl"):

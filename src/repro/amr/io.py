@@ -309,21 +309,29 @@ def load_forest(path: Union[str, Path]) -> BlockForest:
             f"expected {expected_shape}"
         )
     # Reconstruct the topology: refine until exactly the saved leaf
-    # set exists.  Saved leaves are sorted by Morton key, so parents
-    # always appear before any deeper leaves they must split into.
+    # set exists.  A live leaf is then either saved or a proper ancestor
+    # of a saved leaf (and must split); anything else — or a saved leaf
+    # that would have to split — can never become the saved set, and
+    # refining on in search of it is exponential in ``max_level``.
     target = set(ids)
+    ancestors = set()
+    for bid in target:
+        while bid.level > 0 and bid.parent not in ancestors:
+            bid = bid.parent
+            ancestors.add(bid)
     unreachable = CheckpointError(
         f"checkpoint {path} topology is not reachable by pure refinement "
         "from the root tiling"
     )
+    if not ancestors.isdisjoint(target):
+        raise unreachable
     changed = True
     while changed:
         changed = False
         for bid in list(forest.blocks):
             if bid in target:
                 continue
-            # This leaf must be refined (some saved leaf is below it).
-            if bid.level >= forest.max_level:
+            if bid not in ancestors or bid.level >= forest.max_level:
                 raise unreachable
             try:
                 forest.refine(bid, update=False)

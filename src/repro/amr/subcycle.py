@@ -39,17 +39,17 @@ of subcycled AMR.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
 from repro.amr.driver import Simulation
 from repro.core.block_id import BlockID
+from repro.core.ghost import ghost_plan
 from repro.obs.metrics import METRICS
 from repro.solvers.timestep import stable_dt_batched
 
 __all__ = [
-    "SubcycledSimulation",
     "advance_subcycled",
     "interval_spans",
     "level_divisors",
@@ -154,6 +154,17 @@ class _SubcycleSweep:
         #: substeps each level took this coarse step (recorder payload)
         self.substeps: Dict[int, int] = {lvl: 0 for lvl in levels}
         self.save = self.forest.arena.save_pool()
+        #: kernel-rate scratch, one interior-shaped row per block; idle
+        #: during an exchange, when it holds the current state of the
+        #: sources whose interiors are swapped for the time interpolant
+        self.rate_pool = self.forest.arena.rate_pool()
+        #: the blocks of each level: what a substep's ghost fill names
+        ids: Dict[int, List[BlockID]] = {lvl: [] for lvl in levels}
+        for bid in self.forest.blocks:
+            ids[bid.level].append(bid)
+        self.level_ids: Dict[int, FrozenSet[BlockID]] = {
+            lvl: frozenset(of_level) for lvl, of_level in ids.items()
+        }
         self.batched = sim.engine == "batched"
         if self.batched:
             forest = self.forest
@@ -184,12 +195,18 @@ class _SubcycleSweep:
                 s, _ = self.ranges.get(b.level, (i, i))
                 self.ranges[b.level] = (s, i + 1)
             self.tile = sim._tile_rows(self.pool[:1].nbytes)
-            self.rate_pool = forest.arena.rate_pool()
         else:
             by_level: Dict[int, List] = {lvl: [] for lvl in levels}
             for block in self.forest:
                 by_level[block.level].append(block)
             self.by_level = by_level
+        #: the blocks each level's fill reads — the only ones whose
+        #: interiors need interpolating to the fill time (looked up once
+        #: the rows have settled: the plan holds views into them)
+        self.fill_sources = {
+            lvl: ghost_plan(self.forest, ids).sources
+            for lvl, ids in self.level_ids.items()
+        }
 
     def clear(self) -> None:
         """Drop all per-step state (snapshots and step intervals)."""
@@ -222,16 +239,21 @@ class _SubcycleSweep:
             for k in range(n_sub):
                 self.advance_level(idx + 1, t0 + k * sub_dt, sub_dt)
 
-    def interp_fill(self, t: float) -> None:
-        """Ghost exchange with every source interpolated to time ``t``.
+    def interp_fill(self, t: float, level: int) -> None:
+        """Ghost exchange for the blocks of ``level``, with every source
+        interpolated to time ``t``.
 
-        Blocks whose current step spans ``t`` are temporarily set to the
-        linear interpolant between their old and new states, the normal
-        exchange runs (per-block copies or the flat gather/scatter plan,
-        per the engine), then their arrays are restored.
+        Only that level's ghosts are filled (plus the coarser ghosts its
+        prolongations read): a level substep reads no others, and every
+        level refills its own before each of its stages.  Source blocks
+        whose current step spans ``t`` are temporarily set to the linear
+        interpolant between their old and new states, the exchange runs
+        (per-block copies or the flat gather/scatter plan, per the
+        engine), then their arrays are restored.
         """
         swapped: List = []
-        for bid, block in self.forest.blocks.items():
+        for block in self.fill_sources[level]:
+            bid = block.id
             u0 = self.u_old.get(bid)
             if u0 is None:
                 continue
@@ -239,10 +261,11 @@ class _SubcycleSweep:
             if not interval_spans(t, t0, t1):
                 continue
             theta = (t - t0) / (t1 - t0)
-            current = block.interior.copy()
+            current = self.rate_pool[block.arena_row]
+            current[...] = block.interior
             block.interior[...] = (1.0 - theta) * u0 + theta * current
             swapped.append((block, current))
-        self.sim.fill_ghosts()
+        self.sim.fill_ghosts(self.level_ids[level])
         for block, current in swapped:
             block.interior[...] = current
 
@@ -276,7 +299,7 @@ class _SubcycleSweep:
             self.u_old[block.id] = row
             self.t_old[block.id] = t0
             self.t_new[block.id] = t0 + dt
-        self.interp_fill(t0)
+        self.interp_fill(t0, level)
         if scheme.n_stages == 1:
             with sim.timer.phase("compute"):
                 for block in mine:
@@ -291,7 +314,7 @@ class _SubcycleSweep:
             # interiors out of the interpolation set for that fill.
             for block in mine:
                 self.t_new[block.id] = t0 + 0.5 * dt
-            self.interp_fill(t0 + 0.5 * dt)
+            self.interp_fill(t0 + 0.5 * dt, level)
             for block in mine:
                 self.t_new[block.id] = t0 + dt
             with sim.timer.phase("compute"):
@@ -316,7 +339,7 @@ class _SubcycleSweep:
             self.t_old[block.id] = t0
             self.t_new[block.id] = t0 + dt
         tiles = [(a, min(a + self.tile, e)) for a in range(s, e, self.tile)]
-        self.interp_fill(t0)
+        self.interp_fill(t0, level)
         if scheme.n_stages == 1:
             with sim.timer.phase("compute"):
                 self._capture(mine, dt)
@@ -338,7 +361,7 @@ class _SubcycleSweep:
                     )
             for block in mine:
                 self.t_new[block.id] = t0 + 0.5 * dt
-            self.interp_fill(t0 + 0.5 * dt)
+            self.interp_fill(t0 + 0.5 * dt, level)
             for block in mine:
                 self.t_new[block.id] = t0 + dt
             with sim.timer.phase("compute"):
@@ -405,17 +428,3 @@ def advance_subcycled(sim: Simulation, dt: float) -> None:
         )
         METRICS.gauge("subcycle.levels", len(levels))
     sim._finish_advance(dt, register, flux_scale=1.0)
-
-
-class SubcycledSimulation(Simulation):
-    """Back-compat constructor: a :class:`Simulation` with
-    ``subcycle=True``.
-
-    Subcycling is a first-class driver mode (``Simulation(...,
-    subcycle=True)``, on either engine, any kernel backend); this
-    subclass remains for existing callers and the ablation benchmark.
-    """
-
-    def __init__(self, forest, scheme, **kw) -> None:
-        kw.setdefault("subcycle", True)
-        super().__init__(forest, scheme, **kw)

@@ -26,6 +26,7 @@ from repro.amr.driver import Simulation
 from repro.kernels import available_backends
 from repro.solvers.mhd import MHDScheme
 from repro.util.geometry import Box
+from repro.util.timing import measure
 
 __all__ = [
     "BenchCase",
@@ -264,6 +265,33 @@ def build_deep_pulse(
     )
 
 
+#: fresh runs per side of :func:`run_subcycle_case`; the wall reported is
+#: the fastest (system noise only ever adds time)
+SUBCYCLE_REPEATS = 3
+
+
+def _best_wall(
+    build: Callable[[], Simulation], advance: Callable[[Simulation], int]
+) -> Tuple[float, int, Simulation]:
+    """Min-of-:data:`SUBCYCLE_REPEATS` wall seconds of ``advance`` on a
+    fresh simulation each time (construction untimed; the first step's
+    ghost-plan compile is part of every repeat), the block updates it
+    returned, and the last simulation advanced (closed)."""
+    sims = [build() for _ in range(SUBCYCLE_REPEATS)]
+    fresh = iter(sims)
+    updates: List[int] = []
+    try:
+        timing = measure(
+            lambda: updates.append(advance(next(fresh))),
+            repeats=SUBCYCLE_REPEATS,
+            warmup=0,
+        )
+    finally:
+        for sim in sims:
+            sim.close()
+    return timing.best, updates[-1], sims[-1]
+
+
 def run_subcycle_case(
     *,
     levels: int = 3,
@@ -271,49 +299,53 @@ def run_subcycle_case(
     engine: str = "batched",
     kernel_backend: str = "numpy",
 ) -> Dict[str, Any]:
-    """Subcycled vs global-dt work on the deep hierarchy.
+    """Subcycled vs global-dt stepping on the deep hierarchy.
 
     The subcycled run takes ``coarse_steps`` coarse steps; the global
-    run integrates to the same physical time.  The headline metric is
-    block updates per unit physical time: the measured advantage should
-    be at least the ablation-predicted factor
+    run integrates to the same physical time.  Two verdicts, both at
+    matched solution error: ``beats_global`` — block updates per unit
+    physical time fall by at least the ablation-predicted factor
     ``n_blocks * 2^depth / sum_b 2^(level_b - level_min)`` (exact when
-    both runs step at their CFL limits), at matched solution error.
+    both runs step at their CFL limits) — and ``wins_wall`` — the
+    subcycled run is faster in wall seconds, which the update count
+    alone does not promise: every substep pays for its own ghost fill.
     """
     from repro.amr.subcycle import level_divisors
 
-    with build_deep_pulse(
-        levels, engine=engine, kernel_backend=kernel_backend, subcycle=True
-    ) as sim_s:
-        present = sorted({b.level for b in sim_s.forest.blocks.values()})
-        divisor = level_divisors(present)
-        n_blocks = sim_s.forest.n_blocks
-        depth = present[-1] - present[0]
-        predicted = (
-            n_blocks * (1 << depth)
-            / sum(divisor[b.level] for b in sim_s.forest)
+    def build(subcycle: bool) -> Simulation:
+        return build_deep_pulse(
+            levels, engine=engine, kernel_backend=kernel_backend, subcycle=subcycle
         )
-        updates_s = 0
-        t0 = time.perf_counter()
+
+    def subcycled(sim: Simulation) -> int:
+        updates = 0
         for _ in range(coarse_steps):
-            dt = sim_s.stable_dt()
-            sim_s.advance(dt)
-            updates_s += sim_s.updates_per_step()
-        wall_s = time.perf_counter() - t0
-        t_end = sim_s.time
-        err_s = sim_s.error_vs(_deep_pulse_exact(t_end))
-        substeps = dict(sim_s._last_substeps or {})
-    with build_deep_pulse(
-        levels, engine=engine, kernel_backend=kernel_backend
-    ) as sim_g:
-        updates_g = 0
-        t0 = time.perf_counter()
-        while sim_g.time < t_end - 1e-12:
-            dt = min(sim_g.stable_dt(), t_end - sim_g.time)
-            sim_g.advance(dt)
-            updates_g += sim_g.updates_per_step()
-        wall_g = time.perf_counter() - t0
-        err_g = sim_g.error_vs(_deep_pulse_exact(sim_g.time))
+            sim.advance(sim.stable_dt())
+            updates += sim.updates_per_step()
+        return updates
+
+    wall_s, updates_s, sim_s = _best_wall(lambda: build(True), subcycled)
+    t_end = sim_s.time
+    err_s = sim_s.error_vs(_deep_pulse_exact(t_end))
+    substeps = dict(sim_s._last_substeps or {})
+    hist = sim_s.forest.level_histogram()
+    present = sorted(hist)
+    divisor = level_divisors(present)
+    n_blocks = sum(hist.values())
+    depth = present[-1] - present[0]
+    predicted = n_blocks * (1 << depth) / sum(
+        n * divisor[lvl] for lvl, n in hist.items()
+    )
+
+    def global_dt(sim: Simulation) -> int:
+        updates = 0
+        while sim.time < t_end - 1e-12:
+            sim.advance(min(sim.stable_dt(), t_end - sim.time))
+            updates += sim.updates_per_step()
+        return updates
+
+    wall_g, updates_g, sim_g = _best_wall(lambda: build(False), global_dt)
+    err_g = sim_g.error_vs(_deep_pulse_exact(sim_g.time))
     measured = updates_g / updates_s
     return {
         "label": f"deep pulse L{levels}",
@@ -337,9 +369,11 @@ def run_subcycle_case(
             "wall_s": round(wall_g, 6),
             "error": err_g,
         },
+        "wall_repeats": SUBCYCLE_REPEATS,
         "predicted_factor": predicted,
         "measured_factor": measured,
         "beats_global": bool(measured >= predicted * (1.0 - 1e-9)),
+        "wins_wall": bool(wall_s < wall_g),
         "matched_error": bool(err_s <= 3.0 * err_g + 1e-4),
     }
 

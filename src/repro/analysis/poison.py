@@ -28,12 +28,13 @@ attributed to step 3 (contamination), never step 2 (unfilled ghosts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.block import Block
+    from repro.core.block_id import IndexBox
 
 __all__ = [
     "POISON_BITS",
@@ -45,6 +46,7 @@ __all__ = [
     "poison_ghosts",
     "poison_forest",
     "check_stencil_ghosts",
+    "check_exchange_reads",
     "check_interior_clean",
 ]
 
@@ -166,18 +168,42 @@ def check_stencil_ghosts(
             region = block.data[(slice(None),) + _face_read_slices(block, face, d)]
             mask = poisoned_mask(region)
             if mask.any():
-                bad_vars = tuple(
-                    int(v) for v in np.nonzero(mask.any(axis=tuple(range(1, mask.ndim))))[0]
-                )
-                sites.append(
-                    PoisonSite(
-                        block=block.id,
-                        where="ghost",
-                        face=face,
-                        n_cells=int(mask.any(axis=0).sum()),
-                        variables=bad_vars,
-                    )
-                )
+                sites.append(_poison_site(block, face, mask))
+    return sites
+
+
+def _poison_site(
+    block: "Block", face: Optional[int], mask: np.ndarray
+) -> PoisonSite:
+    """The site record of a non-empty poison mask ``(nvar, *cells)``."""
+    return PoisonSite(
+        block=block.id,
+        where="ghost",
+        face=face,
+        n_cells=int(mask.any(axis=0).sum()),
+        variables=tuple(
+            int(v)
+            for v in np.nonzero(mask.any(axis=tuple(range(1, mask.ndim))))[0]
+        ),
+    )
+
+
+def check_exchange_reads(
+    reads: Iterable[Tuple["Block", "IndexBox"]]
+) -> List[PoisonSite]:
+    """Find poisoned cells in regions an exchange itself read.
+
+    A prolongation's slope border lies in the *source* block's ghost
+    layer.  Poison there does not survive as poison (the limiter turns
+    a NaN difference into a zero slope), so the destination would hold
+    a finite, wrong number; checking the read regions instead makes an
+    exchange that skipped a transfer it depended on loud.
+    """
+    sites: List[PoisonSite] = []
+    for block, box in reads:
+        mask = poisoned_mask(block.view(box))
+        if mask.any():
+            sites.append(_poison_site(block, None, mask))
     return sites
 
 
@@ -215,8 +241,9 @@ class GhostSanitizer:
 
     * :meth:`before_exchange` — re-poison every ghost layer, so the
       exchange must prove it fills everything the kernels need;
-    * :meth:`after_exchange` — verify the stencil read regions are
-      poison-free and raise :class:`PoisonError` otherwise;
+    * :meth:`after_exchange` — verify the stencil read regions (and the
+      ghost cells the exchange itself read) are poison-free and raise
+      :class:`PoisonError` otherwise;
     * :meth:`after_stage` — verify no NaN leaked into the interiors.
 
     ``depth`` bounds the verified slab to what the attached scheme
@@ -233,8 +260,16 @@ class GhostSanitizer:
     def before_exchange(self, blocks: Iterable["Block"]) -> None:
         self.n_cells_poisoned += poison_forest(blocks)
 
-    def after_exchange(self, blocks: Iterable["Block"]) -> None:
+    def after_exchange(
+        self,
+        blocks: Iterable["Block"],
+        reads: Sequence[Tuple["Block", "IndexBox"]] = (),
+    ) -> None:
+        """Verify the stencil read slabs of ``blocks`` (the blocks the
+        exchange filled) and the ``reads`` the exchange made of ghost
+        cells on the way (see :func:`check_exchange_reads`)."""
         sites = check_stencil_ghosts(blocks, self.depth)
+        sites += check_exchange_reads(reads)
         self.n_exchanges_checked += 1
         if sites:
             raise PoisonError(

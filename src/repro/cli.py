@@ -646,6 +646,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"({'ok' if sub_result['beats_global'] else 'BELOW PREDICTION'})"
         )
         print(
+            f"  wall (best of {sub_result['wall_repeats']}): global "
+            f"{g['wall_s']:.3f} s, subcycled {s['wall_s']:.3f} s "
+            f"({'ok' if sub_result['wins_wall'] else 'SUBCYCLING SLOWER'})"
+        )
+        print(
             f"  L1 error: global {g['error']:.3e}, subcycled {s['error']:.3e} "
             f"(matched: {'ok' if sub_result['matched_error'] else 'VIOLATED'})"
         )
@@ -657,6 +662,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ok = (
             ok and eq
             and sub_result["beats_global"]
+            and sub_result["wins_wall"]
             and sub_result["matched_error"]
         )
     if not args.no_json:

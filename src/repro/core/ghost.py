@@ -30,22 +30,36 @@ a region, so ghost cells straddling several fine blocks — or blocks at
 different levels, which occur across edges/corners even under 2:1 face
 balance — are filled exactly.
 
+All of that geometry is worked out once per topology and row layout
+and compiled into a :class:`GhostPlan` of array views, slices and
+weights; a fill only executes it.  A caller that reads the ghosts of
+some blocks only names them (``dest=``) and gets the part of the plan
+that fills those, dependencies included (:func:`ghost_plan`).
+
 The same geometry is exposed as a stream of :class:`Transfer` records
 (:func:`iter_transfers`) so the simulated parallel machine can account
-messages without touching any arrays.
+messages without touching any arrays, and as source-side/receiver-side
+halves (:func:`gather_bordered`, :func:`prolong_bordered`,
+:func:`restriction_contribution`, :func:`apply_restrictions`) for the
+machines that ship the payloads between ranks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -55,7 +69,6 @@ from repro.core.block import Block, NeighborKind
 from repro.core.block_id import BlockID, IndexBox
 from repro.core.forest import BlockForest, ForestError
 from repro.core.prolong import prolong_inject, prolong_linear
-from repro.core.restrict import restrict_mean
 from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,7 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Transfer",
+    "FillCounts",
+    "GhostPlan",
     "fill_ghosts",
+    "ghost_plan",
+    "compile_plan",
     "iter_transfers",
     "region_owners",
     "all_offsets",
@@ -74,6 +91,12 @@ __all__ = [
 #: ghost cells of ``block`` inside ``region`` (a global-index box at the
 #: block's level covering the boundary slab of ``face``).
 BoundaryHandler = Callable[[Block, int, IndexBox, BlockForest], None]
+
+Slices = Tuple[slice, ...]
+
+#: Covered volume (in coarse cells) above which a restriction target
+#: counts as filled by its fine owners.
+_FILLED_VOLUME = 1e-12
 
 
 @dataclass(frozen=True)
@@ -254,6 +277,14 @@ def _align_out(box: IndexBox, factor: int) -> IndexBox:
     return IndexBox(lo, hi)
 
 
+def _hull(boxes: Sequence[IndexBox]) -> IndexBox:
+    """Smallest box containing every box of a non-empty sequence."""
+    return IndexBox(
+        tuple(min(lo) for lo in zip(*(b.lo for b in boxes))),
+        tuple(max(hi) for hi in zip(*(b.hi for b in boxes))),
+    )
+
+
 def prolongation_border(up: int, order: int) -> int:
     """Coarse border cells a prolongation payload must carry.
 
@@ -268,24 +299,30 @@ def prolongation_border(up: int, order: int) -> int:
     return 1 if up == 1 else 2
 
 
+def _bordered_read(
+    src: Block, region: IndexBox, border: int
+) -> Tuple[IndexBox, Optional[List[Tuple[int, int]]]]:
+    """What of ``src`` holds ``region.grow(border)``: the part inside its
+    padded array, and the ``np.pad`` edge-replication widths that
+    restore the rest (None when nothing falls outside)."""
+    desired = region.grow(border)
+    avail = desired.intersect(src.padded_box)
+    pad = [(0, 0)] + [
+        (al - dl, dh - ah)
+        for dl, dh, al, ah in zip(desired.lo, desired.hi, avail.lo, avail.hi)
+    ]
+    return avail, pad if any(p != (0, 0) for p in pad) else None
+
+
 def gather_bordered(src: Block, region: IndexBox, border: int) -> np.ndarray:
     """Source-side half of a prolongation: extract ``region.grow(border)``
     from the source's padded array, edge-replicating where the border
     falls outside it (this is also the wire payload in the distributed
     emulation — coarse data travels, prolongation happens receiver-side,
     as in the real codes)."""
-    if border == 0:
-        return src.view(region).copy()
-    desired = region.grow(border)
-    avail = desired.intersect(src.padded_box)
+    avail, pad = _bordered_read(src, region, border)
     data = src.view(avail)
-    pad = [(0, 0)] + [
-        (al - dl, dh - ah)
-        for dl, dh, al, ah in zip(desired.lo, desired.hi, avail.lo, avail.hi)
-    ]
-    if any(p != (0, 0) for p in pad[1:]):
-        return np.pad(data, pad, mode="edge")
-    return data.copy()
+    return data.copy() if pad is None else np.pad(data, pad, mode="edge")
 
 
 def prolong_bordered(
@@ -296,32 +333,23 @@ def prolong_bordered(
     ``data`` covers ``region.grow(prolongation_border(up, order))``;
     the result covers exactly ``region.refined(up)``.
     """
-    if order == 1:
-        out = data
-        for _ in range(up):
-            out = prolong_inject(out, ndim)
-        return out
-    covered = region.grow(prolongation_border(up, order))
+    prolong: Callable[[np.ndarray, int], np.ndarray] = (
+        prolong_inject if order == 1 else prolong_linear
+    )
     for _ in range(up):
-        data = prolong_linear(data, ndim)
-        covered = covered.grow(-1).refined(1)
-    sl = region.refined(up).slices(covered.lo)
+        data = prolong(data, ndim)
+    sl = _prolonged_slices(region, up, prolongation_border(up, order))
     return data[(slice(None),) + sl]
 
 
-def _prolong_region(src: Block, region: IndexBox, up: int, order: int) -> np.ndarray:
-    """Prolong ``region`` of a source block ``up`` levels finer.
-
-    For order-2 prolongation the one-cell slope border is taken from the
-    source's padded array where available (its ghost cells hold valid
-    same-level/restricted data after stage 1) and edge-replicated where
-    the border falls outside the padded array.  Returns an array covering
-    exactly ``region.refined(up)``.
-    """
-    border = prolongation_border(up, order)
-    return prolong_bordered(
-        gather_bordered(src, region, border), region, up, order, src.ndim
-    )
+def _prolonged_slices(region: IndexBox, up: int, border: int) -> Slices:
+    """Where ``region.refined(up)`` sits in an array covering
+    ``region.grow(border)`` after ``up`` prolongation steps (each linear
+    step consumes one border cell per side, injection none)."""
+    covered = region.grow(border)
+    for _ in range(up):
+        covered = covered.grow(-1 if border else 0).refined(1)
+    return region.refined(up).slices(covered.lo)
 
 
 def _region_transfers(
@@ -364,66 +392,334 @@ def _region_transfers(
             yield Transfer(block.id, nid, offset, rf, dst, shift)
 
 
+def _restriction_geometry(
+    t: Transfer, ndim: int
+) -> Tuple[IndexBox, Slices, float, IndexBox]:
+    """Data-independent half of one fine→coarse transfer.
+
+    Returns ``(aligned, inner, frac, coarse_box)``: the source box grown
+    to whole ``2^down`` groups, the slices of the source box inside it,
+    the volume of one fine cell in coarse-cell units, and the coarse
+    box the group sums land on, in the *destination* frame.
+    """
+    down = t.delta
+    aligned = _align_out(t.src_box, 1 << down)
+    inner = t.src_box.slices(aligned.lo)
+    frac = (0.5 ** down) ** ndim
+    coarse_box = IndexBox(
+        tuple(a >> down for a in aligned.lo),
+        tuple(b >> down for b in aligned.hi),
+    ).shift(_neg(t.shift))
+    return aligned, inner, frac, coarse_box
+
+
+def _restriction_weights(
+    aligned: IndexBox, inner: Slices, down: int, frac: float, ndim: int
+) -> np.ndarray:
+    """Covered volume per coarse cell of one fine source."""
+    w = np.zeros(aligned.shape)
+    w[inner] = 1.0
+    return _restrict_sum(w[np.newaxis], ndim, down)[0] * frac
+
+
+def restriction_contribution(
+    src: Block, t: Transfer, ndim: int
+) -> Tuple[IndexBox, np.ndarray, np.ndarray]:
+    """Source-side half of a restriction: one fine block's volume-
+    weighted partial sums for a coarse region.
+
+    Returns ``(coarse_box, value_sums, volume_sums)`` with the box in
+    the *destination* frame.  This tuple is also the wire payload of a
+    fine→coarse ghost message in the distributed emulation — the data is
+    restricted before it travels, as in the real codes.
+    """
+    down = t.delta
+    aligned, inner, frac, coarse_box = _restriction_geometry(t, ndim)
+    data = np.zeros((src.nvar,) + aligned.shape)
+    data[(slice(None),) + inner] = src.view(t.src_box)
+    csum = _restrict_sum(data, ndim, down) * frac
+    wsum = _restriction_weights(aligned, inner, down, frac, ndim)
+    return coarse_box, csum, wsum
+
+
+def apply_restrictions(
+    block: Block,
+    items: List[Tuple[IndexBox, IndexBox, np.ndarray, np.ndarray]],
+) -> int:
+    """Receiver-side half: accumulate restriction contributions.
+
+    ``items`` holds ``(dst_box, coarse_box, value_sums, volume_sums)``
+    per contributing fine source.  Each destination ghost cell takes the
+    volume-weighted average of everything covering it; cells with
+    (numerically) zero covered volume are left untouched — they belong
+    to a different offset region or the physical boundary.
+    """
+    if not items:
+        return 0
+    union = _hull([it[0] for it in items])
+    acc = np.zeros((block.nvar,) + union.shape)
+    vol = np.zeros(union.shape)
+    for _dst_box, coarse_box, csum, wsum in items:
+        tgt = coarse_box.intersect(union)
+        src_sl = tgt.slices(coarse_box.lo)
+        dst_sl = tgt.slices(union.lo)
+        acc[(slice(None),) + dst_sl] += csum[(slice(None),) + src_sl]
+        vol[dst_sl] += wsum[src_sl]
+    filled = vol > _FILLED_VOLUME
+    if not filled.any():
+        return 0
+    view = block.view(union)
+    out = np.where(filled, acc / np.where(filled, vol, 1.0), view)
+    view[...] = out
+    return len(items)
+
+
+def iter_transfers(
+    forest: BlockForest, *, fill_corners: bool = True
+) -> Iterator[Transfer]:
+    """Yield every Transfer of a full ghost exchange.
+
+    Pure geometry — no data is moved.  Used by the parallel machine to
+    build message schedules and by tests to inspect transfer regions.
+    With ``fill_corners=False`` only face regions are included (the
+    paper's minimal face-pointer connectivity).
+    """
+    offsets = all_offsets(forest.ndim, faces_only=not fill_corners)
+    for bid in forest.sorted_ids():
+        block = forest.blocks[bid]
+        for offset in offsets:
+            yield from _region_transfers(forest, block, offset)
+
+
+# ----------------------------------------------------------------------
+# the compiled plan
+# ----------------------------------------------------------------------
+
+
+class FillCounts(NamedTuple):
+    """Block-to-block transfers one ghost fill executed, by kind."""
+
+    copy: int
+    restrict: int
+    prolong: int
+
+
+class _Copy(NamedTuple):
+    """Same-level transfer.  Only geometry: the blocked executor turns
+    it into a view pair and the batched one into flat pool indices, each
+    on first use, so a plan holds only what its engine reads."""
+
+    dst: Block
+    dst_box: IndexBox
+    src: Block
+    src_box: IndexBox
+
+
+class _RestrictSource(NamedTuple):
+    """One fine owner's contribution to a restriction group."""
+
+    src_view: np.ndarray
+    #: ``(nvar, *aligned)`` zero-padded staging shape, or None when the
+    #: source box is already made of whole ``2^down`` groups
+    aligned_shape: Optional[Tuple[int, ...]]
+    inner: Slices
+    down: int
+    frac: float
+    dst_sl: Slices
+    src_sl: Slices
+
+
+class _Restrict(NamedTuple):
+    """Fine→coarse transfers into one ghost region of one block."""
+
+    dst_view: np.ndarray
+    acc_shape: Tuple[int, ...]
+    sources: Tuple[_RestrictSource, ...]
+    #: cells some fine owner covers, and the covered volume there (1
+    #: elsewhere) — both data-independent
+    filled: np.ndarray
+    safe_vol: np.ndarray
+    dst: Block
+    dst_box: IndexBox
+    srcs: Tuple[Block, ...]
+
+
+class _Prolong(NamedTuple):
+    """Coarse→fine transfer: ``dst_view[...] = prolong^up(pad(src_view))[crop]``."""
+
+    dst_view: np.ndarray
+    src_view: np.ndarray
+    #: edge-replication widths where the slope border leaves the
+    #: source's padded array (None: it does not)
+    pad: Optional[List[Tuple[int, int]]]
+    up: int
+    crop: Slices
+    dst: Block
+    dst_box: IndexBox
+    src: Block
+    #: cells of ``src`` (interior and ghost) the transfer reads
+    need: IndexBox
+
+
+class _Boundary(NamedTuple):
+    """Physical-boundary slab ``dst_box`` of ``dst`` outside ``face``."""
+
+    dst: Block
+    face: int
+    dst_box: IndexBox
+
+
 @dataclass
-class CompiledPlan:
+class GhostPlan:
     """A ghost exchange compiled down to array views and slice tuples.
 
     Built once per forest topology revision and arena layout epoch
     (owner searches and box intersections are the expensive part) and
     executed many times — mirroring how the paper's code rebuilds its
-    neighbor pointers only on refinement/coarsening.
+    neighbor pointers only on refinement/coarsening.  A fill does no box
+    arithmetic: every entry carries the views, slices and weights it
+    needs.
+
+    The plan of a whole forest also serves the parts of itself that fill
+    a given set of blocks (:func:`ghost_plan`); those sub-plans are
+    plans too, cached in :attr:`subplans`, so they die with their parent.
     """
 
-    #: same-level transfers: (dst_view, src_view) array-view pairs
-    copies: List[Tuple[np.ndarray, np.ndarray]]
-    #: same-level transfer geometry: (dst_block, dst_box, src_block,
-    #: src_box) per copy — the batched executor compiles these into flat
-    #: pool indices.
-    copy_meta: List[Tuple[Block, IndexBox, Block, IndexBox]]
-    #: restrictions grouped per (destination block, region)
-    restrict_groups: List[Tuple[Block, List[Transfer]]]
-    #: prolongations: one entry per transfer
-    prolongs: List[Tuple[Block, Block, Transfer]]
-    #: physical-boundary slabs: (block, face, region)
-    bc_faces: List[Tuple[Block, int, IndexBox]]
-    n_transfers: int
-    #: flat gather/scatter index arrays into the arena pool for the
-    #: same-level copies, built lazily by :func:`_batched_copy_indices`.
+    copies: List[_Copy]
+    restricts: List[_Restrict]
+    prolongs: List[_Prolong]
+    bc_faces: List[_Boundary]
+    #: same-level copies as view pairs / flat pool gather-scatter
+    #: indices, built on first use by the engine that executes them
+    copy_views: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
     flat_dst: Optional[np.ndarray] = None
     flat_src: Optional[np.ndarray] = None
+    subplans: Dict[FrozenSet[BlockID], "GhostPlan"] = field(default_factory=dict)
+
+    @cached_property
+    def counts(self) -> FillCounts:
+        return FillCounts(
+            len(self.copies),
+            sum(len(r.sources) for r in self.restricts),
+            len(self.prolongs),
+        )
+
+    @cached_property
+    def sources(self) -> List[Block]:
+        """Blocks whose cells the plan reads (transfer sources, and the
+        blocks a boundary handler extrapolates), in plan order."""
+        seen: Dict[BlockID, Block] = {}
+        for c in self.copies:
+            seen.setdefault(c.src.id, c.src)
+        for r in self.restricts:
+            for src in r.srcs:
+                seen.setdefault(src.id, src)
+        for b in self.bc_faces:
+            seen.setdefault(b.dst.id, b.dst)
+        for p in self.prolongs:
+            seen.setdefault(p.src.id, p.src)
+        return list(seen.values())
+
+    def ghost_reads(self) -> List[Tuple[Block, IndexBox]]:
+        """``(block, box)`` of every region whose *ghost* cells the plan
+        reads: the slope borders of its prolongations."""
+        return [(p.src, p.need) for p in self.prolongs]
 
 
-def _compile_plan(forest: BlockForest, fill_corners: bool) -> CompiledPlan:
+def _compile_restrict(
+    block: Block, transfers: List[Transfer], forest: BlockForest
+) -> _Restrict:
+    ndim, nvar = forest.ndim, forest.nvar
+    union = _hull([t.dst_box for t in transfers])
+    vol = np.zeros(union.shape)
+    sources = []
+    for t in transfers:
+        src = forest.blocks[t.src_id]
+        aligned, inner, frac, coarse_box = _restriction_geometry(t, ndim)
+        tgt = coarse_box.intersect(union)
+        src_sl = tgt.slices(coarse_box.lo)
+        dst_sl = tgt.slices(union.lo)
+        vol[dst_sl] += _restriction_weights(aligned, inner, t.delta, frac, ndim)[src_sl]
+        sources.append(
+            _RestrictSource(
+                src.view(t.src_box),
+                None if aligned == t.src_box else (nvar,) + aligned.shape,
+                (slice(None),) + inner,
+                t.delta,
+                frac,
+                (slice(None),) + dst_sl,
+                (slice(None),) + src_sl,
+            )
+        )
+    filled = vol > _FILLED_VOLUME
+    return _Restrict(
+        block.view(union),
+        (nvar,) + union.shape,
+        tuple(sources),
+        filled,
+        np.where(filled, vol, 1.0),
+        block,
+        union,
+        tuple(forest.blocks[t.src_id] for t in transfers),
+    )
+
+
+def _compile_prolong(block: Block, src: Block, t: Transfer, order: int) -> _Prolong:
+    up = -t.delta
+    region = t.src_box
+    border = prolongation_border(up, order)
+    need, pad = _bordered_read(src, region, border)
+    # Two crops in one: the prolonged region inside the prolonged
+    # bordered array, then the destination box inside that region.
+    outer = _prolonged_slices(region, up, border)
+    cover = region.refined(up).shift(_neg(t.shift))
+    crop = (slice(None),) + tuple(
+        slice(o.start + s.start, o.start + s.stop)
+        for o, s in zip(outer, t.dst_box.slices(cover.lo))
+    )
+    return _Prolong(
+        block.view(t.dst_box), src.view(need), pad, up, crop,
+        block, t.dst_box, src, need,
+    )
+
+
+def compile_plan(forest: BlockForest, fill_corners: bool = True) -> GhostPlan:
+    """Compile the full exchange of ``forest`` (see :class:`GhostPlan`).
+
+    :func:`fill_ghosts` calls this through a cache; it is public for
+    benchmarks that time plan construction."""
     offsets = all_offsets(forest.ndim, faces_only=not fill_corners)
-    copies: List[Tuple[np.ndarray, np.ndarray]] = []
-    copy_meta: List[Tuple[Block, IndexBox, Block, IndexBox]] = []
-    restrict_groups: List[Tuple[Block, List[Transfer]]] = []
-    prolongs: List[Tuple[Block, Block, Transfer]] = []
-    n = 0
+    order = forest.prolong_order
+    copies: List[_Copy] = []
+    restricts: List[_Restrict] = []
+    prolongs: List[_Prolong] = []
     for bid in forest.sorted_ids():
         block = forest.blocks[bid]
         for offset in offsets:
             fine: List[Transfer] = []
             for t in _region_transfers(forest, block, offset):
-                n += 1
                 if t.delta == 0:
-                    src = forest.blocks[t.src_id]
-                    copies.append((block.view(t.dst_box), src.view(t.src_box)))
-                    copy_meta.append((block, t.dst_box, src, t.src_box))
+                    copies.append(
+                        _Copy(block, t.dst_box, forest.blocks[t.src_id], t.src_box)
+                    )
                 elif t.delta > 0:
                     fine.append(t)
                 else:
-                    prolongs.append((block, forest.blocks[t.src_id], t))
+                    prolongs.append(
+                        _compile_prolong(block, forest.blocks[t.src_id], t, order)
+                    )
             if fine:
-                restrict_groups.append((block, fine))
-    bc_faces: List[Tuple[Block, int, IndexBox]] = []
-    _bc_scan_faces(forest, bc_faces)
-    return CompiledPlan(copies, copy_meta, restrict_groups, prolongs, bc_faces, n)
+                restricts.append(_compile_restrict(block, fine, forest))
+    return GhostPlan(copies, restricts, prolongs, _bc_scan_faces(forest))
 
 
-def _bc_scan_faces(
-    forest: BlockForest, bc_faces: List[Tuple[Block, int, IndexBox]]
-) -> None:
+def _bc_scan_faces(forest: BlockForest) -> List[_Boundary]:
+    """Physical-boundary slabs, axis by axis; the slab for axis ``a`` is
+    extended across the full ghost width of every *other* axis, so
+    edge/corner ghosts outside the domain are filled consistently (the
+    last axis wins at corners shared by two physical boundaries, the
+    standard convention)."""
+    bc_faces: List[_Boundary] = []
     for axis in range(forest.ndim):
         other_axes = tuple(a for a in range(forest.ndim) if a != axis)
         for bid in forest.sorted_ids():
@@ -433,27 +729,104 @@ def _bc_scan_faces(
                 fn = block.face_neighbors.get(face)
                 if fn is not None and fn.kind == NeighborKind.BOUNDARY:
                     bc_faces.append(
-                        (block, face, block.ghost_region(face, other_axes))
+                        _Boundary(block, face, block.ghost_region(face, other_axes))
                     )
+    return bc_faces
 
 
-def _get_plan(forest: BlockForest, fill_corners: bool) -> CompiledPlan:
-    """The compiled exchange plan, cached on the topology revision and
-    the arena layout epoch (the plan holds raw views into pool rows, so
-    it is stale whenever rows move — growth or compaction)."""
+def ghost_plan(
+    forest: BlockForest,
+    dest: Optional[FrozenSet[BlockID]] = None,
+    *,
+    fill_corners: bool = True,
+) -> GhostPlan:
+    """The compiled plan that fills the ghosts of the ``dest`` blocks
+    (None: of every block), from the cache.
+
+    The full plan is cached on the topology revision and the arena
+    layout epoch (it holds raw views into pool rows, so it is stale
+    whenever rows move — growth or compaction); the part of it serving a
+    given ``dest`` is cached on the full plan.
+    """
     key = (forest.revision, forest.arena.layout_epoch, fill_corners)
     if getattr(forest, "_ghost_plan_key", None) != key:
         if METRICS.enabled:
             METRICS.inc("ghost.plan_misses")
-        forest._ghost_plan = _compile_plan(forest, fill_corners)  # type: ignore[attr-defined]
+        forest._ghost_plan = compile_plan(forest, fill_corners)  # type: ignore[attr-defined]
         forest._ghost_plan_key = key  # type: ignore[attr-defined]
     elif METRICS.enabled:
         METRICS.inc("ghost.plan_hits")
-    return forest._ghost_plan  # type: ignore[attr-defined]
+    plan: GhostPlan = forest._ghost_plan  # type: ignore[attr-defined]
+    if dest is None:
+        return plan
+    sub = plan.subplans.get(dest)
+    if sub is None:
+        unknown = sorted(bid for bid in dest if bid not in forest.blocks)
+        if unknown:
+            raise ForestError(f"dest names blocks that are not leaves: {unknown}")
+        sub = plan.subplans[dest] = _select(plan, dest)
+    return sub
 
 
-def _batched_copy_indices(
-    forest: BlockForest, plan: CompiledPlan
+def _select(plan: GhostPlan, dest: FrozenSet[BlockID]) -> GhostPlan:
+    """The part of ``plan`` that fills the ghosts of the ``dest`` blocks.
+
+    That is every entry whose destination is in ``dest`` plus the
+    dependency closure of its prolongations: a prolongation reads
+    ``need`` of its source, ghost cells included, so the entries and
+    boundary slabs into the source that write any of those cells run
+    too — recursively, since such an entry can itself be a prolongation.
+    (A boundary handler fills a ghost cell ``d`` layers outside its face
+    from the cells of the same row up to ``d`` layers inside it; ``need``
+    is a box reaching at least as far in as out, so whatever the handler
+    reads there is in ``need`` as well.)  Entries keep the relative
+    order they have in ``plan``.  Ghosts of blocks outside ``dest`` are
+    written only where the closure needs them; whoever reads those asks
+    for them.
+    """
+    lists: Tuple[Sequence[Any], ...] = (
+        plan.copies, plan.restricts, plan.prolongs, plan.bc_faces,
+    )
+    #: entries and boundary slabs by destination block, as (list, index)
+    into: Dict[BlockID, List[Tuple[int, int]]] = {}
+    for k, entries in enumerate(lists):
+        for i, entry in enumerate(entries):
+            into.setdefault(entry.dst.id, []).append((k, i))
+    keep: Tuple[Set[int], ...] = tuple(set() for _ in lists)
+    pending: List[_Prolong] = []
+
+    def take(k: int, i: int) -> None:
+        if i not in keep[k]:
+            keep[k].add(i)
+            if lists[k] is plan.prolongs:
+                pending.append(plan.prolongs[i])
+
+    for bid in dest:
+        for k, i in into.get(bid, ()):
+            take(k, i)
+    while pending:
+        p = pending.pop()
+        if p.src.id not in dest:
+            for k, i in into.get(p.src.id, ()):
+                if not lists[k][i].dst_box.intersect(p.need).empty:
+                    take(k, i)
+    copies, restricts, prolongs, bc_faces = (
+        [entry for i, entry in enumerate(entries) if i in keep[k]]
+        for k, entries in enumerate(lists)
+    )
+    return GhostPlan(copies, restricts, prolongs, bc_faces)
+
+
+def _copy_views(plan: GhostPlan) -> List[Tuple[np.ndarray, np.ndarray]]:
+    if plan.copy_views is None:
+        plan.copy_views = [
+            (c.dst.view(c.dst_box), c.src.view(c.src_box)) for c in plan.copies
+        ]
+    return plan.copy_views
+
+
+def _flat_copy_indices(
+    forest: BlockForest, plan: GhostPlan
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flat pool indices executing every same-level copy at once.
 
@@ -476,7 +849,7 @@ def _batched_copy_indices(
     )
     dst_parts: List[np.ndarray] = []
     src_parts: List[np.ndarray] = []
-    for dst_blk, dst_box, src_blk, src_box in plan.copy_meta:
+    for dst_blk, dst_box, src_blk, src_box in plan.copies:
         if dst_blk.arena_row is None or src_blk.arena_row is None:
             raise ForestError(
                 "batched ghost copies need arena-bound blocks"
@@ -495,119 +868,33 @@ def _batched_copy_indices(
     return plan.flat_dst, plan.flat_src
 
 
-def restriction_contribution(
-    src: Block, t: Transfer, ndim: int
-) -> Tuple[IndexBox, np.ndarray, np.ndarray]:
-    """Source-side half of a restriction: one fine block's volume-
-    weighted partial sums for a coarse region.
-
-    Returns ``(coarse_box, value_sums, volume_sums)`` with the box in
-    the *destination* frame.  This tuple is also the wire payload of a
-    fine→coarse ghost message in the distributed emulation — the data is
-    restricted before it travels, as in the real codes.
-    """
-    down = t.delta
-    f = 1 << down
-    aligned = _align_out(t.src_box, f)
-    nvar = src.nvar
-    data = np.zeros((nvar,) + aligned.shape)
-    w = np.zeros(aligned.shape)
-    inner = t.src_box.slices(aligned.lo)
-    data[(slice(None),) + inner] = src.view(t.src_box)
-    w[inner] = 1.0
-    frac = (0.5 ** down) ** ndim
-    csum = _restrict_sum(data, ndim, down) * frac
-    wsum = _restrict_sum(w[np.newaxis], ndim, down)[0] * frac
-    coarse_box = IndexBox(
-        tuple(a >> down for a in aligned.lo),
-        tuple(b >> down for b in aligned.hi),
-    ).shift(_neg(t.shift))
-    return coarse_box, csum, wsum
-
-
-def apply_restrictions(
-    block: Block,
-    items: List[Tuple[IndexBox, IndexBox, np.ndarray, np.ndarray]],
-) -> int:
-    """Receiver-side half: accumulate restriction contributions.
-
-    ``items`` holds ``(dst_box, coarse_box, value_sums, volume_sums)``
-    per contributing fine source.  Each destination ghost cell takes the
-    volume-weighted average of everything covering it; cells with
-    (numerically) zero covered volume are left untouched — they belong
-    to a different offset region or the physical boundary.
-    """
-    if not items:
-        return 0
-    ndim = block.ndim
-    lo = tuple(min(it[0].lo[a] for it in items) for a in range(ndim))
-    hi = tuple(max(it[0].hi[a] for it in items) for a in range(ndim))
-    union = IndexBox(lo, hi)
-    acc = np.zeros((block.nvar,) + union.shape)
-    vol = np.zeros(union.shape)
-    for _dst_box, coarse_box, csum, wsum in items:
-        tgt = coarse_box.intersect(union)
-        src_sl = tgt.slices(coarse_box.lo)
-        dst_sl = tgt.slices(union.lo)
-        acc[(slice(None),) + dst_sl] += csum[(slice(None),) + src_sl]
-        vol[dst_sl] += wsum[src_sl]
-    filled = vol > 1e-12
-    if not filled.any():
-        return 0
-    view = block.view(union)
-    out = np.where(filled, acc / np.where(filled, vol, 1.0), view)
-    view[...] = out
-    return len(items)
-
-
-def _fill_restrictions(
-    forest: BlockForest, block: Block, transfers: List[Transfer]
-) -> int:
-    """Volume-weighted restriction from (possibly several) fine owners."""
-    items = []
-    for t in transfers:
-        src = forest.blocks[t.src_id]
-        coarse_box, csum, wsum = restriction_contribution(src, t, forest.ndim)
-        items.append((t.dst_box, coarse_box, csum, wsum))
-    return apply_restrictions(block, items)
-
-
-def iter_transfers(
-    forest: BlockForest, *, fill_corners: bool = True
-) -> Iterator[Transfer]:
-    """Yield every Transfer of a full ghost exchange.
-
-    Pure geometry — no data is moved.  Used by the parallel machine to
-    build message schedules and by tests to inspect transfer regions.
-    With ``fill_corners=False`` only face regions are included (the
-    paper's minimal face-pointer connectivity).
-    """
-    offsets = all_offsets(forest.ndim, faces_only=not fill_corners)
-    for bid in forest.sorted_ids():
-        block = forest.blocks[bid]
-        for offset in offsets:
-            yield from _region_transfers(forest, block, offset)
-
-
 def fill_ghosts(
     forest: BlockForest,
     bc: Optional[BoundaryHandler] = None,
     *,
     fill_corners: bool = True,
+    dest: Optional[FrozenSet[BlockID]] = None,
     batched_copies: bool = False,
     kernels: Optional["KernelBackend"] = None,
-) -> int:
-    """Fill every block's ghost cells from its neighbors.
+) -> FillCounts:
+    """Fill block ghost cells from their neighbors.
 
     Physical-boundary ghost slabs are delegated to ``bc`` (see
     :mod:`repro.amr.boundary`); with ``bc=None`` they are left untouched.
-    Returns the number of block-to-block transfers executed.
+    Returns the block-to-block transfers executed, by kind.
 
     With ``fill_corners=True`` (default) edge and corner ghost regions
     are exchanged as well, via the generalized lower-dimensional
     connectivity; ``False`` restricts the exchange to face slabs — all a
     first-order dimension-split scheme needs, and the paper's minimal
     configuration.
+
+    ``dest`` names the blocks whose ghosts the caller is about to read
+    (None: every block).  Only the transfers into those blocks, and the
+    ones their prolongations depend on, are executed (:func:`_select`);
+    the ghosts of every other block are left as they were, possibly
+    stale, and must not be read before a fill that names them.  The
+    ``dest`` blocks end up bit-identical to a full fill.
 
     With ``batched_copies=True`` the stage-1 same-level copies run as a
     single flat gather/scatter on the arena pool instead of one small
@@ -616,56 +903,60 @@ def fill_ghosts(
     routes that scatter through a kernel backend
     (:mod:`repro.kernels`) — bit-for-bit by contract.
     """
-    plan = _get_plan(forest, fill_corners)
+    plan = ghost_plan(forest, dest, fill_corners=fill_corners)
+    ndim = forest.ndim
     # Stage 1: same-level copies + restrictions (read interiors only).
     if batched_copies:
-        flat_dst, flat_src = _batched_copy_indices(forest, plan)
+        flat_dst, flat_src = _flat_copy_indices(forest, plan)
         flat = forest.arena.pool.reshape(-1)
         if kernels is not None:
             kernels.scatter_ghosts(flat, flat_dst, flat_src)
         else:
             flat[flat_dst] = flat[flat_src]
     else:
-        for dst_view, src_view in plan.copies:
+        for dst_view, src_view in _copy_views(plan):
             dst_view[...] = src_view
-    for block, transfers in plan.restrict_groups:
-        _fill_restrictions(forest, block, transfers)
+    for r in plan.restricts:
+        acc = np.zeros(r.acc_shape)
+        for src_view, aligned_shape, inner, down, frac, dst_sl, src_sl in r.sources:
+            if aligned_shape is None:
+                data = np.ascontiguousarray(src_view)
+            else:
+                data = np.zeros(aligned_shape)
+                data[inner] = src_view
+            acc[dst_sl] += (_restrict_sum(data, ndim, down) * frac)[src_sl]
+        r.dst_view[...] = np.where(r.filled, acc / r.safe_vol, r.dst_view)
     if bc is not None:
         # Applying the BC after stage 1 gives stage-2 prolongations valid
         # slope borders next to physical boundaries.
         for block, face, region in plan.bc_faces:
             bc(block, face, region, forest)
     # Stage 2: prolongations (may read the sources' now-valid ghosts).
-    for block, src, t in plan.prolongs:
-        up = -t.delta
-        fine = _prolong_region(src, t.src_box, up, forest.prolong_order)
-        cover = t.src_box.refined(up).shift(_neg(t.shift))
-        sub = t.dst_box.slices(cover.lo)
-        block.view(t.dst_box)[...] = fine[(slice(None),) + sub]
+    prolong: Callable[[np.ndarray, int], np.ndarray] = (
+        prolong_inject if forest.prolong_order == 1 else prolong_linear
+    )
+    for p in plan.prolongs:
+        data = p.src_view if p.pad is None else np.pad(p.src_view, p.pad, mode="edge")
+        for _ in range(p.up):
+            data = prolong(data, ndim)
+        p.dst_view[...] = data[p.crop]
     if bc is not None:
         # Re-apply so boundary slabs adjacent to prolonged ghosts are
         # consistent with the final data.
         for block, face, region in plan.bc_faces:
             bc(block, face, region, forest)
-    return plan.n_transfers
+    counts = plan.counts
+    if METRICS.enabled:
+        METRICS.inc("ghost.transfers.copy", counts.copy)
+        METRICS.inc("ghost.transfers.restrict", counts.restrict)
+        METRICS.inc("ghost.transfers.prolong", counts.prolong)
+        if dest is not None:
+            METRICS.inc("ghost.scoped_fills")
+    return counts
 
 
 def apply_physical_bc(forest: BlockForest, bc: BoundaryHandler) -> None:
-    """Apply physical boundary conditions to all domain-boundary ghosts.
-
-    Runs axis by axis; the slab for axis ``a`` is extended across the
-    full ghost width of every *other* axis, so edge/corner ghosts outside
-    the domain are filled consistently (the last axis wins at corners
-    shared by two physical boundaries, the standard convention).
-    """
-    for axis in range(forest.ndim):
-        other_axes = tuple(a for a in range(forest.ndim) if a != axis)
-        for bid in forest.sorted_ids():
-            block = forest.blocks[bid]
-            for side in (0, 1):
-                face = 2 * axis + side
-                fn = block.face_neighbors.get(face)
-                if fn is None or fn.kind != NeighborKind.BOUNDARY:
-                    continue
-                region = block.ghost_region(face, other_axes)
-                bc(block, face, region, forest)
+    """Apply physical boundary conditions to all domain-boundary ghosts
+    (slab geometry: :func:`_bc_scan_faces`)."""
+    for block, face, region in _bc_scan_faces(forest):
+        bc(block, face, region, forest)

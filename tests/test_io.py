@@ -185,6 +185,26 @@ class TestLoadFailures:
         with pytest.raises(CheckpointError, match="not reachable"):
             load_forest(path)
 
+    def test_saved_leaf_with_saved_descendants(self, tmp_path):
+        # One child of a refined root replaced by the root itself: the
+        # root is then both a saved leaf and an ancestor of saved leaves.
+        f = BlockForest(Box((0.0, 0.0), (1.0, 1.0)), (2, 2), (4, 4), nvar=1)
+        f.adapt([BlockID(0, (0, 0))])
+        path = tmp_path / "bad.npz"
+        save_forest(f, path)
+
+        def mutate(payload):
+            levels = payload["levels"].copy()
+            coords = payload["coords"].copy()
+            child = next(i for i, lvl in enumerate(levels) if lvl == 1)
+            levels[child] = 0
+            coords[child] = (0, 0)
+            payload["levels"], payload["coords"] = levels, coords
+
+        _tamper(path, mutate)
+        with pytest.raises(CheckpointError, match="not reachable"):
+            load_forest(path)
+
     def test_metadata_shares_verification(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_bytes(b"garbage")

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.amr import Simulation, advecting_pulse
-from repro.amr.subcycle import SubcycledSimulation
 from repro.core import BlockID
 
 
-def build(cls, levels=2):
+def build(subcycle, levels=2):
     p = advecting_pulse(2)
     forest = p.config.make_forest(p.scheme.nvar)
     p.init_forest(forest)
@@ -16,7 +15,7 @@ def build(cls, levels=2):
     if levels >= 2:
         forest.adapt([BlockID(1, (1, 1))])
     p.init_forest(forest)
-    return p, cls(forest, p.scheme)
+    return p, Simulation(forest, p.scheme, subcycle=subcycle)
 
 
 def run_to(sim, t_end):
@@ -27,8 +26,8 @@ def run_to(sim, t_end):
 
 class TestStableDt:
     def test_coarse_dt_larger_than_global(self):
-        _, sim_g = build(Simulation)
-        _, sim_s = build(SubcycledSimulation)
+        _, sim_g = build(False)
+        _, sim_s = build(True)
         from repro.solvers.timestep import stable_dt
 
         dt_global = stable_dt(sim_g.forest, sim_g.scheme)
@@ -40,7 +39,7 @@ class TestStableDt:
         p = advecting_pulse(2)
         forest = p.config.make_forest(p.scheme.nvar)
         p.init_forest(forest)
-        sim = SubcycledSimulation(forest, p.scheme)
+        sim = Simulation(forest, p.scheme, subcycle=True)
         from repro.solvers.timestep import stable_dt
 
         assert sim.stable_dt() == pytest.approx(
@@ -51,16 +50,16 @@ class TestStableDt:
 class TestAccuracy:
     def test_comparable_to_global_stepping(self):
         t_end = 0.08
-        p, sim_g = build(Simulation)
+        p, sim_g = build(False)
         sim_g.run(t_end=t_end, dt_max=2e-3)
         err_g = sim_g.error_vs(p.exact(t_end))
-        p, sim_s = build(SubcycledSimulation)
+        p, sim_s = build(True)
         run_to(sim_s, t_end)
         err_s = sim_s.error_vs(p.exact(t_end))
         assert err_s < 2.0 * err_g + 1e-5
 
     def test_constant_state_preserved(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(True)
         for b in sim.forest:
             b.interior[...] = 4.0
         run_to(sim, 0.05)
@@ -68,20 +67,20 @@ class TestAccuracy:
             np.testing.assert_allclose(b.interior, 4.0, rtol=1e-12)
 
     def test_finite_and_bounded(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(True)
         run_to(sim, 0.1)
         for b in sim.forest:
             assert np.all(np.isfinite(b.interior))
             assert b.interior.max() < 1.5  # TVD-ish: no blowup
 
     def test_mass_drift_small(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(True)
         m0 = sim.total()
         run_to(sim, 0.08)
         assert abs(sim.total() - m0) / m0 < 1e-2
 
     def test_time_advances_exactly(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(True)
         sim.advance(1e-3)
         assert sim.time == pytest.approx(1e-3)
 
@@ -91,11 +90,11 @@ class TestWorkSavings:
         """The point of subcycling: per unit physical time, coarse blocks
         take exponentially fewer steps."""
         t_end = 0.06
-        p, sim_g = build(Simulation)
+        p, sim_g = build(False)
         sim_g.run(t_end=t_end)
         global_updates = sim_g.step_count * sim_g.forest.n_blocks
 
-        _, sim_s = build(SubcycledSimulation)
+        _, sim_s = build(True)
         coarse_steps = 0
         while sim_s.time < t_end - 1e-12:
             dt = min(sim_s.stable_dt(), t_end - sim_s.time)
@@ -105,7 +104,7 @@ class TestWorkSavings:
         assert sub_updates < 0.7 * global_updates
 
     def test_updates_per_step_counts_levels(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(True)
         hist = sim.forest.level_histogram()
         levels = sorted(hist)
         expect = sum(hist[l] * (1 << (l - levels[0])) for l in levels)
@@ -124,7 +123,7 @@ class TestSparseLevels:
         forest.adapt([BlockID(0, (0, 0))])
         forest.adapt([BlockID(1, (0, 0))])
         p.init_forest(forest)
-        sim = SubcycledSimulation(forest, p.scheme)
+        sim = Simulation(forest, p.scheme, subcycle=True)
         run_to(sim, 0.02)
         for b in sim.forest:
             assert np.all(np.isfinite(b.interior))
@@ -136,11 +135,11 @@ class TestUniformEquivalence:
         """On a uniform forest subcycling degenerates to exactly the
         global midpoint step — the results must be bit-identical."""
         results = []
-        for cls in (Simulation, SubcycledSimulation):
+        for subcycle in (False, True):
             p = advecting_pulse(2)
             forest = p.config.make_forest(p.scheme.nvar)
             p.init_forest(forest)
-            sim = cls(forest, p.scheme)
+            sim = Simulation(forest, p.scheme, subcycle=subcycle)
             for _ in range(5):
                 sim.advance(1e-3)
             results.append({b.id: b.interior.copy() for b in sim.forest})
@@ -192,22 +191,6 @@ def assert_forests_identical(a, b):
 
 
 class TestFirstClassMode:
-    def test_shim_matches_flag_bitwise(self):
-        _, flagged = build_sim(3, subcycle=True)
-        p = advecting_pulse(2)
-        forest = p.config.make_forest(p.scheme.nvar)
-        forest.adapt([BlockID(0, (0, 0)), BlockID(0, (1, 1))])
-        forest.adapt([BlockID(1, (1, 1))])
-        p.init_forest(forest)
-        shim = SubcycledSimulation(forest, p.scheme)
-        assert shim.subcycle
-        for _ in range(3):
-            dt = flagged.stable_dt()
-            assert shim.stable_dt() == dt
-            flagged.advance(dt)
-            shim.advance(dt)
-        assert_forests_identical(flagged.forest, shim.forest)
-
     def test_config_threads_through_problem_build(self):
         p = advecting_pulse(2)
         assert SimulationConfig.__dataclass_fields__["subcycle"].default is False
@@ -322,14 +305,14 @@ class TestEngineAndBackendRouting:
         forest = p.config.make_forest(p.scheme.nvar)
         p.init_forest(forest)
         with pytest.raises(ValueError, match="engine"):
-            SubcycledSimulation(forest, p.scheme, engine="vectorized")
+            Simulation(forest, p.scheme, subcycle=True, engine="vectorized")
 
     def test_unknown_kernel_backend_raises(self):
         p = advecting_pulse(2)
         forest = p.config.make_forest(p.scheme.nvar)
         p.init_forest(forest)
         with pytest.raises(ValueError, match="backend"):
-            SubcycledSimulation(forest, p.scheme, kernel_backend="fortran")
+            Simulation(forest, p.scheme, subcycle=True, kernel_backend="fortran")
 
     def test_batched_engine_actually_batches(self):
         """The batched subcycled sweep compacts the arena level-major:
