@@ -1,136 +1,154 @@
 """Process-backend throughput: real ranks, shared-memory exchange.
 
-Fig-6-style measurement through :class:`repro.parallel.ProcessMachine`:
-the advecting-pulse AMR workload stepped across real OS processes, with
-every rank's block pool in a POSIX shared-memory segment so ghost
-exchange is a flat copy between segments brokered by pipe commands.
+Fig-6-style measurement through :class:`repro.parallel.ProcessMachine`
+on the forest of the repo benchmark's ``proc_pulse2d_r2`` workload
+(10×10 roots of 32² cells, 4 refined: 112 blocks, 114 688 cells — big
+enough that a step is work, not pipe latency), against the serial
+driver on the same input.  Every row is min-of-N
+(:func:`repro.util.timing.measure`: system noise only ever adds time)
+with the mean alongside.
 
-Numbers land in ``BENCH_proc_backend.json`` (us/cell plus the exchange
-fraction of wall time, from the supervisor's phase clocks) and are
-diffed against the committed trajectory with
-:func:`repro.obs.compare_to_bench`.
+Numbers land in ``BENCH_proc_backend.json``: µs/cell, the speed-up over
+the serial driver, the exchange share of the supervisor's phase clocks
+and, from the ranks' own clocks, the share of wall they spent waiting.
 
-CI runs on one or two cores, so the ranks oversubscribe the machine;
-thresholds are deliberately loose — the hard assertions are about
-*correctness under measurement* (bit-for-bit with the serial driver)
-and the record's internal consistency, not absolute speed.
+CI runs on two cores, so four ranks oversubscribe the machine and the
+thresholds are loose — the hard assertions are *correctness under
+measurement* (bit-for-bit with the serial driver, exact wire counts),
+that two ranks beat the serial driver, and that the exchange is no
+longer most of the wall.
 """
+
+import os
 
 import numpy as np
 
 from repro.amr import Simulation
 from repro.core import BlockForest, BlockID
-from repro.obs import compare_to_bench
 from repro.parallel import ProcConfig, ProcessMachine
 from repro.solvers import AdvectionScheme
 from repro.util.geometry import Box
-from repro.util.timing import wall_clock
+from repro.util.timing import measure
 
 from _tables import emit_bench_json, emit_table
 
-WORKLOAD = "advecting pulse 2-D AMR, 2nd order, real-process ranks"
-STEPS = 20
-DT = 1e-3
+WORKLOAD = "advecting pulse 2-D, 112 blocks of 32x32, 2nd order, fixed dt"
+STEPS = 10
+REPEATS = 5
+DT = 1e-4
 
 
 def make_forest():
     f = BlockForest(
-        Box((0.0, 0.0), (1.0, 1.0)), (4, 4), (8, 8), nvar=1,
+        Box((0.0, 0.0), (1.0, 1.0)), (10, 10), (32, 32), nvar=1,
         n_ghost=2, periodic=(True, True), max_level=2,
     )
-    f.adapt([BlockID(0, (0, 0)), BlockID(0, (2, 2)), BlockID(0, (3, 1))])
+    f.adapt([BlockID(0, c) for c in ((2, 3), (7, 6), (4, 8), (8, 1))])
+    for b in f:
+        X, Y = b.meshgrid()
+        b.interior[0] = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.02)
     return f
 
 
-def init_pulse(forest):
-    for b in forest:
-        X, Y = b.meshgrid()
-        b.interior[0] = np.exp(-50 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
-
-
-def run_process_case(n_ranks):
-    scheme = AdvectionScheme((1.0, 0.5), order=2)
-    forest = make_forest()
-    init_pulse(forest)
-    config = ProcConfig(phase_timeout=5.0, hard_timeout=120.0)
-    with ProcessMachine(forest, n_ranks, scheme, config=config) as machine:
-        n_cells = machine.topology.n_cells
-        t0 = wall_clock()
-        for _ in range(STEPS):
-            machine.advance(DT)
-        elapsed = wall_clock() - t0
-        phase = dict(machine.phase_seconds)
-        stats = machine.stats
-        gathered = machine.gather()
-    # Bit-for-bit against the serial driver over the same trajectory.
-    ref = make_forest()
-    init_pulse(ref)
-    sim = Simulation(ref, scheme)
-    for _ in range(STEPS):
-        sim.advance(DT)
-    bitwise = all(
-        np.array_equal(gathered[bid], block.interior)
-        for bid, block in ref.blocks.items()
-    )
-    phase_total = sum(phase.values())
+def timed(label, engine, ranks, n_cells, advance):
+    """One row: ``STEPS`` steps, best of ``REPEATS`` after a warm-up
+    batch — (REPEATS + 1) * STEPS steps on every row, so final states
+    are comparable."""
+    t = measure(lambda: [advance(DT) for _ in range(STEPS)], repeats=REPEATS)
     return {
-        "label": f"process-{n_ranks}r",
-        "engine": "process",
+        "label": label,
+        "engine": engine,
         "workload": WORKLOAD,
         "ndim": 2,
-        "ranks": n_ranks,
+        "ranks": ranks,
         "steps": STEPS,
+        "repeats": REPEATS,
         "n_cells": n_cells,
-        "us_per_cell": elapsed / (STEPS * n_cells) * 1e6,
-        "exchange_seconds": phase["exchange"],
-        "compute_seconds": phase["compute"],
-        "control_seconds": phase["control"],
-        "exchange_fraction": (
-            phase["exchange"] / phase_total if phase_total > 0 else 0.0
-        ),
-        "wire_messages": stats.n_messages,
-        "wire_bytes": stats.n_bytes,
-        "bitwise_vs_serial": bitwise,
+        "wall_best_s": t.best,
+        "wall_mean_s": t.mean,
+        "spread": (max(t.times) - t.best) / t.best,
+        "us_per_cell": t.best / (STEPS * n_cells) * 1e6,
     }
 
 
+def run_serial_case():
+    sim = Simulation(make_forest(), AdvectionScheme((1.0, 0.5), order=2))
+    row = timed("serial", "blocked", 1, sim.forest.n_cells, sim.advance)
+    return row, sim.forest
+
+
+def run_process_case(n_ranks, reference):
+    scheme = AdvectionScheme((1.0, 0.5), order=2)
+    config = ProcConfig(phase_timeout=5.0, hard_timeout=120.0)
+    with ProcessMachine(make_forest(), n_ranks, scheme, config=config) as machine:
+        row = timed(
+            f"process-{n_ranks}r", "process", n_ranks,
+            machine.topology.n_cells, machine.advance,
+        )
+        phase = dict(machine.phase_seconds)
+        breakdown = machine.phase_breakdown()
+        stats = machine.stats
+        gathered = machine.gather()
+        steps = machine.step_index
+    phase_total = sum(phase.values())
+    row.update(
+        exchange_seconds=phase["exchange"],
+        compute_seconds=phase["compute"],
+        control_seconds=phase["control"],
+        exchange_fraction=phase["exchange"] / phase_total,
+        wait_fraction=sum(b["wait_s"] for b in breakdown.values()) / phase_total,
+        rank_work_seconds=[
+            sum(b["work_s"][r] for b in breakdown.values()) for r in range(n_ranks)
+        ],
+        messages_per_step=stats.n_messages / steps,
+        bytes_per_step=stats.n_bytes / steps,
+        bitwise_vs_serial=all(
+            np.array_equal(gathered[bid], block.interior)
+            for bid, block in reference.blocks.items()
+        ),
+    )
+    return row
+
+
 def test_proc_backend_bench():
-    results = [run_process_case(n) for n in (2, 4)]
+    serial, reference = run_serial_case()
+    results = [serial] + [run_process_case(n, reference) for n in (2, 4)]
+    for r in results:
+        r["speedup_vs_serial"] = serial["wall_best_s"] / r["wall_best_s"]
 
     emit_table(
         "proc_backend",
         "Process-backend throughput (real ranks, shared-memory ghost "
-        "exchange, oversubscribed CI host)",
-        ("case", "cells", "us/cell", "exch frac", "messages", "bitwise"),
+        f"exchange; best of {REPEATS} x {STEPS} steps, {os.cpu_count()} cores)",
+        ("case", "cells", "ms/step", "us/cell", "vs serial", "exch frac",
+         "wait frac", "msgs/step", "bitwise"),
         [
             (
                 r["label"],
                 r["n_cells"],
-                f"{r['us_per_cell']:.2f}",
-                f"{r['exchange_fraction']:.1%}",
-                r["wire_messages"],
-                "yes" if r["bitwise_vs_serial"] else "NO",
+                f"{r['wall_best_s'] / STEPS * 1e3:.1f}",
+                f"{r['us_per_cell']:.3f}",
+                f"{r['speedup_vs_serial']:.2f}x",
+                f"{r['exchange_fraction']:.1%}" if "exchange_fraction" in r else "-",
+                f"{r['wait_fraction']:.1%}" if "wait_fraction" in r else "-",
+                f"{r['messages_per_step']:.0f}" if "messages_per_step" in r else "-",
+                {True: "yes", False: "NO", None: "-"}[r.get("bitwise_vs_serial")],
             )
             for r in results
         ],
-        notes="us/cell includes supervisor control plane; thresholds are\n"
-              "loose because CI oversubscribes the ranks onto 1-2 cores",
+        notes="ms/step and us/cell include the supervisor control plane;\n"
+              "4 ranks oversubscribe a 2-core host",
     )
-    record_payload = {
-        "workload": WORKLOAD,
-        "cases": results,
-    }
-    emit_bench_json("proc_backend", **record_payload)
+    emit_bench_json(
+        "proc_backend", workload=WORKLOAD, nproc=os.cpu_count(), cases=results
+    )
 
-    for r in results:
+    for r in results[1:]:
         assert r["bitwise_vs_serial"], f"{r['label']} diverged from serial"
-        assert r["us_per_cell"] > 0
         assert 0.0 < r["exchange_fraction"] < 1.0
-        assert r["wire_messages"] > 0
-
-    # Diff against the committed trajectory record (the one just
-    # written, or a prior committed one when running pre-write in CI).
-    flags = compare_to_bench(
-        results, name="proc_backend", rel_tol=3.0
-    )
-    assert flags == [], f"process backend regressed: {flags}"
+        assert 0.0 <= r["wait_fraction"] < 1.0
+    two = results[1]
+    assert (two["messages_per_step"], two["bytes_per_step"]) == (432, 94_656)
+    # loose: CI's two cores are shared with the supervisor and the runner
+    assert two["exchange_fraction"] < 0.5, two
+    assert two["speedup_vs_serial"] > 1.0, two

@@ -32,6 +32,7 @@ from repro.kernels import get_backend
 from repro.core.refine_criteria import RefinementCriterion, compute_flags
 from repro.obs.metrics import METRICS
 from repro.solvers.scheme import FVScheme
+from repro.solvers.sweep import BATCH_TILE_BYTES, PoolSweep, tile_rows
 from repro.solvers.timestep import stable_dt, stable_dt_batched
 from repro.util.timing import PhaseTimer
 
@@ -103,10 +104,10 @@ class Simulation:
         a per-block flux evaluation within the batched step.
     batch_tile:
         Blocks per kernel call in the batched engine (None = automatic,
-        sized so a tile's padded rows stay cache-resident; see
-        :meth:`_tile_rows`).  Any value gives bit-identical results.
+        see :func:`repro.solvers.sweep.tile_rows`).  Any value gives
+        bit-identical results.
     batch_tile_bytes:
-        Target working-set bytes per automatic kernel tile (None =
+        Target bytes of pool rows per automatic kernel tile (None =
         the ``REPRO_BATCH_TILE_BYTES`` env var when set, else the
         :attr:`BATCH_TILE_BYTES` default).  Must be >= 4096.  Any value
         gives bit-identical results.
@@ -438,60 +439,38 @@ class Simulation:
                 self._map_blocks(corrector)
         self._finish_advance(dt, register)
 
-    #: default target working-set bytes per kernel tile (see
-    #: :meth:`_tile_rows`); per-instance override via the
-    #: ``batch_tile_bytes=`` parameter or the ``REPRO_BATCH_TILE_BYTES``
-    #: env var, both validated >= 4096.
-    BATCH_TILE_BYTES = 800 * 1024
+    #: default bytes of pool rows per kernel tile; per-instance override
+    #: via the ``batch_tile_bytes=`` parameter or the
+    #: ``REPRO_BATCH_TILE_BYTES`` env var, both validated >= 4096.
+    BATCH_TILE_BYTES = BATCH_TILE_BYTES
 
     def _tile_rows(self, row_bytes: int) -> int:
-        """Rows per kernel tile for the batched engine.
-
-        Sweeping the whole pool in one scheme call maximally amortizes
-        numpy dispatch but makes every intermediate array pool-sized —
-        at hundreds of blocks the elementwise chains stream through DRAM
-        and lose to the cache-resident per-block path (the same cache
-        cliff the paper's Figure 5 shows for oversized blocks).  Tiling
-        the sweep bounds the working set to roughly L2 size while still
-        amortizing dispatch over many blocks per call — the logical-
-        tiling strategy of production frameworks (AMReX).  Results are
-        bit-for-bit independent of the tile size: every kernel treats
-        the batch axis elementwise.
-        """
+        """Rows per kernel tile for the batched engine: ``batch_tile``
+        when given, else :func:`repro.solvers.sweep.tile_rows` (which
+        has the rationale).  Results are bit-for-bit independent of the
+        tile size: every kernel treats the batch axis elementwise."""
         if self.batch_tile is not None:
             return self.batch_tile
-        return max(8, self.batch_tile_bytes // max(row_bytes, 1))
+        return tile_rows(row_bytes, self.batch_tile_bytes)
 
     def _advance_batched(self, dt: float) -> None:
         """Batched engine: every scheme call sweeps a tile of blocks.
 
         The arena is compacted to a Morton-ordered contiguous prefix, so
         the ``(B, nvar, *padded)`` pool prefix *is* the forest state and
-        the generalized scheme machinery advances a whole tile of blocks
-        per numpy call (see :meth:`_tile_rows` for the tile-size
-        rationale).  Bit-for-bit identical to the per-block engine: same
-        IEEE elementwise kernels, same per-block cell widths, same
-        update expressions — only the loop structure changes.
+        :class:`~repro.solvers.sweep.PoolSweep` advances a whole tile of
+        blocks per numpy call.  Bit-for-bit identical to the per-block
+        engine: same IEEE elementwise kernels, same per-block cell
+        widths, same update expressions — only the loop structure
+        changes.
         """
         forest, scheme = self.forest, self.scheme
         g = forest.n_ghost
-        nd = forest.ndim
         register = self._flux_register() if self.reflux else None
         if register is not None:
             register.start_step()
         blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
         pool = forest.arena.ensure_compact(blocks)
-        n = len(blocks)
-        interior = (slice(None), slice(None)) + tuple(
-            slice(g, g + mi) for mi in forest.m
-        )
-        ui = pool[interior]  # (B, nvar, *m) view
-        dx_all = [
-            np.array([b.dx[a] for b in blocks]).reshape((n,) + (1,) * nd)
-            for a in range(nd)
-        ]
-        tile = self._tile_rows(pool[:1].nbytes)
-        tiles = [(s, min(s + tile, n)) for s in range(0, n, tile)]
 
         def capture_fluxes():
             # Reflux fallback: blocks on coarse-fine interfaces rerun a
@@ -511,45 +490,26 @@ class Simulation:
                     )
                     register.record(block.id, capture)
 
-        # Rate scratch: one interior-shaped buffer reused by every tile
-        # of every stage, so the update rate never allocates per tile.
-        rate_pool = forest.arena.rate_pool()
         self.fill_ghosts()
+        # Built after the fill: the first one compiles the ghost plan,
+        # and the scratch pools then reuse what its temporaries freed.
+        sweep = PoolSweep(
+            scheme, pool, enumerate(blocks), g,
+            save=forest.arena.save_pool(), rate=forest.arena.rate_pool(),
+            tile=self._tile_rows(pool[:1].nbytes),
+        )
         if scheme.n_stages == 1:
             with self.timer.phase("compute"):
                 capture_fluxes()
-                for s, e in tiles:
-                    dxs = [d[s:e] for d in dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[s:e], dxs, g, ndim=nd, out=rate_pool[s:e]
-                    )
-                    rate *= dt
-                    ui[s:e] += rate
-                    scheme.apply_floors(np.moveaxis(ui[s:e], 0, 1))
+                sweep.forward(dt)
         else:
-            save = forest.arena.save_pool()[:n]
             with self.timer.phase("compute"):
-                save[...] = ui
-                for s, e in tiles:
-                    dxs = [d[s:e] for d in dx_all]
-                    scheme.step(
-                        pool[s:e], dxs, 0.5 * dt, g, ndim=nd,
-                        rate_out=rate_pool[s:e],
-                    )
+                sweep.snapshot()
+                sweep.forward(0.5 * dt)
             self.fill_ghosts()
             with self.timer.phase("compute"):
                 capture_fluxes()
-                # u_new = u_old + dt * L(u_half), as in the blocked
-                # corrector (same IEEE ops per element; the scratch only
-                # removes the broadcast temporaries).
-                for s, e in tiles:
-                    dxs = [d[s:e] for d in dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[s:e], dxs, g, ndim=nd, out=rate_pool[s:e]
-                    )
-                    rate *= dt
-                    np.add(save[s:e], rate, out=ui[s:e])
-                    scheme.apply_floors(np.moveaxis(ui[s:e], 0, 1))
+                sweep.correct(dt)
         self._finish_advance(dt, register)
 
     def _finish_advance(

@@ -47,6 +47,7 @@ from repro.amr.driver import Simulation
 from repro.core.block_id import BlockID
 from repro.core.ghost import ghost_plan
 from repro.obs.metrics import METRICS
+from repro.solvers.sweep import PoolSweep
 from repro.solvers.timestep import stable_dt_batched
 
 __all__ = [
@@ -168,7 +169,6 @@ class _SubcycleSweep:
         self.batched = sim.engine == "batched"
         if self.batched:
             forest = self.forest
-            nd = forest.ndim
             # Level-major, Morton within level: every level is one
             # contiguous run of pool rows, so each substep sweeps a
             # plain row range in tiles.  The sort is stable, and the
@@ -179,22 +179,16 @@ class _SubcycleSweep:
             blocks.sort(key=lambda b: b.level)
             self.blocks = blocks
             self.pool = forest.arena.ensure_compact(blocks)
-            n = len(blocks)
-            g = self.g
-            interior = (slice(None), slice(None)) + tuple(
-                slice(g, g + mi) for mi in forest.m
+            self.sweep = PoolSweep(
+                self.scheme, self.pool, enumerate(blocks), self.g,
+                save=self.save, rate=self.rate_pool,
+                tile=sim._tile_rows(self.pool[:1].nbytes),
             )
-            self.ui = self.pool[interior]  # (B, nvar, *m) view
-            self.dx_all = [
-                np.array([b.dx[a] for b in blocks]).reshape((n,) + (1,) * nd)
-                for a in range(nd)
-            ]
             #: level -> [start, end) row range of the compacted pool
             self.ranges: Dict[int, Tuple[int, int]] = {}
             for i, b in enumerate(blocks):
                 s, _ = self.ranges.get(b.level, (i, i))
                 self.ranges[b.level] = (s, i + 1)
-            self.tile = sim._tile_rows(self.pool[:1].nbytes)
         else:
             by_level: Dict[int, List] = {lvl: [] for lvl in levels}
             for block in self.forest:
@@ -327,38 +321,22 @@ class _SubcycleSweep:
         """One substep of one level: tiled kernel sweeps over the
         level's contiguous pool row range, same IEEE ops per element as
         the blocked path (bit-for-bit, as in global stepping)."""
-        sim, scheme, g = self.sim, self.scheme, self.g
-        nd = self.forest.ndim
-        s, e = self.ranges[level]
+        sim, sweep = self.sim, self.sweep
+        rows = s, e = self.ranges[level]
         mine = self.blocks[s:e]
-        save, pool, ui = self.save, self.pool, self.ui
-        rate_pool = self.rate_pool
-        save[s:e] = ui[s:e]
+        sweep.snapshot(rows)
         for i, block in enumerate(mine):
-            self.u_old[block.id] = save[s + i]
+            self.u_old[block.id] = self.save[s + i]
             self.t_old[block.id] = t0
             self.t_new[block.id] = t0 + dt
-        tiles = [(a, min(a + self.tile, e)) for a in range(s, e, self.tile)]
         self.interp_fill(t0, level)
-        if scheme.n_stages == 1:
+        if self.scheme.n_stages == 1:
             with sim.timer.phase("compute"):
                 self._capture(mine, dt)
-                for a, b in tiles:
-                    dxs = [d[a:b] for d in self.dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[a:b], dxs, g, ndim=nd, out=rate_pool[a:b]
-                    )
-                    rate *= dt
-                    ui[a:b] += rate
-                    scheme.apply_floors(np.moveaxis(ui[a:b], 0, 1))
+                sweep.forward(dt, rows)
         else:
             with sim.timer.phase("compute"):
-                for a, b in tiles:
-                    dxs = [d[a:b] for d in self.dx_all]
-                    scheme.step(
-                        pool[a:b], dxs, 0.5 * dt, g, ndim=nd,
-                        rate_out=rate_pool[a:b],
-                    )
+                sweep.forward(0.5 * dt, rows)
             for block in mine:
                 self.t_new[block.id] = t0 + 0.5 * dt
             self.interp_fill(t0 + 0.5 * dt, level)
@@ -366,17 +344,7 @@ class _SubcycleSweep:
                 self.t_new[block.id] = t0 + dt
             with sim.timer.phase("compute"):
                 self._capture(mine, dt)
-                # u_new = u_old + dt * L(u_half), as in the blocked
-                # corrector (same IEEE ops per element; the scratch only
-                # removes the broadcast temporaries).
-                for a, b in tiles:
-                    dxs = [d[a:b] for d in self.dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[a:b], dxs, g, ndim=nd, out=rate_pool[a:b]
-                    )
-                    rate *= dt
-                    np.add(save[a:b], rate, out=ui[a:b])
-                    scheme.apply_floors(np.moveaxis(ui[a:b], 0, 1))
+                sweep.correct(dt, rows)
 
     def _capture(self, mine, weight: float) -> None:
         """Reflux fallback for the batched sweep: blocks on coarse–fine

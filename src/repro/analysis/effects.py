@@ -17,7 +17,9 @@ Inference is deliberately conservative-by-table rather than fully
 general dataflow: the repo's arena regions are only reachable through
 a small, stable vocabulary (``.interior``, ``.data``, ``.view()``,
 ``.ghost_region()``, ``.mirror_view()``, the worker's staging
-attributes, and a handful of kernel entry points), so a name-driven
+attributes, and a handful of kernel entry points — the wire halves the
+emulator calls, the compiled-plan executors and the tiled sweep the
+rank processes call), so a name-driven
 classification plus single-assignment local aliasing covers the real
 access paths without false mazes.  Misses are safe: an effect the
 analyzer cannot see simply goes unchecked; an effect it *does* see
@@ -66,7 +68,6 @@ class FunctionEffects:
 _ATTR_REGION: Dict[str, FrozenSet[str]] = {
     "interior": frozenset({"interior"}),
     "data": frozenset({"interior", "ghost"}),
-    "saved": frozenset({"staging"}),
     "_payloads": frozenset({"staging"}),
     "_payload_crcs": frozenset({"staging"}),
 }
@@ -78,6 +79,7 @@ _CALL_RESULT_REGION: Dict[str, FrozenSet[str]] = {
     "mirror_view": frozenset({"mirror"}),
     "copy_view": frozenset({"mirror"}),
     "gather_bordered": frozenset({"staging"}),
+    "gather_prolong": frozenset({"staging"}),
 }
 
 #: ``x.view(box)`` reads interior when loaded, targets ghost when the
@@ -91,9 +93,31 @@ _CALL_EFFECTS: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {
     "gather_bordered": (frozenset({"interior", "ghost"}), frozenset()),
     "restriction_contribution": (frozenset({"interior"}), frozenset()),
     "apply_restrictions": (frozenset(), frozenset({"ghost"})),
+    # executors of a compiled ghost plan (repro.core.ghost)
+    "run_copies": (frozenset({"interior"}), frozenset({"ghost"})),
+    "run_restrictions": (frozenset({"interior"}), frozenset({"ghost"})),
+    "run_boundaries": (frozenset(), frozenset({"ghost"})),
+    "gather_prolong": (frozenset({"interior", "ghost"}), frozenset()),
+    "write_prolongs": (frozenset(), frozenset({"ghost"})),
+    # stages of the tiled sweep (repro.solvers.sweep.PoolSweep); the
+    # snapshot it parks between predictor and corrector is staging
+    "snapshot": (frozenset({"interior"}), frozenset({"staging"})),
+    "forward": (frozenset({"interior", "ghost"}), frozenset({"interior"})),
+    "correct": (
+        frozenset({"interior", "ghost", "staging"}), frozenset({"interior"})
+    ),
     "remirror_block": (frozenset({"interior"}), frozenset({"mirror"})),
     "copy_is_valid": (frozenset({"mirror"}), frozenset()),
     "adopt_block": (frozenset(), frozenset({"interior"})),
+}
+
+#: Calls that read the region aliased by one positional argument:
+#: function name -> argument index.
+_ARG_READS: Dict[str, int] = {
+    "content_crc": 0,
+    "crc_bytes": 0,
+    "prolong_bordered": 0,
+    "write_prolongs": 1,
 }
 
 #: Methods on the scheme object (``*.scheme.step(data, ...)``) that
@@ -229,8 +253,9 @@ class _FunctionEffectVisitor(ast.NodeVisitor):
                 arg_regions = self._regions_of(node.args[0])
                 if name == "apply_bitflip":
                     self.writes |= arg_regions
-                elif name in ("content_crc", "crc_bytes", "prolong_bordered"):
-                    self.reads |= arg_regions
+            reads_arg = _ARG_READS.get(name)
+            if reads_arg is not None and len(node.args) > reads_arg:
+                self.reads |= self._regions_of(node.args[reads_arg])
         self.generic_visit(node)
 
 

@@ -36,12 +36,18 @@ weights; a fill only executes it.  A caller that reads the ghosts of
 some blocks only names them (``dest=``) and gets the part of the plan
 that fills those, dependencies included (:func:`ghost_plan`).
 
-The same geometry is exposed as a stream of :class:`Transfer` records
-(:func:`iter_transfers`) so the simulated parallel machine can account
-messages without touching any arrays, and as source-side/receiver-side
-halves (:func:`gather_bordered`, :func:`prolong_bordered`,
-:func:`restriction_contribution`, :func:`apply_restrictions`) for the
-machines that ship the payloads between ranks.
+The same geometry is exposed as :class:`Transfer` records
+(:func:`exchange_regions`, :func:`iter_transfers`) so the simulated
+parallel machine can account messages without touching any arrays, and
+as source-side/receiver-side halves (:func:`gather_bordered`,
+:func:`prolong_bordered`, :func:`restriction_contribution`,
+:func:`apply_restrictions`) for the emulated machine that ships payloads
+between ranks.  The process machine's ranks run the compiled entries
+themselves, one stage per barrier phase, through the same executors
+:func:`fill_ghosts` is made of (:func:`run_copies`,
+:func:`run_restrictions`, :func:`run_boundaries`,
+:func:`gather_prolong`, and :func:`write_prolongs` — batched, since a
+rank has every source in hand before it writes any).
 """
 
 from __future__ import annotations
@@ -54,8 +60,10 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -76,12 +84,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Transfer",
+    "Region",
     "FillCounts",
     "GhostPlan",
     "fill_ghosts",
     "ghost_plan",
     "compile_plan",
+    "exchange_regions",
     "iter_transfers",
+    "payload_values",
+    "run_copies",
+    "run_restrictions",
+    "run_boundaries",
+    "gather_prolong",
+    "write_prolongs",
     "region_owners",
     "all_offsets",
     "BoundaryHandler",
@@ -93,6 +109,10 @@ __all__ = [
 BoundaryHandler = Callable[[Block, int, IndexBox, BlockForest], None]
 
 Slices = Tuple[slice, ...]
+
+#: The transfers into one ghost region: (destination block, the region's
+#: offset vector, transfers).
+Region = Tuple[BlockID, Tuple[int, ...], List["Transfer"]]
 
 #: Covered volume (in coarse cells) above which a restriction target
 #: counts as filled by its fine owners.
@@ -474,21 +494,52 @@ def apply_restrictions(
     return len(items)
 
 
-def iter_transfers(
-    forest: BlockForest, *, fill_corners: bool = True
-) -> Iterator[Transfer]:
-    """Yield every Transfer of a full ghost exchange.
+def payload_values(t: Transfer, nvar: int, ndim: int, order: int) -> int:
+    """Float64 values the wire payload of ``t`` holds between ranks: the
+    slab itself (same level), value and volume sums per coarse cell
+    (:func:`restriction_contribution`), or the bordered coarse region
+    (:func:`gather_bordered`)."""
+    if t.delta == 0:
+        return nvar * t.src_box.size
+    if t.delta > 0:
+        return (nvar + 1) * _restriction_geometry(t, ndim)[3].size
+    return nvar * t.src_box.grow(prolongation_border(-t.delta, order)).size
 
-    Pure geometry — no data is moved.  Used by the parallel machine to
-    build message schedules and by tests to inspect transfer regions.
-    With ``fill_corners=False`` only face regions are included (the
-    paper's minimal face-pointer connectivity).
-    """
+
+def _iter_regions(forest: BlockForest, fill_corners: bool) -> Iterator[Region]:
     offsets = all_offsets(forest.ndim, faces_only=not fill_corners)
     for bid in forest.sorted_ids():
         block = forest.blocks[bid]
         for offset in offsets:
-            yield from _region_transfers(forest, block, offset)
+            transfers = list(_region_transfers(forest, block, offset))
+            if transfers:
+                yield bid, offset, transfers
+
+
+def exchange_regions(
+    forest: BlockForest, *, fill_corners: bool = True
+) -> List[Region]:
+    """Every non-empty ghost region of a full exchange with its
+    transfers, in plan order: blocks in SFC order (level-major), each
+    block's regions faces first.
+
+    Pure geometry — no data is moved.  The one schedule every executor
+    derives its work from: :func:`compile_plan`, the emulated machine,
+    and the process machine's supervisor and rank processes.  With
+    ``fill_corners=False`` only face regions are included (the paper's
+    minimal face-pointer connectivity).
+    """
+    return list(_iter_regions(forest, fill_corners))
+
+
+def iter_transfers(
+    forest: BlockForest, *, fill_corners: bool = True
+) -> Iterator[Transfer]:
+    """Yield every Transfer of a full ghost exchange (the regions of
+    :func:`exchange_regions`, flattened) — used to build message
+    schedules and by tests to inspect transfer regions."""
+    for _bid, _offset, transfers in _iter_regions(forest, fill_corners):
+        yield from transfers
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +610,12 @@ class _Prolong(NamedTuple):
     src: Block
     #: cells of ``src`` (interior and ghost) the transfer reads
     need: IndexBox
+    #: earlier prolongations that write cells of ``need``, each with
+    #: where its result lands in ``src_view`` and the part of its
+    #: destination box that lands there.  Only a staged plan has them
+    #: (see :func:`compile_plan`); running in plan order honours them
+    #: by itself.
+    deps: Tuple[Tuple["_Prolong", Slices, Slices], ...] = ()
 
 
 class _Boundary(NamedTuple):
@@ -620,6 +677,18 @@ class GhostPlan:
             seen.setdefault(p.src.id, p.src)
         return list(seen.values())
 
+    @cached_property
+    def prolong_groups(self) -> List[List[int]]:
+        """Indices into :attr:`prolongs` of the entries that prolong
+        alike: same bordered-source shape, depth and crop."""
+        groups: Dict[Any, List[int]] = {}
+        for i, p in enumerate(self.prolongs):
+            pad = p.pad or [(0, 0)] * p.src_view.ndim
+            shape = tuple(n + lo + hi for n, (lo, hi) in zip(p.src_view.shape, pad))
+            crop = tuple((sl.start, sl.stop) for sl in p.crop)
+            groups.setdefault((shape, p.up, crop), []).append(i)
+        return list(groups.values())
+
     def ghost_reads(self) -> List[Tuple[Block, IndexBox]]:
         """``(block, box)`` of every region whose *ghost* cells the plan
         reads: the slope borders of its prolongations."""
@@ -627,14 +696,17 @@ class GhostPlan:
 
 
 def _compile_restrict(
-    block: Block, transfers: List[Transfer], forest: BlockForest
+    block: Block,
+    transfers: List[Transfer],
+    blocks: Mapping[BlockID, Block],
+    ndim: int,
 ) -> _Restrict:
-    ndim, nvar = forest.ndim, forest.nvar
+    nvar = block.nvar
     union = _hull([t.dst_box for t in transfers])
     vol = np.zeros(union.shape)
     sources = []
     for t in transfers:
-        src = forest.blocks[t.src_id]
+        src = blocks[t.src_id]
         aligned, inner, frac, coarse_box = _restriction_geometry(t, ndim)
         tgt = coarse_box.intersect(union)
         src_sl = tgt.slices(coarse_box.lo)
@@ -660,7 +732,7 @@ def _compile_restrict(
         np.where(filled, vol, 1.0),
         block,
         union,
-        tuple(forest.blocks[t.src_id] for t in transfers),
+        tuple(blocks[t.src_id] for t in transfers),
     )
 
 
@@ -683,47 +755,122 @@ def _compile_prolong(block: Block, src: Block, t: Transfer, order: int) -> _Prol
     )
 
 
-def compile_plan(forest: BlockForest, fill_corners: bool = True) -> GhostPlan:
-    """Compile the full exchange of ``forest`` (see :class:`GhostPlan`).
+def _prolong_entry(
+    t: Transfer,
+    blocks: Mapping[BlockID, Block],
+    order: int,
+    inbound: Mapping[BlockID, List[Transfer]],
+    compiled: Dict[Any, _Prolong],
+) -> _Prolong:
+    """The compiled entry of ``t`` with its :attr:`_Prolong.deps` among
+    ``inbound``, the prolongations ahead of it in plan order (memoized
+    in ``compiled`` by destination, region and source)."""
+    key = (t.dst_id, t.offset, t.src_id)
+    p = compiled.get(key)
+    if p is None:
+        p = _compile_prolong(blocks[t.dst_id], blocks[t.src_id], t, order)
+        deps = []
+        for q in inbound.get(t.src_id, ()):
+            overlap = q.dst_box.intersect(p.need)
+            if not overlap.empty:
+                deps.append((
+                    _prolong_entry(q, blocks, order, inbound, compiled),
+                    (slice(None),) + overlap.slices(p.need.lo),
+                    (slice(None),) + overlap.slices(q.dst_box.lo),
+                ))
+        if deps:
+            p = p._replace(deps=tuple(deps))
+        compiled[key] = p
+    return p
+
+
+def compile_plan(
+    forest: BlockForest,
+    fill_corners: bool = True,
+    *,
+    regions: Optional[Iterable[Region]] = None,
+    blocks: Optional[Mapping[BlockID, Block]] = None,
+    dest: Optional[FrozenSet[BlockID]] = None,
+    staged: bool = False,
+) -> GhostPlan:
+    """Compile the exchange of ``forest`` (see :class:`GhostPlan`).
 
     :func:`fill_ghosts` calls this through a cache; it is public for
-    benchmarks that time plan construction."""
-    offsets = all_offsets(forest.ndim, faces_only=not fill_corners)
+    benchmarks that time plan construction and for executors that hold
+    the block arrays themselves: ``regions`` is the schedule when the
+    caller already has it (:func:`exchange_regions`), ``blocks`` the
+    blocks whose arrays the views go into when they are not the
+    forest's own, ``dest`` keeps only the entries and boundary slabs
+    whose destination it names (no dependency closure, unlike
+    :func:`ghost_plan`: whoever owns the other blocks fills those).
+
+    ``staged`` is for an executor that gathers the source of *every*
+    prolongation before it writes any (the process machine's two-phase
+    stage 2).  Run in plan order, a prolongation whose slope border
+    reaches ghost cells an earlier prolongation writes reads them
+    prolonged; gathered up front it would read them stale.  A staged
+    plan records those earlier entries in :attr:`_Prolong.deps` — of
+    whatever destination, recursively — and :func:`gather_prolong`
+    replays them on the private copy.
+    """
+    if regions is None:
+        # streamed: a region's transfers are garbage once compiled
+        regions = _iter_regions(forest, fill_corners)
+    if blocks is None:
+        blocks = forest.blocks
     order = forest.prolong_order
     copies: List[_Copy] = []
     restricts: List[_Restrict] = []
     prolongs: List[_Prolong] = []
-    for bid in forest.sorted_ids():
-        block = forest.blocks[bid]
-        for offset in offsets:
-            fine: List[Transfer] = []
-            for t in _region_transfers(forest, block, offset):
-                if t.delta == 0:
-                    copies.append(
-                        _Copy(block, t.dst_box, forest.blocks[t.src_id], t.src_box)
-                    )
-                elif t.delta > 0:
-                    fine.append(t)
-                else:
+    #: staged only: the prolongation transfers seen so far, by destination
+    inbound: Dict[BlockID, List[Transfer]] = {}
+    compiled: Dict[Any, _Prolong] = {}
+
+    for bid, _offset, transfers in regions:
+        mine = dest is None or bid in dest
+        fine: List[Transfer] = []
+        for t in transfers:
+            if t.delta < 0:
+                if mine:
                     prolongs.append(
-                        _compile_prolong(block, forest.blocks[t.src_id], t, order)
+                        _prolong_entry(t, blocks, order, inbound, compiled)
                     )
-            if fine:
-                restricts.append(_compile_restrict(block, fine, forest))
-    return GhostPlan(copies, restricts, prolongs, _bc_scan_faces(forest))
+                if staged:
+                    inbound.setdefault(bid, []).append(t)
+            elif not mine:
+                continue
+            elif t.delta == 0:
+                copies.append(
+                    _Copy(blocks[bid], t.dst_box, blocks[t.src_id], t.src_box)
+                )
+            else:
+                fine.append(t)
+        if fine:
+            restricts.append(
+                _compile_restrict(blocks[bid], fine, blocks, forest.ndim)
+            )
+    return GhostPlan(
+        copies, restricts, prolongs,
+        _bc_scan_faces(
+            [
+                blocks[bid] for bid in forest.sorted_ids()
+                if dest is None or bid in dest
+            ],
+            forest.ndim,
+        ),
+    )
 
 
-def _bc_scan_faces(forest: BlockForest) -> List[_Boundary]:
-    """Physical-boundary slabs, axis by axis; the slab for axis ``a`` is
-    extended across the full ghost width of every *other* axis, so
-    edge/corner ghosts outside the domain are filled consistently (the
-    last axis wins at corners shared by two physical boundaries, the
-    standard convention)."""
+def _bc_scan_faces(blocks: Sequence[Block], ndim: int) -> List[_Boundary]:
+    """Physical-boundary slabs of ``blocks``, axis by axis; the slab for
+    axis ``a`` is extended across the full ghost width of every *other*
+    axis, so edge/corner ghosts outside the domain are filled
+    consistently (the last axis wins at corners shared by two physical
+    boundaries, the standard convention)."""
     bc_faces: List[_Boundary] = []
-    for axis in range(forest.ndim):
-        other_axes = tuple(a for a in range(forest.ndim) if a != axis)
-        for bid in forest.sorted_ids():
-            block = forest.blocks[bid]
+    for axis in range(ndim):
+        other_axes = tuple(a for a in range(ndim) if a != axis)
+        for block in blocks:
             for side in (0, 1):
                 face = 2 * axis + side
                 fn = block.face_neighbors.get(face)
@@ -868,6 +1015,87 @@ def _flat_copy_indices(
     return plan.flat_dst, plan.flat_src
 
 
+def run_copies(plan: GhostPlan) -> None:
+    """Stage 1a: the plan's same-level copies, one slab assignment each."""
+    for dst_view, src_view in _copy_views(plan):
+        dst_view[...] = src_view
+
+
+def run_restrictions(plan: GhostPlan, ndim: int) -> None:
+    """Stage 1b: the plan's fine→coarse regions, volume-averaged."""
+    for r in plan.restricts:
+        acc = np.zeros(r.acc_shape)
+        for src_view, aligned_shape, inner, down, frac, dst_sl, src_sl in r.sources:
+            if aligned_shape is None:
+                data = np.ascontiguousarray(src_view)
+            else:
+                data = np.zeros(aligned_shape)
+                data[inner] = src_view
+            acc[dst_sl] += (_restrict_sum(data, ndim, down) * frac)[src_sl]
+        r.dst_view[...] = np.where(r.filled, acc / r.safe_vol, r.dst_view)
+
+
+def run_boundaries(
+    plan: GhostPlan, bc: Optional[BoundaryHandler], forest: BlockForest
+) -> None:
+    """The plan's physical-boundary slabs (after either stage)."""
+    if bc is not None:
+        for block, face, region in plan.bc_faces:
+            bc(block, face, region, forest)
+
+
+def _prolonged(p: _Prolong, data: np.ndarray, order: int, ndim: int) -> np.ndarray:
+    prolong: Callable[[np.ndarray, int], np.ndarray] = (
+        prolong_inject if order == 1 else prolong_linear
+    )
+    for _ in range(p.up):
+        data = prolong(data, ndim)
+    return data[p.crop]
+
+
+def gather_prolong(p: _Prolong, order: int, ndim: int) -> np.ndarray:
+    """Read-only half of a stage-2 transfer: a private copy of the
+    bordered source region, edge-replicated where the border leaves the
+    source's padded array, with the earlier prolongations it depends on
+    (:attr:`_Prolong.deps`) replayed on the copy."""
+    data = p.src_view.copy()
+    for q, into, part in p.deps:
+        data[into] = _prolonged(q, gather_prolong(q, order, ndim), order, ndim)[part]
+    return data if p.pad is None else np.pad(data, p.pad, mode="edge")
+
+
+def write_prolongs(
+    plan: GhostPlan,
+    payloads: Sequence[np.ndarray],
+    order: int,
+    ndim: int,
+    skip: Iterable[int] = (),
+) -> None:
+    """Write half of stage 2 for every entry of ``plan`` at once, from
+    the sources gathered up front: prolong ``payloads[i]`` into the
+    destination ghost cells of ``prolongs[i]`` (indices in ``skip`` are
+    left unwritten).
+
+    Nothing here reads what it writes, so the order is free, and
+    prolongation is elementwise along the variable axis: entries that
+    prolong alike are stacked along it and prolonged by one call — the
+    same values for a fraction of the numpy dispatches.
+    """
+    skip = frozenset(skip)
+    for members in plan.prolong_groups:
+        if skip:
+            members = [i for i in members if i not in skip]
+            if not members:
+                continue
+        first = plan.prolongs[members[0]]
+        fine = _prolonged(
+            first, np.concatenate([payloads[i] for i in members]), order, ndim
+        )
+        nvar = first.dst_view.shape[0]
+        for k, i in enumerate(members):
+            plan.prolongs[i].dst_view[...] = fine[k * nvar:(k + 1) * nvar]
+
+
 def fill_ghosts(
     forest: BlockForest,
     bc: Optional[BoundaryHandler] = None,
@@ -914,37 +1142,19 @@ def fill_ghosts(
         else:
             flat[flat_dst] = flat[flat_src]
     else:
-        for dst_view, src_view in _copy_views(plan):
-            dst_view[...] = src_view
-    for r in plan.restricts:
-        acc = np.zeros(r.acc_shape)
-        for src_view, aligned_shape, inner, down, frac, dst_sl, src_sl in r.sources:
-            if aligned_shape is None:
-                data = np.ascontiguousarray(src_view)
-            else:
-                data = np.zeros(aligned_shape)
-                data[inner] = src_view
-            acc[dst_sl] += (_restrict_sum(data, ndim, down) * frac)[src_sl]
-        r.dst_view[...] = np.where(r.filled, acc / r.safe_vol, r.dst_view)
-    if bc is not None:
-        # Applying the BC after stage 1 gives stage-2 prolongations valid
-        # slope borders next to physical boundaries.
-        for block, face, region in plan.bc_faces:
-            bc(block, face, region, forest)
+        run_copies(plan)
+    run_restrictions(plan, ndim)
+    # Applying the BC after stage 1 gives stage-2 prolongations valid
+    # slope borders next to physical boundaries.
+    run_boundaries(plan, bc, forest)
     # Stage 2: prolongations (may read the sources' now-valid ghosts).
-    prolong: Callable[[np.ndarray, int], np.ndarray] = (
-        prolong_inject if forest.prolong_order == 1 else prolong_linear
-    )
+    order = forest.prolong_order
     for p in plan.prolongs:
         data = p.src_view if p.pad is None else np.pad(p.src_view, p.pad, mode="edge")
-        for _ in range(p.up):
-            data = prolong(data, ndim)
-        p.dst_view[...] = data[p.crop]
-    if bc is not None:
-        # Re-apply so boundary slabs adjacent to prolonged ghosts are
-        # consistent with the final data.
-        for block, face, region in plan.bc_faces:
-            bc(block, face, region, forest)
+        p.dst_view[...] = _prolonged(p, data, order, ndim)
+    # Re-apply so boundary slabs adjacent to prolonged ghosts are
+    # consistent with the final data.
+    run_boundaries(plan, bc, forest)
     counts = plan.counts
     if METRICS.enabled:
         METRICS.inc("ghost.transfers.copy", counts.copy)
@@ -958,5 +1168,5 @@ def fill_ghosts(
 def apply_physical_bc(forest: BlockForest, bc: BoundaryHandler) -> None:
     """Apply physical boundary conditions to all domain-boundary ghosts
     (slab geometry: :func:`_bc_scan_faces`)."""
-    for block, face, region in _bc_scan_faces(forest):
+    for block, face, region in _bc_scan_faces(list(forest), forest.ndim):
         bc(block, face, region, forest)

@@ -48,9 +48,8 @@ from repro.core.ghost import (
     NeighborKind,
     Transfer,
     _neg,
-    all_offsets,
-    _region_transfers,
     apply_restrictions,
+    exchange_regions,
     gather_bordered,
     prolong_bordered,
     prolongation_border,
@@ -180,7 +179,7 @@ class EmulatedMachine:
         self._populate(forest, self.assignment)
         self.stats = ExchangeStats()
         self.time = 0.0
-        self._plan = self._build_plan()
+        self._plan = exchange_regions(forest)
         self.race_detector: Optional["RaceDetector"] = None
         self.sanitizer: Optional["GhostSanitizer"] = None
         self.scrubber: Optional["Scrubber"] = None
@@ -210,20 +209,6 @@ class EmulatedMachine:
             self.rank_blocks[rank][bid] = clone
 
     # ------------------------------------------------------------------
-
-    def _build_plan(
-        self,
-    ) -> List[Tuple[BlockID, Tuple[int, ...], List[Transfer]]]:
-        """All transfers of one exchange, from the replicated topology."""
-        plan: List[Tuple[BlockID, Tuple[int, ...], List[Transfer]]] = []
-        offsets = all_offsets(self.topology.ndim)
-        for bid in self.topology.sorted_ids():
-            block = self.topology.blocks[bid]
-            for offset in offsets:
-                ts = list(_region_transfers(self.topology, block, offset))
-                if ts:
-                    plan.append((bid, offset, ts))
-        return plan
 
     def owner_rank(self, bid: BlockID) -> int:
         return self.assignment[bid]
@@ -656,6 +641,7 @@ class EmulatedMachine:
                         det.on_consume(block.id, rank)
                     rate = scheme.flux_divergence(block.data, block.dx, g)
                     block.interior[...] = saved[block.id] + dt * rate
+                    scheme.apply_floors(block.interior)
                     if det is not None:
                         det.on_interior_write(block.id, rank)
         if self.sanitizer is not None:

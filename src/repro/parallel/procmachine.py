@@ -11,8 +11,8 @@ itself runs under a barrier-phase protocol driven by the supervisor
 (this class): ``exch1 → exch2-gather → exch2-write → compute``, each
 phase acknowledged by every alive rank before the next begins (see
 :mod:`repro.parallel.procworker` for why stage 2 splits around a
-barrier: it makes the concurrent exchange bit-for-bit equal to the
-serial one).
+barrier and what the gather replays to stay bit-for-bit equal to the
+serial exchange).
 
 The robustness layer is the point of this backend:
 
@@ -67,16 +67,11 @@ from repro.analysis.protocol import phase_effect
 from repro.core.block import Block
 from repro.core.block_id import BlockID
 from repro.core.forest import BlockForest
-from repro.core.ghost import BoundaryHandler
+from repro.core.ghost import BoundaryHandler, Region, exchange_regions
 from repro.obs.metrics import METRICS
 from repro.parallel.emulator import ExchangeStats
 from repro.parallel.partition import Assignment, sfc_partition
-from repro.parallel.procworker import (
-    PlanEntry,
-    WorkerSpec,
-    build_exchange_plan,
-    worker_main,
-)
+from repro.parallel.procworker import WorkerSpec, worker_main
 from repro.parallel.shared_arena import (
     SharedBlockArena,
     _release_segment,
@@ -162,7 +157,8 @@ class ProcessMachine:
             assignment if assignment is not None
             else sfc_partition(forest, self.n_ranks)
         )
-        self._plan: List[PlanEntry] = build_exchange_plan(forest)
+        #: the exchange schedule; workers inherit it through the fork
+        self._plan: List[Region] = exchange_regions(forest)
         self._ctx = get_context("fork")
         self._capacity = max(1, forest.n_blocks)
         self._mirror_capacity = max(1, forest.n_blocks)
@@ -183,6 +179,10 @@ class ProcessMachine:
         self.phase_seconds: Dict[str, float] = {
             "exchange": 0.0, "compute": 0.0, "control": 0.0,
         }
+        #: per bucket, what the ranks report of their own phases: busy
+        #: seconds by rank, and the rest of the supervisor's wall
+        self._work = {b: [0.0] * self.n_ranks for b in self.phase_seconds}
+        self._wait = dict.fromkeys(self.phase_seconds, 0.0)
         self.recorder: Optional["RunRecorder"] = None
         self.race_detector: Optional["RaceDetector"] = None
         self.sanitizer: Optional["GhostSanitizer"] = None
@@ -291,6 +291,7 @@ class ProcessMachine:
             rank=rank,
             conn=child_conn,
             topology=self.topology,
+            regions=self._plan,
             scheme=self.scheme,
             bc=self.bc,
             heartbeat_name=self._hb_shm.name,
@@ -707,7 +708,12 @@ class ProcessMachine:
             else "compute" if op in _COMPUTE_OPS
             else "control"
         )
-        self.phase_seconds[bucket] += wall_clock() - t0
+        wall = wall_clock() - t0
+        self.phase_seconds[bucket] += wall
+        busy = {r: float(b.get("busy_s", 0.0)) for r, b in replies.items()}
+        for rank, seconds in busy.items():
+            self._work[bucket][rank] += seconds
+        self._wait[bucket] += wall - max(busy.values(), default=0.0)
         if dead:
             lost = self.lost_blocks()
             if lost:
@@ -722,6 +728,21 @@ class ProcessMachine:
                     self.step_index, tuple(dead), tuple(lost), kinds=kinds
                 )
         return replies
+
+    def phase_breakdown(self) -> Dict[str, Dict[str, Any]]:
+        """Work against wait, per :attr:`phase_seconds` bucket, since
+        construction: ``wall_s`` (the supervisor's send-to-last-reply
+        clock), ``work_s`` (each rank's own busy seconds, from its
+        replies) and ``wait_s`` (per phase, wall minus the slowest
+        rank's busy: pipe round trip, wake-up and barrier skew)."""
+        return {
+            bucket: {
+                "wall_s": wall,
+                "work_s": list(self._work[bucket]),
+                "wait_s": self._wait[bucket],
+            }
+            for bucket, wall in self.phase_seconds.items()
+        }
 
     def _sync_config(self) -> None:
         self._config_dirty = False
@@ -945,6 +966,11 @@ class ProcessMachine:
         # scrubber's new trusted baseline (post-step write boundary).
         self._staged_flips.clear()
         self.scrub_retag()
+        if self.recorder is not None:
+            self._emit_supervisor(
+                "phase-breakdown", step=self.step_index,
+                **self.phase_breakdown(),
+            )
 
     # ------------------------------------------------------------------
     # recovery surface

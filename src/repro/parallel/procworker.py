@@ -14,26 +14,33 @@ one):
 
 ``exch1``
     Stage 1 of the ghost exchange for the rank's own blocks: same-level
-    copies and source-side restrictions, reading only *interiors* of
-    neighbor segments (stable during the exchange), then physical BCs.
+    copies and restrictions, reading only *interiors* of neighbor
+    segments (stable during the exchange), then physical BCs.
 ``exch2-gather``
-    Read-only half of stage 2: gather every bordered coarse source
-    region (which may read ghosts stage 1 just filled) into private
-    scratch.  Nothing is written, so concurrent readers cannot race.
+    Read-only half of stage 2: copy every bordered coarse source region
+    (which may read ghosts stage 1 just filled) into private staging.
+    Nothing shared is written, so concurrent readers cannot race.
 ``exch2-write``
-    Write half of stage 2: prolong the gathered payloads into the
-    rank's own ghost regions, then BCs.  Splitting stage 2 around a
-    barrier makes the concurrent exchange bit-for-bit equal to the
-    serial one regardless of cross-rank timing: every gather sees
-    exactly the post-stage-1 state, matching the two-stage data
-    dependency contract checked by the race detector.
+    Write half of stage 2: prolong the staged payloads into the rank's
+    own ghost regions, then BCs.  Splitting stage 2 around a barrier
+    makes every gather see exactly the post-stage-1 state whatever the
+    cross-rank timing — the two-stage data dependency contract checked
+    by the race detector.  That alone is *not* the serial exchange,
+    which runs its prolongations one after another: a slope border that
+    reaches ghost cells an earlier prolongation writes reads them
+    prolonged there and would read them stale here.  The staged plan
+    knows those entries (:attr:`repro.core.ghost._Prolong.deps`) and the
+    gather replays them on its private copy, which restores bit-for-bit
+    equality with the serial driver without another phase.
 ``step``, ``predictor``, ``corrector``
     Rank-local compute on own blocks (reads own ghosts, writes own
-    interiors).
+    interiors): the driver's tiled stage update
+    (:class:`repro.solvers.sweep.PoolSweep`) over the rank's pool rows.
 ``config``
     (Re)build the worker's view of the world: attach segments, create
-    Block views per the row locator, recompute the exchange plan
-    filter.  Sent at spawn, after recoveries, and after respawns.
+    Block views per the row locator, compile the exchange entries whose
+    destination the rank owns and the sweep over its rows.  Sent at
+    spawn, after recoveries, and after respawns.
 ``resend``
     Supervision probe: retransmit the cached reply for the last
     executed sequence number (idempotent recovery for dropped or
@@ -66,43 +73,23 @@ from repro.core.forest import BlockForest
 from repro.core.integrity import content_crc
 from repro.core.ghost import (
     BoundaryHandler,
-    NeighborKind,
-    Transfer,
-    _neg,
-    all_offsets,
-    _region_transfers,
-    apply_restrictions,
-    gather_bordered,
-    prolong_bordered,
-    prolongation_border,
-    restriction_contribution,
+    GhostPlan,
+    Region,
+    compile_plan,
+    gather_prolong,
+    payload_values,
+    run_boundaries,
+    run_copies,
+    run_restrictions,
+    write_prolongs,
 )
 from repro.parallel.shared_arena import SharedBlockArena
 from repro.resilience.faults import apply_bitflip
 from repro.solvers.scheme import FVScheme
+from repro.solvers.sweep import PoolSweep, tile_rows
+from repro.util.timing import wall_clock
 
-__all__ = ["WorkerSpec", "worker_main", "build_exchange_plan"]
-
-#: transfer plan entry: (dst block, ghost-region offset, transfers)
-PlanEntry = Tuple[BlockID, Tuple[int, ...], List[Transfer]]
-
-
-def build_exchange_plan(topology: BlockForest) -> List[PlanEntry]:
-    """All transfers of one exchange, from the replicated topology.
-
-    Identical to the emulated machine's plan — both sides of the
-    process backend (supervisor and workers) derive their schedules
-    from this single source of truth, in the same deterministic order.
-    """
-    plan: List[PlanEntry] = []
-    offsets = all_offsets(topology.ndim)
-    for bid in topology.sorted_ids():
-        block = topology.blocks[bid]
-        for offset in offsets:
-            ts = list(_region_transfers(topology, block, offset))
-            if ts:
-                plan.append((bid, offset, ts))
-    return plan
+__all__ = ["WorkerSpec", "worker_main"]
 
 
 @dataclass
@@ -112,6 +99,9 @@ class WorkerSpec:
     rank: int
     conn: Connection
     topology: BlockForest
+    #: the exchange schedule (:func:`repro.core.ghost.exchange_regions`),
+    #: built once by the supervisor
+    regions: List[Region]
     scheme: FVScheme
     bc: Optional[BoundaryHandler]
     heartbeat_name: str
@@ -168,35 +158,43 @@ class _Heartbeat:
 
 
 class _Worker:
-    """Mutable worker state: segments, block views, exchange plan."""
+    """Mutable worker state: segments, block views, compiled phases."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.rank = spec.rank
         self.conn = spec.conn
         self.topology = spec.topology
+        self.regions = spec.regions
         self.scheme = spec.scheme
         self.bc = spec.bc
         self.hooks = dict(spec.test_hooks)
-        self.plan = build_exchange_plan(spec.topology)
         self.segments: Dict[int, SharedBlockArena] = {}
         self.blocks: Dict[BlockID, Block] = {}
         self.assignment: Dict[BlockID, int] = {}
-        self.saved: Dict[BlockID, np.ndarray] = {}
+        self.plan: Optional[GhostPlan] = None
+        self.sweep: Optional[PoolSweep] = None
+        #: reply counts of stage 1 and stage 2, fixed by the config
+        self.counts: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
         self._payloads: List[np.ndarray] = []
         self._payload_crcs: List[int] = []
 
     # -- configuration --------------------------------------------------
 
-    @phase_effect("config")
-    def apply_config(self, cfg: Dict[str, Any]) -> Dict[str, Any]:
-        """Attach segments and rebuild block views per the row locator."""
-        wanted: Dict[int, Tuple[str, int, int]] = cfg["segments"]
-        # Drop every old Block view first: a stale segment cannot close
-        # while views into its pool are still referenced.
+    def drop_views(self) -> None:
+        """Forget everything that references a segment's memory: a
+        mapping cannot close while views into it are alive."""
         self.blocks = {}
-        self.saved = {}
+        self.plan = None
+        self.sweep = None
         self._payloads = []
         self._payload_crcs = []
+
+    @phase_effect("config")
+    def apply_config(self, cfg: Dict[str, Any]) -> Dict[str, Any]:
+        """Attach segments, rebuild block views per the row locator,
+        and compile the rank's share of the exchange and of the sweep."""
+        wanted: Dict[int, Tuple[str, int, int]] = cfg["segments"]
+        self.drop_views()
         for rank in list(self.segments):
             seg = self.segments[rank]
             if rank not in wanted or wanted[rank][0] != seg.name:
@@ -212,9 +210,8 @@ class _Worker:
                 )
         self.assignment = dict(cfg["assignment"])
         locator: Dict[BlockID, Tuple[int, int]] = cfg["locator"]
-        self.blocks = {}
         for bid, (rank, row) in locator.items():
-            tmpl = self.topology.blocks[bid]
+            tmpl = geom.blocks[bid]
             blk = Block(
                 id=tmpl.id, box=tmpl.box, m=tmpl.m,
                 n_ghost=tmpl.n_ghost, nvar=tmpl.nvar,
@@ -222,80 +219,54 @@ class _Worker:
             )
             blk.face_neighbors = tmpl.face_neighbors
             self.blocks[bid] = blk
-        self.saved = {}
-        self._payloads = []
-        self._payload_crcs = []
-        return {"status": "ok", "n_blocks": len(self.own_blocks())}
-
-    def own_blocks(self) -> List[Block]:
-        """This rank's blocks in deterministic (Morton) order."""
-        return [
-            self.blocks[bid]
-            for bid in self.topology.sorted_ids()
-            if self.assignment.get(bid) == self.rank
-            and bid in self.blocks
-        ]
+        own = frozenset(
+            bid for bid in self.blocks if self.assignment.get(bid) == self.rank
+        )
+        self.plan = compile_plan(
+            geom, regions=self.regions, blocks=self.blocks, dest=own,
+            staged=True,
+        )
+        keys = ("n_messages", "n_values", "n_local")
+        self.counts = (dict.fromkeys(keys, 0), dict.fromkeys(keys, 0))
+        for bid, _offset, transfers in self.regions:
+            if bid in own:
+                for t in transfers:
+                    count = self.counts[t.delta < 0]
+                    if self.assignment[t.src_id] != self.rank:
+                        count["n_messages"] += 1
+                        count["n_values"] += payload_values(
+                            t, geom.nvar, geom.ndim, geom.prolong_order
+                        )
+                    else:
+                        count["n_local"] += 1
+        arena = self.segments[self.rank].arena
+        assert arena is not None
+        tile = tile_rows(arena.pool[:1].nbytes)
+        interior = (geom.nvar,) + tuple(geom.m)
+        self.sweep = PoolSweep(
+            self.scheme, arena.pool,
+            [(locator[bid][1], self.blocks[bid]) for bid in own],
+            geom.n_ghost,
+            save=np.empty((arena.capacity,) + interior),
+            rate=np.empty((min(tile, arena.capacity),) + interior),
+            tile=tile,
+        )
+        return {"status": "ok", "n_blocks": len(own)}
 
     # -- exchange phases ------------------------------------------------
-
-    def _apply_bc(self) -> None:
-        if self.bc is None:
-            return
-        ndim = self.topology.ndim
-        for block in self.own_blocks():
-            for axis in range(ndim):
-                other = tuple(a for a in range(ndim) if a != axis)
-                for side in (0, 1):
-                    face = 2 * axis + side
-                    fn = block.face_neighbors.get(face)
-                    if fn is not None and fn.kind == NeighborKind.BOUNDARY:
-                        region = block.ghost_region(face, other)
-                        self.bc(block, face, region, self.topology)
 
     @phase_effect("exch1")
     def exch1(self) -> Dict[str, Any]:
         """Stage 1: same-level copies + restrictions into own ghosts."""
-        ndim = self.topology.ndim
-        n_remote = 0
-        n_values = 0
-        n_local = 0
-        for bid, offset, transfers in self.plan:
-            if self.assignment.get(bid) != self.rank:
-                continue
-            dst = self.blocks[bid]
-            restrict_items = []
-            for t in transfers:
-                src = self.blocks[t.src_id]
-                remote = self.assignment[t.src_id] != self.rank
-                if t.delta == 0:
-                    payload = src.view(t.src_box)
-                    dst.view(t.dst_box)[...] = payload
-                    if remote:
-                        n_remote += 1
-                        n_values += payload.size
-                    else:
-                        n_local += 1
-                elif t.delta > 0:
-                    coarse_box, csum, wsum = restriction_contribution(
-                        src, t, ndim
-                    )
-                    restrict_items.append((t.dst_box, coarse_box, csum, wsum))
-                    if remote:
-                        n_remote += 1
-                        n_values += csum.size + wsum.size
-                    else:
-                        n_local += 1
-            if restrict_items:
-                apply_restrictions(dst, restrict_items)
-        self._apply_bc()
-        return {
-            "status": "ok", "n_messages": n_remote,
-            "n_values": n_values, "n_local": n_local,
-        }
+        assert self.plan is not None
+        run_copies(self.plan)
+        run_restrictions(self.plan, self.topology.ndim)
+        run_boundaries(self.plan, self.bc, self.topology)
+        return {"status": "ok", **self.counts[0]}
 
     @phase_effect("exch2-gather")
     def exch2_gather(self, cmd: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Read-only half of stage 2: gather bordered coarse sources.
+        """Read-only half of stage 2: stage bordered coarse sources.
 
         When the supervisor asks (``payload={"verify": True}`` — the
         scrub tier is on), the worker CRC-tags every gathered payload;
@@ -303,40 +274,22 @@ class _Worker:
         bit flipped in the staging buffers between the two phases is
         caught before it ever reaches a ghost region.
         """
-        order = self.topology.prolong_order
-        n_remote = 0
-        n_values = 0
-        n_local = 0
-        payloads: List[np.ndarray] = []
-        for bid, offset, transfers in self.plan:
-            if self.assignment.get(bid) != self.rank:
-                continue
-            for t in transfers:
-                if t.delta >= 0:
-                    continue
-                src = self.blocks[t.src_id]
-                border = prolongation_border(-t.delta, order)
-                payload = gather_bordered(src, t.src_box, border)
-                payloads.append(payload)
-                if self.assignment[t.src_id] != self.rank:
-                    n_remote += 1
-                    n_values += payload.size
-                else:
-                    n_local += 1
+        assert self.plan is not None
+        geom = self.topology
+        payloads = [
+            gather_prolong(p, geom.prolong_order, geom.ndim)
+            for p in self.plan.prolongs
+        ]
         self._payloads = payloads
         if cmd is not None and cmd.get("verify"):
             self._payload_crcs = [content_crc(p) for p in payloads]
         else:
             self._payload_crcs = []
-        return {
-            "status": "ok", "n_messages": n_remote,
-            "n_values": n_values, "n_local": n_local,
-            "n_payloads": len(payloads),
-        }
+        return {"status": "ok", **self.counts[1], "n_payloads": len(payloads)}
 
     @phase_effect("exch2-write")
     def exch2_write(self, cmd: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Write half of stage 2: prolong gathered payloads, then BCs.
+        """Write half of stage 2: prolong staged payloads, then BCs.
 
         Scripted staging bitflips addressed to this rank are applied
         first (after the gather-side CRC tags were taken), then every
@@ -345,8 +298,8 @@ class _Worker:
         buffer — and its index is reported back so the supervisor can
         raise the corruption for the recovery ladder.
         """
-        ndim = self.topology.ndim
-        order = self.topology.prolong_order
+        assert self.plan is not None
+        geom = self.topology
         payloads = self._payloads
         if cmd is not None and payloads:
             for f in cmd.get("flips", ()):
@@ -361,27 +314,14 @@ class _Worker:
                 i for i, p in enumerate(payloads)
                 if content_crc(p) != self._payload_crcs[i]
             }
-        i = 0
-        for bid, offset, transfers in self.plan:
-            if self.assignment.get(bid) != self.rank:
-                continue
-            dst = self.blocks[bid]
-            for t in transfers:
-                if t.delta >= 0:
-                    continue
-                if i in bad:
-                    i += 1
-                    continue
-                up = -t.delta
-                fine = prolong_bordered(payloads[i], t.src_box, up, order, ndim)
-                i += 1
-                cover = t.src_box.refined(up).shift(_neg(t.shift))
-                sub = t.dst_box.slices(cover.lo)
-                dst.view(t.dst_box)[...] = fine[(slice(None),) + sub]
+        if payloads:
+            write_prolongs(
+                self.plan, payloads, geom.prolong_order, geom.ndim, skip=bad
+            )
         self._payloads = []
         self._payload_crcs = []
-        self._apply_bc()
-        body: Dict[str, Any] = {"status": "ok", "n_prolonged": i}
+        run_boundaries(self.plan, self.bc, geom)
+        body: Dict[str, Any] = {"status": "ok", "n_prolonged": len(payloads)}
         if bad:
             body["staging_bad"] = sorted(bad)
         return body
@@ -390,26 +330,21 @@ class _Worker:
 
     @phase_effect("step")
     def step_single(self, dt: float) -> Dict[str, Any]:
-        g = self.topology.n_ghost
-        for block in self.own_blocks():
-            self.scheme.step(block.data, block.dx, dt, g)
+        assert self.sweep is not None
+        self.sweep.forward(dt)
         return {"status": "ok"}
 
     @phase_effect("predictor")
     def predictor(self, dt: float) -> Dict[str, Any]:
-        g = self.topology.n_ghost
-        for block in self.own_blocks():
-            self.saved[block.id] = block.interior.copy()
-            self.scheme.step(block.data, block.dx, 0.5 * dt, g)
+        assert self.sweep is not None
+        self.sweep.snapshot()
+        self.sweep.forward(0.5 * dt)
         return {"status": "ok"}
 
     @phase_effect("corrector")
     def corrector(self, dt: float) -> Dict[str, Any]:
-        g = self.topology.n_ghost
-        for block in self.own_blocks():
-            rate = self.scheme.flux_divergence(block.data, block.dx, g)
-            block.interior[...] = self.saved[block.id] + dt * rate
-        self.saved = {}
+        assert self.sweep is not None
+        self.sweep.correct(dt)
         return {"status": "ok"}
 
 
@@ -488,7 +423,11 @@ def worker_main(spec: WorkerSpec) -> None:
             if seq == last_seq and cached is not None:
                 spec.conn.send(cached)  # duplicate command: idempotent
                 continue
+            t0 = wall_clock()
             body = _execute(worker, msg)
+            # the rank's own busy time for the phase (supervisor-side
+            # phase wall minus this is pipe + wait for the slowest rank)
+            body["busy_s"] = wall_clock() - t0
             step = int(msg.get("step", -1))
             action = worker.hooks.pop((step, str(op)), None)
             if action == "exit":
@@ -528,11 +467,9 @@ def worker_main(spec: WorkerSpec) -> None:
                 break
     finally:
         heartbeat.stop()
-        # Drop every Block view before closing the mappings, otherwise
-        # the exported-pointer check keeps the segments pinned.
-        worker.blocks = {}
-        worker.saved = {}
-        worker._payloads = []
+        # Drop every view before closing the mappings, otherwise the
+        # exported-pointer check keeps the segments pinned.
+        worker.drop_views()
         for seg in worker.segments.values():
             seg.destroy()
         spec.conn.close()
