@@ -1,16 +1,16 @@
-"""Batched-vs-blocked engine speedup on the Fig-5-style workload.
+"""Tiled-vs-one-row sweep speedup on the Fig-5-style workload.
 
-The per-block engine pays numpy dispatch per block — the Python analogue
-of the per-block loop overhead the paper's Figure 5 shows for small
-blocks.  The batched engine amortizes that cost by sweeping cache-sized
-tiles of the block arena per kernel call, so its advantage is largest
-exactly where Figure 5's per-cell time blows up: small blocks.  This
-benchmark measures the speedup curve across block sizes (uniform
+One pool row per kernel call (``engine="blocked"``) pays numpy dispatch
+per block — the Python analogue of the per-block loop overhead the
+paper's Figure 5 shows for small blocks.  A tile of rows per call
+(``"batched"``, the default) amortizes that cost, so its advantage is
+largest exactly where Figure 5's per-cell time blows up: small blocks.
+This benchmark measures the speedup curve across block sizes (uniform
 periodic MHD, time per cell) and enforces the two invariants CI's
 perf-smoke job relies on:
 
-* the batched engine is never slower than the per-block engine, and
-* both engines are bit-for-bit identical.
+* the tiled sweep is never slower than one row per call, and
+* both are bit-for-bit identical.
 
 The full results land in ``BENCH_batched_engine.json`` at the repo root
 (machine-readable: timestamp, git rev, cells/s, phase timings).
@@ -36,7 +36,7 @@ def test_batched_speedup():
 
     emit_table(
         "batched_speedup",
-        "Batched-engine speedup over the per-block engine "
+        "Tiled sweep (batched) over one pool row per kernel call (blocked) "
         "(uniform MHD, time per cell)",
         ["case", "blocked us/cell", "batched us/cell", "speedup"],
         [

@@ -4,7 +4,8 @@ Fig-6-style measurement through :class:`repro.parallel.ProcessMachine`
 on the forest of the repo benchmark's ``proc_pulse2d_r2`` workload
 (10×10 roots of 32² cells, 4 refined: 112 blocks, 114 688 cells — big
 enough that a step is work, not pipe latency), against the serial
-driver on the same input.  Every row is min-of-N
+driver on the same input — the same tiled ``PoolSweep`` the ranks run,
+on one process.  Every row is min-of-N
 (:func:`repro.util.timing.measure`: system noise only ever adds time)
 with the mean alongside.
 
@@ -73,7 +74,7 @@ def timed(label, engine, ranks, n_cells, advance):
 
 def run_serial_case():
     sim = Simulation(make_forest(), AdvectionScheme((1.0, 0.5), order=2))
-    row = timed("serial", "blocked", 1, sim.forest.n_cells, sim.advance)
+    row = timed("serial-batched", sim.engine, 1, sim.forest.n_cells, sim.advance)
     return row, sim.forest
 
 

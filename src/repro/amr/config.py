@@ -46,9 +46,9 @@ class SimulationConfig:
     coarsen_threshold: float = 0.02
     buffer_band: int = 1             #: rings of neighbors pulled into refinement
 
-    # execution engine: "blocked" (per-block kernels) or "batched"
-    # (vectorized-over-blocks kernels on the arena pool)
-    engine: str = "blocked"
+    # rows per kernel call: "blocked" (one) or "batched" (a tile) —
+    # see repro.amr.driver.Simulation
+    engine: str = "batched"
 
     # kernel backend for the hot per-tile ops (repro.kernels registry);
     # every backend is bit-for-bit with the numpy reference

@@ -17,7 +17,6 @@ so the benchmarks can attribute cost to compute / exchange / adaptation.
 
 from __future__ import annotations
 
-import os
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional
@@ -32,8 +31,8 @@ from repro.kernels import get_backend
 from repro.core.refine_criteria import RefinementCriterion, compute_flags
 from repro.obs.metrics import METRICS
 from repro.solvers.scheme import FVScheme
-from repro.solvers.sweep import BATCH_TILE_BYTES, PoolSweep, tile_rows
-from repro.solvers.timestep import stable_dt, stable_dt_batched
+from repro.solvers.sweep import PoolSweep, tile_rows
+from repro.solvers.timestep import stable_dt_batched
 from repro.util.timing import PhaseTimer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,41 +93,26 @@ class Simulation:
     max_step_retries:
         Bounded dt-halving retries per step in safe mode.
     engine:
-        Execution engine for the hot loop.  ``"blocked"`` (default) is
-        the per-block path: one scheme call per block, optionally
-        threaded.  ``"batched"`` compacts the arena to a Morton-ordered
-        contiguous prefix and sweeps *all* blocks per scheme call —
-        stacked kernels, one pooled CFL reduction, flat gather/scatter
-        same-level ghost copies.  The two engines are bit-for-bit
-        identical; blocks needing reflux face-flux capture fall back to
-        a per-block flux evaluation within the batched step.
-    batch_tile:
-        Blocks per kernel call in the batched engine (None = automatic,
-        see :func:`repro.solvers.sweep.tile_rows`).  Any value gives
-        bit-identical results.
-    batch_tile_bytes:
-        Target bytes of pool rows per automatic kernel tile (None =
-        the ``REPRO_BATCH_TILE_BYTES`` env var when set, else the
-        :attr:`BATCH_TILE_BYTES` default).  Must be >= 4096.  Any value
-        gives bit-identical results.
+        Rows per kernel call.  Every block is a row of the arena pool
+        and every stage is :class:`~repro.solvers.sweep.PoolSweep` over
+        it; ``"batched"`` (default) sweeps a tile of
+        :func:`~repro.solvers.sweep.tile_rows` rows per call,
+        ``"blocked"`` one row per call — the same sweep paying numpy's
+        dispatch once per block, kept as the reference the benchmarks
+        divide by.  Bit-for-bit identical.
     kernel_backend:
         Kernel backend name for the hot per-tile ops (see
         :mod:`repro.kernels`): ``"numpy"`` (reference) or ``"numba"``
         (fused JIT, bit-for-bit, auto-falls back to numpy when numba is
         missing).  None keeps the scheme's current backend.  The backend
-        is attached to the *scheme* (``scheme.kernels``), so it also
-        serves the blocked engine and per-block fallback paths.
+        is attached to the *scheme* (``scheme.kernels``).
     subcycle:
         When True, step with level-local time steps (Berger–Colella
         subcycling, :mod:`repro.amr.subcycle`) instead of one global
         CFL-limited dt: each ``stable_dt``/``advance`` pair takes one
         *coarsest-level* step while finer levels take ``2^delta``
-        substeps with time-interpolated ghost fills.  Works on either
-        engine (bit-for-bit across the two, like global stepping) and
-        composes with ``reflux=True`` via per-substep time-weighted
-        flux accumulation.  The ``threads`` pool is not used by the
-        subcycled blocked path (per-level block counts are too small to
-        amortize it).
+        substeps with time-interpolated ghost fills.  Composes with
+        ``reflux=True`` via per-substep time-weighted flux accumulation.
     sanitize:
         When True, run under the ghost-poison sanitizer
         (:class:`repro.analysis.poison.GhostSanitizer`): every ghost
@@ -152,10 +136,7 @@ class Simulation:
         buffer_band: int = 1,
         hook: Optional[StepHook] = None,
         reflux: bool = False,
-        threads: Optional[int] = None,
-        engine: str = "blocked",
-        batch_tile: Optional[int] = None,
-        batch_tile_bytes: Optional[int] = None,
+        engine: str = "batched",
         kernel_backend: Optional[str] = None,
         subcycle: bool = False,
         safe_mode: bool = False,
@@ -171,26 +152,8 @@ class Simulation:
             raise ValueError(
                 f"engine must be 'blocked' or 'batched', got {engine!r}"
             )
-        if batch_tile is not None and batch_tile < 1:
-            raise ValueError("batch_tile must be >= 1")
         if kernel_backend is not None:
             scheme.kernels = get_backend(kernel_backend)
-        if batch_tile_bytes is None:
-            env = os.environ.get("REPRO_BATCH_TILE_BYTES")
-            if env:
-                try:
-                    batch_tile_bytes = int(env)
-                except ValueError:
-                    raise ValueError(
-                        "REPRO_BATCH_TILE_BYTES must be an integer, "
-                        f"got {env!r}"
-                    ) from None
-        if batch_tile_bytes is None:
-            batch_tile_bytes = self.BATCH_TILE_BYTES
-        if batch_tile_bytes < 4096:
-            raise ValueError(
-                f"batch tile size must be >= 4096 bytes, got {batch_tile_bytes}"
-            )
         self.forest = forest
         self.scheme = scheme
         self.engine = engine
@@ -198,8 +161,6 @@ class Simulation:
         #: per-level substep counts of the last subcycled advance
         #: (level -> substeps); None before the first subcycled step
         self._last_substeps: Optional[Dict[int, int]] = None
-        self.batch_tile = batch_tile
-        self.batch_tile_bytes = int(batch_tile_bytes)
         self.bc = bc
         self.criterion = criterion
         self.adapt_interval = adapt_interval
@@ -207,18 +168,6 @@ class Simulation:
         self.hook = hook
         self.reflux = reflux
         self._register = None
-        #: optional shared-memory parallelism: per-block updates are
-        #: independent (each reads only its own padded array), and the
-        #: numpy kernels release the GIL, so a thread pool gives genuine
-        #: speedup on multi-core hosts for large blocks.
-        self.threads = threads
-        self._executor = None
-        if threads is not None:
-            if threads < 1:
-                raise ValueError("threads must be >= 1")
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(max_workers=threads)
         if max_step_retries < 0:
             raise ValueError("max_step_retries must be >= 0")
         self.safe_mode = safe_mode
@@ -241,15 +190,11 @@ class Simulation:
         #: attach via :meth:`attach_scrubber` and every step boundary is
         #: CRC-verified before any phase reads the state.
         self.scrubber: Optional["Scrubber"] = None
-        self._block_times: Optional[Dict[BlockID, float]] = None
         self._block_steps: Optional[Dict[BlockID, int]] = None
 
     def close(self) -> None:
-        """Release owned resources (the worker thread pool).  Idempotent;
-        the simulation remains usable for serial stepping afterwards."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Nothing to release; kept for callers that close what they
+        build (the context-manager protocol, ``benchmarks/e2e``)."""
 
     def __enter__(self) -> "Simulation":
         return self
@@ -258,52 +203,25 @@ class Simulation:
         self.close()
 
     def enable_block_profile(self) -> None:
-        """Track per-block cost for the hottest-blocks report.
-
-        In the blocked engine every kernel call is timed per block; in
-        the batched engine (where blocks advance in stacked tiles and
-        per-block time is not separable) per-block residency steps are
-        counted instead.  Observation only — numerics are untouched.
-        """
-        self._block_times = {}
+        """Count the steps each block is resident, for the hottest-blocks
+        report (blocks advance in stacked tiles, so per-block time is
+        not separable).  Observation only — numerics are untouched."""
         self._block_steps = {}
 
     def block_profile(self) -> list:
-        """Per-block cost entries for the profile event: ``id``,
-        ``level``, ``steps`` present, and (blocked engine) ``time_s``."""
-        if self._block_steps is None:
-            return []
-        times = self._block_times or {}
-        entries = []
-        for bid, steps in self._block_steps.items():
-            entry: Dict[str, object] = {
-                "id": str(bid),
-                "level": bid.level,
-                "steps": steps,
-            }
-            if bid in times:
-                entry["time_s"] = round(times[bid], 6)
-            entries.append(entry)
-        return entries
+        """Per-block entries for the profile event: ``id``, ``level``,
+        ``steps`` present."""
+        return [
+            {"id": str(bid), "level": bid.level, "steps": steps}
+            for bid, steps in (self._block_steps or {}).items()
+        ]
 
-    def _map_blocks(self, fn) -> None:
-        """Apply ``fn(block)`` to every block, threaded when enabled."""
-        times = self._block_times
-        if times is not None:
-            inner = fn
-
-            def fn(block):
-                t0 = _time.perf_counter()
-                inner(block)
-                dt = _time.perf_counter() - t0
-                times[block.id] = times.get(block.id, 0.0) + dt
-
-        if self._executor is None:
-            for block in self.forest:
-                fn(block)
-        else:
-            # Consume the iterator so worker exceptions propagate.
-            list(self._executor.map(fn, list(self.forest)))
+    def sweep_tile(self) -> int:
+        """Rows per kernel call (see ``engine``): one, or the tile the
+        rank workers use for the same rows."""
+        if self.engine == "blocked":
+            return 1
+        return tile_rows(self.forest.arena.pool[:1].nbytes)
 
     def _flux_register(self):
         """The coarse–fine flux register, rebuilt on topology changes."""
@@ -333,8 +251,8 @@ class Simulation:
                 self.forest,
                 self.bc,
                 dest=dest,
-                batched_copies=self.engine == "batched",
-                kernels=self.scheme.kernels if self.engine == "batched" else None,
+                batched_copies=True,
+                kernels=self.scheme.kernels,
             )
         if METRICS.enabled:
             METRICS.inc("ghost.exchanges")
@@ -351,25 +269,79 @@ class Simulation:
                 from repro.amr.subcycle import stable_dt_subcycled
 
                 return stable_dt_subcycled(self)
-            if self.engine == "batched":
-                row_bytes = self.forest.arena.pool[:1].nbytes
-                return stable_dt_batched(
-                    self.forest, self.scheme, tile=self._tile_rows(row_bytes)
-                )
-            return stable_dt(self.forest, self.scheme)
+            return stable_dt_batched(
+                self.forest, self.scheme, tile=self.sweep_tile()
+            )
 
     def advance(self, dt: float) -> None:
         """Advance the whole forest by ``dt`` (ghosts refreshed between
         stages for the two-stage scheme).  Under subcycling ``dt`` is
-        the coarsest level's step; finer levels substep within it."""
+        the coarsest level's step; finer levels substep within it.
+
+        The arena is compacted to a Morton-ordered contiguous prefix, so
+        the ``(B, nvar, *padded)`` pool prefix *is* the forest state and
+        :class:`~repro.solvers.sweep.PoolSweep` advances a tile of
+        blocks per numpy call.
+        """
         if self.subcycle:
             from repro.amr.subcycle import advance_subcycled
 
-            advance_subcycled(self, dt)
-        elif self.engine == "batched":
-            self._advance_batched(dt)
+            return advance_subcycled(self, dt)
+        forest, scheme = self.forest, self.scheme
+        register = self._flux_register() if self.reflux else None
+        if register is not None:
+            register.start_step()
+        blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
+        pool = forest.arena.ensure_compact(blocks)
+        self.fill_ghosts()
+        # Built after the fill: the first one compiles the ghost plan,
+        # and the scratch pools then reuse what its temporaries freed.
+        sweep = PoolSweep(
+            scheme, pool, enumerate(blocks), forest.n_ghost,
+            save=forest.arena.save_pool(), rate=forest.arena.rate_pool(),
+            tile=self.sweep_tile(),
+        )
+        if scheme.n_stages == 1:
+            with self.timer.phase("compute"):
+                self._capture_fluxes(register, blocks)
+                sweep.forward(dt)
         else:
-            self._advance_blocked(dt)
+            with self.timer.phase("compute"):
+                sweep.snapshot()
+                sweep.forward(0.5 * dt)
+            self.fill_ghosts()
+            with self.timer.phase("compute"):
+                self._capture_fluxes(register, blocks)
+                sweep.correct(dt)
+        self._finish_advance(dt, register)
+
+    def _capture_fluxes(
+        self, register, blocks, weight: Optional[float] = None
+    ) -> None:
+        """Feed ``register`` the boundary-face fluxes of the final stage.
+
+        Blocks on coarse-fine interfaces rerun a per-block flux
+        evaluation with face capture (the recomputed rate is identical
+        to the swept one and discarded) — *before* the sweep's interior
+        update, so it sees the state the swept rate is computed from.
+        ``weight`` None records the fluxes (global stepping); a substep
+        length accumulates them time-weighted (subcycling).
+        """
+        if register is None:
+            return
+        scheme, g = self.scheme, self.forest.n_ghost
+        for block in blocks:
+            faces = register.needed_faces.get(block.id)
+            if faces:
+                capture: Dict[int, np.ndarray] = {}
+                scheme.flux_divergence(
+                    block.data, block.dx, g,
+                    face_flux_out=capture, faces=faces,
+                )
+                if weight is None:
+                    register.record(block.id, capture)
+                else:
+                    register.accumulate(block.id, capture, weight)
 
     def updates_per_step(self) -> int:
         """Block updates one ``advance`` performs: every block once
@@ -383,134 +355,6 @@ class Simulation:
         levels = sorted({b.level for b in self.forest.blocks.values()})
         divisor = level_divisors(levels)
         return sum(divisor[b.level] for b in self.forest)
-
-    def _advance_blocked(self, dt: float) -> None:
-        """Per-block engine: one scheme call per block (threadable)."""
-        forest, scheme = self.forest, self.scheme
-        g = forest.n_ghost
-        register = self._flux_register() if self.reflux else None
-        if register is not None:
-            register.start_step()
-
-        def final_rate(block):
-            # Flux divergence of the final stage, capturing boundary-face
-            # fluxes for blocks on coarse-fine interfaces.
-            if register is not None:
-                faces = register.needed_faces.get(block.id)
-                if faces:
-                    capture: Dict[int, np.ndarray] = {}
-                    rate = scheme.flux_divergence(
-                        block.data, block.dx, g,
-                        face_flux_out=capture, faces=faces,
-                    )
-                    register.record(block.id, capture)
-                    return rate
-            return scheme.flux_divergence(block.data, block.dx, g)
-
-        self.fill_ghosts()
-        if scheme.n_stages == 1:
-            def single(block):
-                block.interior[...] += dt * final_rate(block)
-                scheme.apply_floors(block.interior)
-
-            with self.timer.phase("compute"):
-                self._map_blocks(single)
-        else:
-            # Predictor saves reuse the arena's preallocated scratch pool
-            # (one interior-shaped row per block) instead of allocating a
-            # fresh copy per block per step.
-            save = forest.arena.save_pool()
-
-            def predictor(block):
-                save[block.arena_row][...] = block.interior
-                scheme.step(block.data, block.dx, 0.5 * dt, g)
-
-            def corrector(block):
-                # block.data holds the half-time state everywhere
-                # (interior from the predictor, ghosts just refreshed):
-                # u_new = u_old + dt * L(u_half).
-                block.interior[...] = save[block.arena_row] + dt * final_rate(block)
-                scheme.apply_floors(block.interior)
-
-            with self.timer.phase("compute"):
-                self._map_blocks(predictor)
-            self.fill_ghosts()
-            with self.timer.phase("compute"):
-                self._map_blocks(corrector)
-        self._finish_advance(dt, register)
-
-    #: default bytes of pool rows per kernel tile; per-instance override
-    #: via the ``batch_tile_bytes=`` parameter or the
-    #: ``REPRO_BATCH_TILE_BYTES`` env var, both validated >= 4096.
-    BATCH_TILE_BYTES = BATCH_TILE_BYTES
-
-    def _tile_rows(self, row_bytes: int) -> int:
-        """Rows per kernel tile for the batched engine: ``batch_tile``
-        when given, else :func:`repro.solvers.sweep.tile_rows` (which
-        has the rationale).  Results are bit-for-bit independent of the
-        tile size: every kernel treats the batch axis elementwise."""
-        if self.batch_tile is not None:
-            return self.batch_tile
-        return tile_rows(row_bytes, self.batch_tile_bytes)
-
-    def _advance_batched(self, dt: float) -> None:
-        """Batched engine: every scheme call sweeps a tile of blocks.
-
-        The arena is compacted to a Morton-ordered contiguous prefix, so
-        the ``(B, nvar, *padded)`` pool prefix *is* the forest state and
-        :class:`~repro.solvers.sweep.PoolSweep` advances a whole tile of
-        blocks per numpy call.  Bit-for-bit identical to the per-block
-        engine: same IEEE elementwise kernels, same per-block cell
-        widths, same update expressions — only the loop structure
-        changes.
-        """
-        forest, scheme = self.forest, self.scheme
-        g = forest.n_ghost
-        register = self._flux_register() if self.reflux else None
-        if register is not None:
-            register.start_step()
-        blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
-        pool = forest.arena.ensure_compact(blocks)
-
-        def capture_fluxes():
-            # Reflux fallback: blocks on coarse-fine interfaces rerun a
-            # per-block flux evaluation to capture boundary-face fluxes.
-            # Runs *before* the batched interior update so it sees the
-            # same (current-stage) state the batched rate is computed
-            # from; the recomputed rate is identical and discarded.
-            if register is None:
-                return
-            for block in blocks:
-                faces = register.needed_faces.get(block.id)
-                if faces:
-                    capture: Dict[int, np.ndarray] = {}
-                    scheme.flux_divergence(
-                        block.data, block.dx, g,
-                        face_flux_out=capture, faces=faces,
-                    )
-                    register.record(block.id, capture)
-
-        self.fill_ghosts()
-        # Built after the fill: the first one compiles the ghost plan,
-        # and the scratch pools then reuse what its temporaries freed.
-        sweep = PoolSweep(
-            scheme, pool, enumerate(blocks), g,
-            save=forest.arena.save_pool(), rate=forest.arena.rate_pool(),
-            tile=self._tile_rows(pool[:1].nbytes),
-        )
-        if scheme.n_stages == 1:
-            with self.timer.phase("compute"):
-                capture_fluxes()
-                sweep.forward(dt)
-        else:
-            with self.timer.phase("compute"):
-                sweep.snapshot()
-                sweep.forward(0.5 * dt)
-            self.fill_ghosts()
-            with self.timer.phase("compute"):
-                capture_fluxes()
-                sweep.correct(dt)
-        self._finish_advance(dt, register)
 
     def _finish_advance(
         self, dt: float, register, *, flux_scale: Optional[float] = None
@@ -533,9 +377,9 @@ class Simulation:
 
         Tags live in the forest arena's
         :class:`~repro.core.integrity.RowLedger`, so they follow rows
-        through compaction (batched engine) and pool growth by
-        construction.  Scrubbing only reads state: a scrub-enabled run
-        is bit-for-bit identical to baseline.
+        through compaction and pool growth by construction.  Scrubbing
+        only reads state: a scrub-enabled run is bit-for-bit identical
+        to baseline.
         """
         scrubber.attach_arena(self.forest.arena)
         self.scrubber = scrubber

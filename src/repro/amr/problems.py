@@ -104,7 +104,7 @@ class Problem:
 
         ``sanitize`` enables the ghost-poison sanitizer on the built
         simulation (see :class:`repro.amr.driver.Simulation`);
-        ``engine`` overrides the configured execution engine
+        ``engine`` overrides the configured rows-per-kernel-call mode
         (``"blocked"`` / ``"batched"``); ``kernel_backend`` overrides
         the configured kernel backend (``"numpy"`` / ``"numba"``);
         ``subcycle`` overrides the configured time-stepping mode

@@ -22,14 +22,10 @@ stepping.
 
 Subcycling is a first-class driver mode: construct
 ``Simulation(..., subcycle=True)`` (or via ``SimulationConfig`` /
-``problem.build`` / the CLI ``--subcycle`` flag) on **either** engine.
-The blocked engine steps each level block by block; the batched engine
-keeps the arena compacted in *level-major* order — every level is a
-contiguous run of pool rows — and advances each level's row range in
-cache-sized tiles per kernel call, dispatching through the scheme's
-kernel backend and routing ghost fills through the flat gather/scatter
-plan.  The two engines are bit-for-bit identical, as in global
-stepping.
+``problem.build`` / the CLI ``--subcycle`` flag).  The arena is kept
+compacted in *level-major* order — every level is a contiguous run of
+pool rows — and :class:`~repro.solvers.sweep.PoolSweep` advances each
+level's row range a tile per kernel call, as in global stepping.
 
 Accuracy note: the coarse level's mid-stage ghost fill sees fine
 neighbors still at the old time level (their substeps run after), a
@@ -90,45 +86,44 @@ def interval_spans(t: float, t0: float, t1: float) -> bool:
     return t1 > t0 and t1 - t > SPAN_RTOL * (t1 - t0)
 
 
+def _level_major(forest) -> List:
+    """The forest's blocks level-major, Morton within level: compacted
+    in this order every level is one contiguous run of pool rows, so a
+    substep sweeps a plain row range in tiles.  The sort is stable and
+    the order is reproduced by every caller, so the compaction only
+    moves rows (and invalidates the ghost plan) when the topology
+    actually changed."""
+    blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
+    blocks.sort(key=lambda b: b.level)
+    return blocks
+
+
 def stable_dt_subcycled(sim: Simulation) -> float:
     """Largest *coarse-level* step such that every level's substep
     satisfies its own CFL limit (level L substeps are dt / 2^(L -
     L_min)).
 
-    On the batched engine the per-block signal speeds come from the
-    tiled pool reduction (same kernels as global stepping) over the
-    subcycled sweep's level-major arena layout, so the CFL pass never
-    thrashes the compaction the advance relies on; the divisor weights
-    are exact powers of two, keeping the result bit-for-bit with the
-    per-block loop.
+    The per-block signal speeds come from the tiled pool reduction
+    (same kernels as global stepping) over the subcycled sweep's
+    level-major arena layout, so the CFL pass never thrashes the
+    compaction the advance relies on; the divisor weights are exact
+    powers of two, so scaling by them adds no rounding.
     """
-    forest, scheme = sim.forest, sim.scheme
+    forest = sim.forest
     levels = sorted({b.level for b in forest.blocks.values()})
     divisor = level_divisors(levels)
-    if sim.engine == "batched":
-        blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
-        blocks.sort(key=lambda b: b.level)  # stable: Morton within level
-        weights = np.array([float(divisor[b.level]) for b in blocks])
-        row_bytes = forest.arena.pool[:1].nbytes
-        return stable_dt_batched(
-            forest,
-            scheme,
-            tile=sim._tile_rows(row_bytes),
-            blocks=blocks,
-            weights=weights,
-        )
-    dt = 1e30
-    for block in forest:
-        # Interior cells only (ghosts may hold extrapolated data).
-        own = scheme.stable_dt(block.interior, block.dx, forest.ndim)
-        dt = min(dt, own * divisor[block.level])
-    if not dt > 0.0:
-        raise RuntimeError("non-positive stable time step")
-    return dt
+    blocks = _level_major(forest)
+    return stable_dt_batched(
+        forest,
+        sim.scheme,
+        tile=sim.sweep_tile(),
+        blocks=blocks,
+        weights=np.array([float(divisor[b.level]) for b in blocks]),
+    )
 
 
 class _SubcycleSweep:
-    """Per-coarse-step state of one subcycled advance (both engines).
+    """Per-coarse-step state of one subcycled advance.
 
     Everything here — the old-state snapshots backing the time
     interpolation, the per-block step intervals, the level-major pool
@@ -141,9 +136,8 @@ class _SubcycleSweep:
         self, sim: Simulation, levels: List[int], register
     ) -> None:
         self.sim = sim
-        self.forest = sim.forest
+        self.forest = forest = sim.forest
         self.scheme = sim.scheme
-        self.g = sim.forest.n_ghost
         self.register = register
         self.levels = levels
         #: interior snapshot (save-pool row view) of each block's
@@ -154,51 +148,34 @@ class _SubcycleSweep:
         self.t_new: Dict[BlockID, float] = {}
         #: substeps each level took this coarse step (recorder payload)
         self.substeps: Dict[int, int] = {lvl: 0 for lvl in levels}
-        self.save = self.forest.arena.save_pool()
+        self.save = forest.arena.save_pool()
         #: kernel-rate scratch, one interior-shaped row per block; idle
         #: during an exchange, when it holds the current state of the
         #: sources whose interiors are swapped for the time interpolant
-        self.rate_pool = self.forest.arena.rate_pool()
+        self.rate_pool = forest.arena.rate_pool()
         #: the blocks of each level: what a substep's ghost fill names
         ids: Dict[int, List[BlockID]] = {lvl: [] for lvl in levels}
-        for bid in self.forest.blocks:
+        for bid in forest.blocks:
             ids[bid.level].append(bid)
         self.level_ids: Dict[int, FrozenSet[BlockID]] = {
             lvl: frozenset(of_level) for lvl, of_level in ids.items()
         }
-        self.batched = sim.engine == "batched"
-        if self.batched:
-            forest = self.forest
-            # Level-major, Morton within level: every level is one
-            # contiguous run of pool rows, so each substep sweeps a
-            # plain row range in tiles.  The sort is stable, and the
-            # order is reproduced every coarse step, so the compaction
-            # only moves rows (and invalidates the ghost plan) when the
-            # topology actually changed.
-            blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
-            blocks.sort(key=lambda b: b.level)
-            self.blocks = blocks
-            self.pool = forest.arena.ensure_compact(blocks)
-            self.sweep = PoolSweep(
-                self.scheme, self.pool, enumerate(blocks), self.g,
-                save=self.save, rate=self.rate_pool,
-                tile=sim._tile_rows(self.pool[:1].nbytes),
-            )
-            #: level -> [start, end) row range of the compacted pool
-            self.ranges: Dict[int, Tuple[int, int]] = {}
-            for i, b in enumerate(blocks):
-                s, _ = self.ranges.get(b.level, (i, i))
-                self.ranges[b.level] = (s, i + 1)
-        else:
-            by_level: Dict[int, List] = {lvl: [] for lvl in levels}
-            for block in self.forest:
-                by_level[block.level].append(block)
-            self.by_level = by_level
+        self.blocks = blocks = _level_major(forest)
+        pool = forest.arena.ensure_compact(blocks)
+        self.sweep = PoolSweep(
+            self.scheme, pool, enumerate(blocks), forest.n_ghost,
+            save=self.save, rate=self.rate_pool, tile=sim.sweep_tile(),
+        )
+        #: level -> [start, end) row range of the compacted pool
+        self.ranges: Dict[int, Tuple[int, int]] = {}
+        for i, b in enumerate(blocks):
+            s, _ = self.ranges.get(b.level, (i, i))
+            self.ranges[b.level] = (s, i + 1)
         #: the blocks each level's fill reads — the only ones whose
         #: interiors need interpolating to the fill time (looked up once
         #: the rows have settled: the plan holds views into them)
         self.fill_sources = {
-            lvl: ghost_plan(self.forest, ids).sources
+            lvl: ghost_plan(forest, ids).sources
             for lvl, ids in self.level_ids.items()
         }
 
@@ -215,10 +192,7 @@ class _SubcycleSweep:
         finer levels by ``2^delta`` substeps each (recursively)."""
         level = self.levels[idx]
         self.substeps[level] += 1
-        if self.batched:
-            self._step_level_batched(level, t0, dt)
-        else:
-            self._step_level_blocked(level, t0, dt)
+        self._step_level(level, t0, dt)
         if self.sim.sanitizer is not None:
             # Every substep is a stage boundary: verify interiors finite
             # (behavior-neutral — checks only).
@@ -241,9 +215,8 @@ class _SubcycleSweep:
         prolongations read): a level substep reads no others, and every
         level refills its own before each of its stages.  Source blocks
         whose current step spans ``t`` are temporarily set to the linear
-        interpolant between their old and new states, the exchange runs
-        (per-block copies or the flat gather/scatter plan, per the
-        engine), then their arrays are restored.
+        interpolant between their old and new states, the exchange
+        runs, then their arrays are restored.
         """
         swapped: List = []
         for block in self.fill_sources[level]:
@@ -263,64 +236,9 @@ class _SubcycleSweep:
         for block, current in swapped:
             block.interior[...] = current
 
-    def _final_rate(self, block, weight: float) -> np.ndarray:
-        """Final-stage flux divergence of one block, accumulating
-        captured coarse–fine face fluxes weighted by the substep length
-        ``weight`` (see :meth:`FluxRegister.accumulate`)."""
-        register, scheme, g = self.register, self.scheme, self.g
-        if register is not None:
-            faces = register.needed_faces.get(block.id)
-            if faces:
-                capture: Dict[int, np.ndarray] = {}
-                rate = scheme.flux_divergence(
-                    block.data, block.dx, g,
-                    face_flux_out=capture, faces=faces,
-                )
-                register.accumulate(block.id, capture, weight)
-                return rate
-        return scheme.flux_divergence(block.data, block.dx, g)
-
-    # ------------------------------------------------------------------
-
-    def _step_level_blocked(self, level: int, t0: float, dt: float) -> None:
-        """One substep of one level, block by block."""
-        sim, scheme, g = self.sim, self.scheme, self.g
-        mine = self.by_level[level]
-        save = self.save
-        for block in mine:
-            row = save[block.arena_row]
-            row[...] = block.interior
-            self.u_old[block.id] = row
-            self.t_old[block.id] = t0
-            self.t_new[block.id] = t0 + dt
-        self.interp_fill(t0, level)
-        if scheme.n_stages == 1:
-            with sim.timer.phase("compute"):
-                for block in mine:
-                    block.interior[...] += dt * self._final_rate(block, dt)
-                    scheme.apply_floors(block.interior)
-        else:
-            with sim.timer.phase("compute"):
-                for block in mine:
-                    scheme.step(block.data, block.dx, 0.5 * dt, g)
-            # The mid-stage exchange happens at t0 + dt/2; shrinking the
-            # recorded interval keeps this level's own (half-time)
-            # interiors out of the interpolation set for that fill.
-            for block in mine:
-                self.t_new[block.id] = t0 + 0.5 * dt
-            self.interp_fill(t0 + 0.5 * dt, level)
-            for block in mine:
-                self.t_new[block.id] = t0 + dt
-            with sim.timer.phase("compute"):
-                for block in mine:
-                    rate = self._final_rate(block, dt)
-                    block.interior[...] = self.u_old[block.id] + dt * rate
-                    scheme.apply_floors(block.interior)
-
-    def _step_level_batched(self, level: int, t0: float, dt: float) -> None:
+    def _step_level(self, level: int, t0: float, dt: float) -> None:
         """One substep of one level: tiled kernel sweeps over the
-        level's contiguous pool row range, same IEEE ops per element as
-        the blocked path (bit-for-bit, as in global stepping)."""
+        level's contiguous pool row range."""
         sim, sweep = self.sim, self.sweep
         rows = s, e = self.ranges[level]
         mine = self.blocks[s:e]
@@ -332,45 +250,29 @@ class _SubcycleSweep:
         self.interp_fill(t0, level)
         if self.scheme.n_stages == 1:
             with sim.timer.phase("compute"):
-                self._capture(mine, dt)
+                sim._capture_fluxes(self.register, mine, dt)
                 sweep.forward(dt, rows)
         else:
             with sim.timer.phase("compute"):
                 sweep.forward(0.5 * dt, rows)
+            # The mid-stage exchange happens at t0 + dt/2; shrinking the
+            # recorded interval keeps this level's own (half-time)
+            # interiors out of the interpolation set for that fill.
             for block in mine:
                 self.t_new[block.id] = t0 + 0.5 * dt
             self.interp_fill(t0 + 0.5 * dt, level)
             for block in mine:
                 self.t_new[block.id] = t0 + dt
             with sim.timer.phase("compute"):
-                self._capture(mine, dt)
+                sim._capture_fluxes(self.register, mine, dt)
                 sweep.correct(dt, rows)
-
-    def _capture(self, mine, weight: float) -> None:
-        """Reflux fallback for the batched sweep: blocks on coarse–fine
-        interfaces rerun a per-block flux evaluation to capture (and
-        weight-accumulate) boundary-face fluxes.  Runs *before* the
-        tiled interior update so it sees the same current-stage state
-        the batched rate is computed from."""
-        register, scheme, g = self.register, self.scheme, self.g
-        if register is None:
-            return
-        for block in mine:
-            faces = register.needed_faces.get(block.id)
-            if faces:
-                capture: Dict[int, np.ndarray] = {}
-                scheme.flux_divergence(
-                    block.data, block.dx, g,
-                    face_flux_out=capture, faces=faces,
-                )
-                register.accumulate(block.id, capture, weight)
 
 
 def advance_subcycled(sim: Simulation, dt: float) -> None:
     """One coarse step: recursive level-by-level subcycled advance.
 
     Routed through :meth:`Simulation._finish_advance` like the global
-    engines, so the accumulated reflux correction is applied (with unit
+    step, so the accumulated reflux correction is applied (with unit
     scale — the fluxes carry their substep weights already) and the
     ghost sanitizer's post-stage check runs under subcycling too.
     """

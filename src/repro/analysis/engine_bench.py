@@ -1,12 +1,13 @@
-"""Batched-vs-blocked engine benchmark (the Fig-5-style workload).
+"""One-row-vs-tiled sweep benchmark (the Fig-5-style workload).
 
 The paper's Figure 5 plots MHD time-per-cell against block size: small
 blocks pay fixed per-block overhead per cell (loop startup on the T3D,
 numpy dispatch here), large blocks fall off cache.  This module measures
-the same time-per-cell metric for both execution engines on uniform
-periodic 3-D/2-D MHD forests across block sizes, giving the speedup
-curve of the batched engine — large in the dispatch-bound small-block
-regime, shrinking as blocks grow compute-bound.
+the same time-per-cell metric for the stage sweep at one pool row per
+kernel call (``engine="blocked"``) and at a tile of rows per call
+(``"batched"``) on uniform periodic 3-D/2-D MHD forests across block
+sizes, giving the speedup curve of tiling — large in the dispatch-bound
+small-block regime, shrinking as blocks grow compute-bound.
 
 Shared by the ``repro bench`` CLI subcommand, the
 ``benchmarks/test_batched_speedup.py`` benchmark, and CI's perf-smoke
@@ -82,9 +83,7 @@ def build_uniform_mhd(
     engine: str,
     *,
     seed: int = 42,
-    batch_tile: Optional[int] = None,
     kernel_backend: str = "numpy",
-    batch_tile_bytes: Optional[int] = None,
 ) -> Simulation:
     """Uniform periodic MHD forest with smooth random-ish initial data."""
     cfg = SimulationConfig(
@@ -105,33 +104,18 @@ def build_uniform_mhd(
         w[5:8] = 0.2
         block.interior[...] = scheme.prim_to_cons(w)
     return Simulation(
-        forest,
-        scheme,
-        engine=engine,
-        batch_tile=batch_tile,
-        kernel_backend=kernel_backend,
-        batch_tile_bytes=batch_tile_bytes,
+        forest, scheme, engine=engine, kernel_backend=kernel_backend
     )
 
 
 def _time_engine(
-    case: BenchCase,
-    engine: str,
-    warmup: int,
-    *,
-    kernel_backend: str = "numpy",
-    batch_tile_bytes: Optional[int] = None,
+    case: BenchCase, engine: str, warmup: int, *, kernel_backend: str = "numpy"
 ) -> Dict[str, Any]:
     # JIT backends compile on first dispatch, i.e. during the warm-up
     # steps (warmup >= 1 always) — the timed region below never pays
     # compilation; the compile seconds are reported separately.
     with build_uniform_mhd(
-        case.ndim,
-        case.m,
-        case.n_root,
-        engine,
-        kernel_backend=kernel_backend,
-        batch_tile_bytes=batch_tile_bytes,
+        case.ndim, case.m, case.n_root, engine, kernel_backend=kernel_backend
     ) as sim:
         kernels = sim.scheme.kernels
         compile_before = kernels.compile_s
@@ -144,36 +128,23 @@ def _time_engine(
             sim.step()
         elapsed = time.perf_counter() - t0
         cell_steps = n_cells * case.steps
-        result: Dict[str, Any] = {
+        return {
             "cells_per_s": cell_steps / elapsed,
             "us_per_cell": elapsed / cell_steps * 1e6,
             "wall_s": elapsed,
             "compile_s": round(kernels.compile_s - compile_before, 6),
             "phases_s": {k: round(v, 6) for k, v in sim.timer.totals.items()},
+            "tile_rows": sim.sweep_tile(),
         }
-        if engine == "batched":
-            row_bytes = sim.forest.arena.pool[:1].nbytes
-            result["tile_rows"] = sim._tile_rows(row_bytes)
-            result["tile_bytes"] = sim.batch_tile_bytes
-        return result
 
 
 def run_case(
-    case: BenchCase,
-    *,
-    warmup: int = 2,
-    kernel_backend: str = "numpy",
-    batch_tile_bytes: Optional[int] = None,
+    case: BenchCase, *, warmup: int = 2, kernel_backend: str = "numpy"
 ) -> Dict[str, Any]:
-    """Measure both engines on one case; returns a result record."""
-    blocked = _time_engine(
-        case, "blocked", warmup,
-        kernel_backend=kernel_backend, batch_tile_bytes=batch_tile_bytes,
-    )
-    batched = _time_engine(
-        case, "batched", warmup,
-        kernel_backend=kernel_backend, batch_tile_bytes=batch_tile_bytes,
-    )
+    """Measure one-row and tiled sweeps on one case; returns a result
+    record."""
+    blocked = _time_engine(case, "blocked", warmup, kernel_backend=kernel_backend)
+    batched = _time_engine(case, "batched", warmup, kernel_backend=kernel_backend)
     return {
         "label": case.label,
         "ndim": case.ndim,
@@ -192,15 +163,10 @@ def run_cases(
     *,
     warmup: int = 2,
     kernel_backend: str = "numpy",
-    batch_tile_bytes: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
     """Measure every case (see :func:`run_case`)."""
     return [
-        run_case(
-            c, warmup=warmup,
-            kernel_backend=kernel_backend, batch_tile_bytes=batch_tile_bytes,
-        )
-        for c in cases
+        run_case(c, warmup=warmup, kernel_backend=kernel_backend) for c in cases
     ]
 
 
@@ -229,7 +195,7 @@ def _deep_pulse_exact(t: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray
 def build_deep_pulse(
     levels: int = 3,
     *,
-    engine: str = "blocked",
+    engine: str = "batched",
     kernel_backend: str = "numpy",
     subcycle: bool = False,
     n_root: int = 4,
@@ -384,8 +350,9 @@ def check_subcycle_equivalence(
     steps: int = 3,
     backends: Optional[Sequence[str]] = None,
 ) -> bool:
-    """True iff the subcycled driver is bit-identical across engine x
-    kernel backend on the deep hierarchy (final state and dt history)."""
+    """True iff the subcycled driver is bit-identical across rows per
+    kernel call x kernel backend on the deep hierarchy (final state and
+    dt history)."""
     names = tuple(available_backends() if backends is None else backends)
     reference: Optional[Dict[Any, np.ndarray]] = None
     ref_dts: Optional[List[float]] = None
@@ -424,7 +391,8 @@ def check_equivalence(
     steps: Optional[int] = None,
     kernel_backend: str = "numpy",
 ) -> bool:
-    """True iff both engines produce bit-identical state on ``case``."""
+    """True iff one-row and tiled sweeps produce bit-identical state on
+    ``case``."""
     n_steps = case.steps if steps is None else steps
     sims = {}
     for engine in ("blocked", "batched"):

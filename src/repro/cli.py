@@ -84,11 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sanitize", action="store_true",
                      help="run under the ghost-poison sanitizer (debug; "
                           "raises on any consumed unfilled ghost cell)")
-    run.add_argument("--engine", choices=("blocked", "batched"),
-                     default="blocked",
-                     help="execution engine: per-block kernels (blocked) "
-                          "or vectorized-over-blocks arena kernels "
-                          "(batched); results are bit-for-bit identical")
     run.add_argument("--kernel-backend", choices=("numpy", "numba"),
                      default="numpy",
                      help="kernel backend for the hot per-tile ops: "
@@ -109,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="batched-vs-blocked engine speedup (Fig-5-style workload)",
+        help="tiled-vs-one-row sweep speedup (Fig-5-style workload)",
     )
     bench.add_argument("--quick", action="store_true",
                        help="reduced sweep for smoke runs")
@@ -123,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(numpy, numba), or 'auto' for every backend "
                             "available in this environment "
                             "(default: auto)")
-    bench.add_argument("--tile-bytes", type=int, default=None,
-                       metavar="BYTES",
-                       help="target working-set bytes per batched kernel "
-                            "tile (>= 4096; default: REPRO_BATCH_TILE_BYTES "
-                            "env var, else 800 KiB); bit-for-bit neutral")
     bench.add_argument("--subcycle", action="store_true",
                        help="also run the deep-hierarchy subcycling case: "
                             "subcycled vs global-dt updates per unit "
@@ -292,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--ndim", type=int, default=2, choices=(1, 2, 3))
     profile.add_argument("--steps", type=int, default=10)
     profile.add_argument("--engines", default="blocked,batched",
-                         help="comma-separated engines to profile "
-                              "(default: blocked,batched)")
+                         help="comma-separated rows-per-kernel-call "
+                              "modes to profile: blocked (one row), "
+                              "batched (a tile); default: both")
     profile.add_argument("--kernel-backend", choices=("numpy", "numba"),
                          default="numpy",
                          help="kernel backend for the profiled runs "
@@ -438,7 +429,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             hook=problem.hook,
             safe_mode=args.safe_mode,
             sanitize=args.sanitize,
-            engine=args.engine,
             kernel_backend=args.kernel_backend,
             subcycle=args.subcycle,
         )
@@ -452,7 +442,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         sim = problem.build(
             adaptive=not args.no_adapt,
             sanitize=args.sanitize,
-            engine=args.engine,
             kernel_backend=args.kernel_backend,
             subcycle=args.subcycle,
         )
@@ -566,12 +555,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print("error: --steps must be >= 1", file=sys.stderr)
             return 2
         cases = [replace(c, steps=args.steps) for c in cases]
-    if args.tile_bytes is not None and args.tile_bytes < 4096:
-        print(
-            f"error: --tile-bytes must be >= 4096, got {args.tile_bytes}",
-            file=sys.stderr,
-        )
-        return 2
 
     if args.kernel_backend == "auto":
         backends = list(available_backends())
@@ -589,7 +572,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print("error: --kernel-backend is empty", file=sys.stderr)
             return 2
 
-    print("batched-vs-blocked engine speedup (uniform MHD, time per cell)")
+    print("tiled (batched) vs one-row (blocked) sweep speedup "
+          "(uniform MHD, time per cell)")
     results = []
     ok = True
     for backend in backends:
@@ -599,11 +583,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{'speedup':>8} {'compile s':>10}"
         )
         for case in cases:
-            res = run_cases(
-                [case],
-                kernel_backend=backend,
-                batch_tile_bytes=args.tile_bytes,
-            )[0]
+            res = run_cases([case], kernel_backend=backend)[0]
             results.append(res)
             compile_s = (
                 res["blocked"]["compile_s"] + res["batched"]["compile_s"]
@@ -1037,10 +1017,8 @@ def cmd_emulate(args: argparse.Namespace) -> int:
             return 2
 
     problem = _make_problem(args.problem, args.ndim)
-    # The serial reference simulation owns a thread pool via the arena
-    # engines; close it even when the emulation path raises.  The kernel
-    # backend attaches to the shared scheme, so the emulated ranks
-    # dispatch through it too.
+    # The kernel backend attaches to the shared scheme, so the emulated
+    # ranks dispatch through it too.
     with problem.build(
         adaptive=False, kernel_backend=args.kernel_backend
     ) as sim:
@@ -1326,9 +1304,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     problem = _make_problem(args.problem, args.ndim)
     print(f"== sanitizing {problem.name} ==")
 
-    # Phase 1: serial driver under the ghost-poison sanitizer.  The
-    # context manager releases the engine thread pool even when the
-    # sanitizer trips (the leak `repro run` already guarded against).
+    # Phase 1: serial driver under the ghost-poison sanitizer.
     with problem.build(adaptive=not args.no_adapt, sanitize=True) as sim:
         dt = 0.5 * sim.stable_dt()
         try:
@@ -1430,9 +1406,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                             kf.per_cell_per_step * cell_steps / elapsed / 1e6
                         )
                     blocks = sim.block_profile()
-                    blocks.sort(
-                        key=lambda b: -float(b.get("time_s", b.get("steps", 0)))
-                    )
+                    blocks.sort(key=lambda b: -b["steps"])
                     profiles.append(recorder.emit(
                         "profile",
                         engine=engine,
@@ -1731,33 +1705,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_tile_bytes_env() -> Optional[str]:
-    """Validate ``REPRO_BATCH_TILE_BYTES`` before any command runs.
-
-    :class:`~repro.amr.Simulation` re-validates (and raises) for library
-    users; checking here once turns a bad env var into a clean CLI error
-    for every verb instead of a traceback mid-build.
-    """
-    import os
-
-    env = os.environ.get("REPRO_BATCH_TILE_BYTES")
-    if not env:
-        return None
-    try:
-        tile = int(env)
-    except ValueError:
-        return f"REPRO_BATCH_TILE_BYTES must be an integer, got {env!r}"
-    if tile < 4096:
-        return f"REPRO_BATCH_TILE_BYTES must be >= 4096 bytes, got {tile}"
-    return None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    err = _check_tile_bytes_env()
-    if err is not None:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     handlers = {
         "run": cmd_run,
         "bench": cmd_bench,

@@ -6,9 +6,8 @@ side of the observability layer:
 
 * per-engine **phase breakdown** (self-time per phase, sorted, with
   fractions — the numbers every perf PR argues from);
-* **top-k hottest blocks** (per-block wall time in the blocked engine,
-  residency steps in the batched engine, where per-block time does not
-  exist);
+* **top-k hottest blocks** (residency steps: blocks advance in stacked
+  tiles, so per-block time does not exist);
 * **engine-vs-engine comparison** when a stream profiles both engines;
 * :func:`compare_to_bench` — diff a profiled run against the committed
   ``BENCH_*.json`` trajectory (see :mod:`repro.util.benchio`) and flag
@@ -56,23 +55,18 @@ def phase_breakdown(phases: Dict[str, float]) -> str:
 def top_blocks_lines(blocks: List[Dict[str, Any]], k: int) -> List[str]:
     """The top-k hottest blocks of one profile event.
 
-    Each entry carries ``id`` and ``level`` plus either ``time_s``
-    (blocked engine: measured per-block wall time) or ``steps``
-    (batched engine: residency — how many steps the block existed,
-    which is the cost proxy when per-block time is not separable).
+    Each entry carries ``id``, ``level`` and ``steps`` — residency, how
+    many steps the block existed: the cost proxy, since per-block time
+    is not separable in a tiled sweep.
     """
     if not blocks:
         return ["  (no per-block data)"]
-    by_time = blocks[0].get("time_s") is not None
-    key = "time_s" if by_time else "steps"
-    ranked = sorted(blocks, key=lambda b: -float(b.get(key, 0.0)))[:k]
-    unit = "s" if by_time else " steps"
-    lines = []
-    for b in ranked:
-        value = b.get(key, 0.0)
-        shown = f"{value:.4f}{unit}" if by_time else f"{int(value)}{unit}"
-        lines.append(f"  L{b.get('level', '?')} {b.get('id', '?'):<28} {shown}")
-    return lines
+    ranked = sorted(blocks, key=lambda b: -b.get("steps", 0))[:k]
+    return [
+        f"  L{b.get('level', '?')} {b.get('id', '?'):<28} "
+        f"{int(b.get('steps', 0))} steps"
+        for b in ranked
+    ]
 
 
 def engine_comparison(profiles: List[Dict[str, Any]]) -> str:

@@ -40,13 +40,14 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set,
 import numpy as np
 
 from repro.analysis.protocol import phase_effect
+from repro.core.arena import BlockArena
 from repro.core.block import Block
 from repro.core.block_id import BlockID, IndexBox
 from repro.core.forest import BlockForest
 from repro.core.ghost import (
     BoundaryHandler,
-    NeighborKind,
     Transfer,
+    _bc_scan_faces,
     _neg,
     apply_restrictions,
     exchange_regions,
@@ -58,6 +59,7 @@ from repro.core.ghost import (
 from repro.obs.metrics import METRICS
 from repro.parallel.partition import Assignment, sfc_partition
 from repro.solvers.scheme import FVScheme
+from repro.solvers.sweep import PoolSweep, tile_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.poison import GhostSanitizer
@@ -172,10 +174,6 @@ class EmulatedMachine:
         self.assignment = (
             assignment if assignment is not None else sfc_partition(forest, n_ranks)
         )
-        # Private per-rank block storage (deep copies).
-        self.rank_blocks: List[Dict[BlockID, Block]] = [
-            {} for _ in range(n_ranks)
-        ]
         self._populate(forest, self.assignment)
         self.stats = ExchangeStats()
         self.time = 0.0
@@ -191,22 +189,47 @@ class EmulatedMachine:
             poison_forest(self._all_blocks())
 
     def _populate(self, forest: BlockForest, assignment: Assignment) -> None:
-        """Fill per-rank storage with private copies of the block data."""
+        """Fill per-rank storage with private copies of the block data:
+        every rank gets its own pool, its blocks are rows of it, and one
+        :class:`PoolSweep` per rank advances them."""
+        owned = list(assignment.values())
+        ranks = range(self.n_ranks)
+        self.rank_blocks: List[Dict[BlockID, Block]] = [{} for _ in ranks]
+        self._arenas = [self._empty_pool(owned.count(rank)) for rank in ranks]
         for bid, block in forest.blocks.items():
-            rank = assignment[bid]
-            clone = Block(
-                id=block.id,
-                box=block.box,
-                m=block.m,
-                n_ghost=block.n_ghost,
-                nvar=block.nvar,
-                data=block.data.copy(),
-            )
-            # Connectivity metadata is replicated: take it from the
-            # machine's own topology so restores from a checkpoint use
-            # identical pointers.
-            clone.face_neighbors = self.topology.blocks[bid].face_neighbors
-            self.rank_blocks[rank][bid] = clone
+            np.copyto(self._place(bid, assignment[bid]).data, block.data)
+        self._sweeps = [self._sweep(rank) for rank in ranks]
+
+    def _empty_pool(self, capacity: int = 1) -> BlockArena:
+        geom = self.topology
+        return BlockArena(geom.m, geom.n_ghost, geom.nvar, initial_capacity=capacity)
+
+    def _place(self, bid: BlockID, rank: int) -> Block:
+        """A zeroed private clone of block ``bid`` in a row of ``rank``'s
+        pool.  Connectivity comes from the machine's own replicated
+        topology, so restores from a checkpoint use identical pointers."""
+        arena = self._arenas[rank]
+        tmpl = self.topology.blocks[bid]
+        row = arena.acquire()
+        clone = Block(
+            id=tmpl.id, box=tmpl.box, m=tmpl.m, n_ghost=tmpl.n_ghost,
+            nvar=tmpl.nvar, data=arena.view(row),
+        )
+        arena.bind(row, clone)
+        clone.face_neighbors = tmpl.face_neighbors
+        self.rank_blocks[rank][bid] = clone
+        return clone
+
+    def _sweep(self, rank: int) -> PoolSweep:
+        """The stage update over the rows ``rank`` holds right now."""
+        arena = self._arenas[rank]
+        return PoolSweep(
+            self.scheme, arena.pool,
+            [(b.arena_row, b) for b in self.rank_blocks[rank].values()],
+            self.topology.n_ghost,
+            save=arena.save_pool(), rate=arena.rate_pool(),
+            tile=tile_rows(arena.pool[:1].nbytes),
+        )
 
     # ------------------------------------------------------------------
 
@@ -287,6 +310,8 @@ class EmulatedMachine:
             raise ValueError(f"rank {rank} out of range")
         self.alive[rank] = False
         self.rank_blocks[rank] = {}
+        self._arenas[rank] = self._empty_pool()
+        self._sweeps[rank] = self._sweep(rank)
 
     def lost_blocks(self) -> List[BlockID]:
         """Blocks of the replicated topology no surviving rank owns."""
@@ -327,7 +352,6 @@ class EmulatedMachine:
             if bad:
                 raise ValueError(f"assignment targets dead rank(s) {sorted(bad)}")
         self.assignment = assignment
-        self.rank_blocks = [{} for _ in range(self.n_ranks)]
         self._populate(forest, assignment)
         if self.race_detector is not None:
             # A restore is the rollback after a failure that may have
@@ -353,21 +377,14 @@ class EmulatedMachine:
         """
         if not self.alive[rank]:
             raise ValueError(f"cannot adopt block onto dead rank {rank}")
-        tmpl = self.topology.blocks[bid]
-        clone = Block(
-            id=tmpl.id,
-            box=tmpl.box,
-            m=tmpl.m,
-            n_ghost=tmpl.n_ghost,
-            nvar=tmpl.nvar,
-            data=np.zeros_like(tmpl.data),
-        )
-        clone.face_neighbors = tmpl.face_neighbors
-        clone.interior[...] = interior
         old = self.assignment.get(bid)
-        if old is not None and old != rank:
-            self.rank_blocks[old].pop(bid, None)
-        self.rank_blocks[rank][bid] = clone
+        gone = self.rank_blocks[old].pop(bid, None) if old is not None else None
+        if gone is not None:  # the previous owner is alive: free its row
+            self._arenas[old].release(gone)
+            self._sweeps[old] = self._sweep(old)
+        clone = self._place(bid, rank)
+        clone.interior[...] = interior
+        self._sweeps[rank] = self._sweep(rank)
         self.assignment[bid] = rank
         if self.race_detector is not None:
             self.race_detector.on_interior_write(bid, rank)
@@ -543,20 +560,10 @@ class EmulatedMachine:
             self.sanitizer.after_exchange(self._all_blocks())
 
     def _apply_bc(self) -> None:
-        if self.bc is None:
-            return
-        for rank in range(self.n_ranks):
-            for bid, block in self.rank_blocks[rank].items():
-                for axis in range(self.topology.ndim):
-                    other = tuple(
-                        a for a in range(self.topology.ndim) if a != axis
-                    )
-                    for side in (0, 1):
-                        face = 2 * axis + side
-                        fn = block.face_neighbors.get(face)
-                        if fn is not None and fn.kind == NeighborKind.BOUNDARY:
-                            region = block.ghost_region(face, other)
-                            self.bc(block, face, region, self.topology)
+        if self.bc is not None:
+            blocks = list(self._all_blocks())
+            for block, face, region in _bc_scan_faces(blocks, self.topology.ndim):
+                self.bc(block, face, region, self.topology)
 
     # ------------------------------------------------------------------
 
@@ -610,40 +617,19 @@ class EmulatedMachine:
             if entries:
                 raise CorruptionError(self.step_index, entries)
         self._msg_index = 0
-        scheme = self.scheme
-        g = self.topology.n_ghost
-        det = self.race_detector
-        if det is not None:
-            det.begin_step()
+        if self.race_detector is not None:
+            self.race_detector.begin_step()
         self.exchange()
-        if scheme.n_stages == 1:
-            for rank in self.alive_ranks:
-                for block in self.rank_blocks[rank].values():
-                    if det is not None:
-                        det.on_consume(block.id, rank)
-                    scheme.step(block.data, block.dx, dt, g)
-                    if det is not None:
-                        det.on_interior_write(block.id, rank)
+        if self.scheme.n_stages == 1:
+            self._stage(lambda sweep: sweep.forward(dt))
         else:
-            saved: Dict[BlockID, np.ndarray] = {}
-            for rank in self.alive_ranks:
-                for block in self.rank_blocks[rank].values():
-                    if det is not None:
-                        det.on_consume(block.id, rank)
-                    saved[block.id] = block.interior.copy()
-                    scheme.step(block.data, block.dx, 0.5 * dt, g)
-                    if det is not None:
-                        det.on_interior_write(block.id, rank)
+            def predictor(sweep: PoolSweep) -> None:
+                sweep.snapshot()
+                sweep.forward(0.5 * dt)
+
+            self._stage(predictor)
             self.exchange()
-            for rank in self.alive_ranks:
-                for block in self.rank_blocks[rank].values():
-                    if det is not None:
-                        det.on_consume(block.id, rank)
-                    rate = scheme.flux_divergence(block.data, block.dx, g)
-                    block.interior[...] = saved[block.id] + dt * rate
-                    scheme.apply_floors(block.interior)
-                    if det is not None:
-                        det.on_interior_write(block.id, rank)
+            self._stage(lambda sweep: sweep.correct(dt))
         if self.sanitizer is not None:
             self.sanitizer.after_stage(self._all_blocks())
         self.time += dt
@@ -652,6 +638,19 @@ class EmulatedMachine:
         # dropped — the staging buffers they targeted no longer exist.
         self._staged_flips.clear()
         self.scrub_retag()
+
+    def _stage(self, update: Callable[[PoolSweep], object]) -> None:
+        """Run one stage ``update`` of every alive rank's sweep; the race
+        detector sees each block consumed before and written after."""
+        det = self.race_detector
+        for rank in self.alive_ranks:
+            if det is not None:
+                for bid in self.rank_blocks[rank]:
+                    det.on_consume(bid, rank)
+            update(self._sweeps[rank])
+            if det is not None:
+                for bid in self.rank_blocks[rank]:
+                    det.on_interior_write(bid, rank)
 
     def gather(self) -> Dict[BlockID, np.ndarray]:
         """Collect every surviving block's interior (the 'MPI_Gather' at

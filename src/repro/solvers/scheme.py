@@ -378,7 +378,12 @@ class FVScheme(ABC):
         :func:`repro.solvers.scheme.FVScheme.step_midpoint`.
 
         With an explicit ``ndim`` and a ``(B, nvar, *spatial)`` stack
-        the whole batch advances in one sweep.
+        the whole batch advances in one sweep — which is how every
+        driver calls it (:class:`repro.solvers.sweep.PoolSweep`).
+        Subclass contract: an override takes ``ndim=`` and ``rate_out=``
+        (forward ``**kw``), and it and every kernel it calls may receive
+        that leading batch axis (``dx`` entries are then ``(B, 1, ...)``
+        arrays); index from the right, or use ``ndim``, not ``u[0]``.
         """
         nd = u.ndim - 1 if ndim is None else ndim
         lead = u.ndim - nd

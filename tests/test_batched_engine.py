@@ -1,12 +1,13 @@
-"""Batched execution engine: arena storage + bit-for-bit equivalence.
+"""The tiled sweep through the driver: arena storage + tile invariance.
 
-The batched engine (``Simulation(engine="batched")``) must be *exactly*
-the per-block engine with a different loop structure: same IEEE
-elementwise kernels swept over arena tiles instead of per-block arrays.
-These tests enforce that contract across kernel backends, physics,
-orders, limiters, mid-run adaptation, refluxing, tile sizes, the ghost
-sanitizer, the exchange race detector, and rank-kill recovery — plus
-unit tests of the block arena the engine is built on.
+``engine="blocked"`` (one pool row per kernel call — the reference
+``benchmarks/e2e`` divides by) and ``engine="batched"`` (a tile of rows)
+are the same :class:`~repro.solvers.sweep.PoolSweep` and must agree bit
+for bit across kernel backends, physics, orders, limiters, mid-run
+adaptation and refluxing; ``PoolSweep`` itself is pinned for any tile
+size and row range.  (The sweep against the per-block update it replaced
+is ``test_sweep_oracle.py``.)  Also: the ghost sanitizer, the exchange
+race detector, rank-kill recovery, and unit tests of the block arena.
 
 Backend matrix: every engine-equivalence case runs once per kernel
 backend (the numba legs skip when the jit extra is absent — REPRO108
@@ -24,6 +25,7 @@ from repro.core import BlockForest, BlockID
 from repro.core.arena import BlockArena
 from repro.kernels import get_backend
 from repro.solvers import AdvectionScheme
+from repro.solvers.sweep import PoolSweep, tile_rows
 from repro.util.geometry import Box
 
 BACKENDS = ("numpy", "numba")
@@ -42,28 +44,24 @@ def assert_forests_identical(a, b):
         assert np.array_equal(a.blocks[bid].interior, b.blocks[bid].interior), bid
 
 
-def run_pair(problem, steps, kernel_backend="numpy", **sim_kwargs):
-    """Run both engines on a problem; returns (blocked, batched) sims."""
-    sims = {}
-    for engine in ("blocked", "batched"):
-        sim = problem.build(
-            engine=engine, kernel_backend=kernel_backend, **sim_kwargs
-        )
-        with sim:
-            for _ in range(steps):
-                sim.step()
-        sims[engine] = sim
-    return sims["blocked"], sims["batched"]
-
-
-def run_one(problem, steps, engine, kernel_backend, **sim_kwargs):
+def run_one(problem, steps, engine, kernel_backend, reflux=False, **sim_kwargs):
     sim = problem.build(
         engine=engine, kernel_backend=kernel_backend, **sim_kwargs
     )
+    sim.reflux = reflux
     with sim:
         for _ in range(steps):
             sim.step()
     return sim
+
+
+def run_pair(problem, steps, kernel_backend="numpy", **kw):
+    """Run one row per kernel call and a tile of rows on a problem;
+    returns (blocked, batched) sims."""
+    return tuple(
+        run_one(problem, steps, engine, kernel_backend, **kw)
+        for engine in ("blocked", "batched")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +192,13 @@ def test_equivalence_limiters(limiter, backend):
 @pytest.mark.parametrize("limiter", ["van_leer", "minmod", "mc", "superbee"])
 def test_backend_equivalence_matrix(name, order, limiter):
     """Numba must land bit-for-bit on the numpy reference state across
-    the full physics x order x limiter matrix (both engines)."""
+    the full physics x order x limiter matrix."""
     require_backend("numba")
     problem = _problem(name, order=order, limiter=limiter)
-    for engine in ("blocked", "batched"):
-        ref = run_one(problem, 5, engine, "numpy")
-        jit = run_one(problem, 5, engine, "numba")
-        assert_forests_identical(ref.forest, jit.forest)
-        assert [r.dt for r in ref.history] == [r.dt for r in jit.history]
+    ref = run_one(problem, 5, "batched", "numpy")
+    jit = run_one(problem, 5, "batched", "numba")
+    assert_forests_identical(ref.forest, jit.forest)
+    assert [r.dt for r in ref.history] == [r.dt for r in jit.history]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -229,55 +226,55 @@ def test_backend_equivalence_through_adaptation():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_equivalence_with_reflux(backend):
     require_backend(backend)
-    problem = _problem("euler")
     blocked, batched = run_pair(
-        problem, steps=6, adaptive=True, kernel_backend=backend
+        _problem("euler"), steps=6, kernel_backend=backend, reflux=True
     )
-    # rerun with reflux on
-    sims = {}
-    for engine in ("blocked", "batched"):
-        sim = problem.build(engine=engine, kernel_backend=backend)
-        sim.reflux = True
-        with sim:
-            for _ in range(6):
-                sim.step()
-        sims[engine] = sim
-    assert_forests_identical(sims["blocked"].forest, sims["batched"].forest)
+    assert_forests_identical(blocked.forest, batched.forest)
 
 
 def test_backend_equivalence_with_reflux():
     require_backend("numba")
     problem = _problem("euler")
-    sims = {}
-    for backend in BACKENDS:
-        sim = problem.build(engine="batched", kernel_backend=backend)
-        sim.reflux = True
-        with sim:
-            for _ in range(6):
-                sim.step()
-        sims[backend] = sim
-    assert_forests_identical(sims["numpy"].forest, sims["numba"].forest)
+    ref = run_one(problem, 6, "batched", "numpy", reflux=True)
+    jit = run_one(problem, 6, "batched", "numba", reflux=True)
+    assert_forests_identical(ref.forest, jit.forest)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_batch_tile_invariance(backend):
+    """``PoolSweep`` directly: any tile, with and without a row range."""
     require_backend(backend)
-    problem = _problem("mhd")
-    results = []
-    for tile in (1, 7, 64, None):
-        sim = problem.build(engine="batched", kernel_backend=backend)
-        sim.batch_tile = tile
-        with sim:
-            for _ in range(5):
-                sim.step()
-        results.append(sim.forest)
-    for other in results[1:]:
-        assert_forests_identical(results[0], other)
+    sim = _problem("mhd").build(kernel_backend=backend)
+    sim.step()  # a developed state with filled ghosts
+    forest = sim.forest
+    blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
+    start = forest.arena.ensure_compact(blocks).copy()
+    n = len(blocks)
+    scratch = (n, forest.nvar) + forest.m
+    for rows in (None, (2, n - 1)):
+        results = []
+        for tile in (1, 3, tile_rows(start[:1].nbytes), n):
+            pool = start.copy()
+            sweep = PoolSweep(
+                sim.scheme, pool, enumerate(blocks), forest.n_ghost,
+                save=np.empty(scratch), rate=np.empty(scratch), tile=tile,
+            )
+            sweep.snapshot(rows)
+            sweep.forward(5e-4, rows)
+            sweep.correct(1e-3, rows)
+            results.append(pool)
+        assert not np.array_equal(results[0], start)
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
+        if rows is not None:
+            untouched = np.r_[0 : rows[0], rows[1] : n]
+            assert np.array_equal(results[0][untouched], start[untouched])
 
 
 def test_equivalence_3d():
     problem = advecting_pulse(ndim=3)
-    blocked, batched = run_pair(problem, steps=4)
+    # one pre-adapt round: 456 blocks instead of 1016, same code paths
+    blocked, batched = run_pair(problem, steps=4, initial_adapt_rounds=1)
     assert_forests_identical(blocked.forest, batched.forest)
 
 
@@ -405,25 +402,13 @@ def test_batched_reference_through_rank_kill_recovery(tmp_path, backend):
 # ---------------------------------------------------------------------------
 
 
-def test_close_shuts_down_executor():
-    problem = _problem("advection")
-    sim = problem.build()
-    sim_threads = Simulation(sim.forest, sim.scheme, threads=2)
-    assert sim_threads._executor is not None
-    sim_threads.close()
-    assert sim_threads._executor is None
-    sim_threads.close()  # idempotent
-    sim.close()
-
-
 def test_context_manager_closes():
     problem = _problem("advection")
-    built = problem.build()
-    with Simulation(built.forest, built.scheme, threads=2) as sim:
-        assert sim._executor is not None
+    with problem.build() as sim:
         sim.step()
-    assert sim._executor is None
-    built.close()
+    sim.close()  # idempotent; the simulation stays usable
+    sim.step()
+    assert sim.step_count == 2
 
 
 def test_invalid_engine_rejected():
@@ -438,19 +423,17 @@ def test_invalid_engine_rejected():
 
 
 def test_cli_engine_flag(capsys):
+    # `run` always sweeps in tiles; only `profile`/`bench` compare modes
     from repro.cli import main
 
-    assert main(["run", "pulse", "--steps", "2", "--engine", "batched"]) == 0
-    out = capsys.readouterr().out
-    assert "final grid" in out
+    with pytest.raises(SystemExit):
+        main(["run", "pulse", "--steps", "2", "--engine", "batched"])
+    assert "--engine" in capsys.readouterr().err
 
 
 def test_cli_kernel_backend_flag(capsys):
     from repro.cli import main
 
-    assert main([
-        "run", "pulse", "--steps", "2",
-        "--engine", "batched", "--kernel-backend", "numpy",
-    ]) == 0
+    assert main(["run", "pulse", "--steps", "2", "--kernel-backend", "numpy"]) == 0
     out = capsys.readouterr().out
     assert "final grid" in out

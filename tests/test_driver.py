@@ -182,38 +182,15 @@ class TestAdaptationDynamics:
 
 
 class TestThreadedExecution:
-    def test_threaded_matches_serial_bitwise(self):
-        import numpy as np
-
-        results = []
-        for threads in (None, 3):
-            p = advecting_pulse(2)
-            sim = p.build()
-            if threads:
-                from concurrent.futures import ThreadPoolExecutor
-
-                sim.threads = threads
-                sim._executor = ThreadPoolExecutor(max_workers=threads)
-            sim.run(n_steps=6)
-            results.append({b.id: b.interior.copy() for b in sim.forest})
-        serial, threaded = results
-        assert set(serial) == set(threaded)
-        for bid in serial:
-            np.testing.assert_array_equal(serial[bid], threaded[bid])
-
     def test_threads_constructor_arg(self):
+        """``threads=`` went with the per-block path it parallelised
+        (it was slower than no threads); so did the tile knobs."""
         p = advecting_pulse(2)
         forest = p.config.make_forest(p.scheme.nvar)
-        p.init_forest(forest)
-        sim = Simulation(forest, p.scheme, threads=2)
-        sim.run(n_steps=2)
-        assert sim._executor is not None
-
-    def test_bad_thread_count(self):
-        p = advecting_pulse(2)
-        forest = p.config.make_forest(p.scheme.nvar)
-        with pytest.raises(ValueError):
-            Simulation(forest, p.scheme, threads=0)
+        for removed in ("threads", "batch_tile"):
+            with pytest.raises(TypeError, match=removed):
+                Simulation(forest, p.scheme, **{removed: 2})
+        assert Simulation(forest, p.scheme).engine == "batched"
 
 
 class TestStableDtRobustness:

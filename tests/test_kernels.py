@@ -29,6 +29,7 @@ from repro.kernels import (
 )
 from repro.solvers import AdvectionScheme, EulerScheme
 from repro.solvers.mhd import MHDScheme
+from repro.solvers.sweep import BATCH_TILE_BYTES, tile_rows
 
 
 def assert_forests_identical(a, b):
@@ -276,68 +277,37 @@ class TestSimulationWiring:
             replace(problem.config, kernel_backend="warp")
 
     def test_tile_bytes_param(self):
+        # the tile is not a setting any more: constructor and CLI reject it
         problem = advecting_pulse(ndim=2)
-        sim = problem.build()
-        custom = Simulation(
-            sim.forest, sim.scheme, engine="batched", batch_tile_bytes=8192
-        )
-        assert custom.batch_tile_bytes == 8192
-        custom.close()
-        sim.close()
+        forest = problem.config.make_forest(problem.scheme.nvar)
+        with pytest.raises(TypeError, match="batch_tile_bytes"):
+            Simulation(forest, problem.scheme, batch_tile_bytes=8192)
+        from repro.cli import main
 
-    def test_tile_bytes_validated(self):
-        problem = advecting_pulse(ndim=2)
-        sim = problem.build()
-        with pytest.raises(ValueError, match=">= 4096"):
-            Simulation(sim.forest, sim.scheme, batch_tile_bytes=1024)
-        sim.close()
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick", "--tile-bytes", "8192"])
 
-    def test_tile_bytes_env_var(self, monkeypatch):
-        problem = advecting_pulse(ndim=2)
-        base = problem.build()
-        monkeypatch.setenv("REPRO_BATCH_TILE_BYTES", "16384")
-        sim = Simulation(base.forest, base.scheme)
-        assert sim.batch_tile_bytes == 16384
-        sim.close()
-        # explicit parameter wins over the env var
-        sim = Simulation(base.forest, base.scheme, batch_tile_bytes=8192)
-        assert sim.batch_tile_bytes == 8192
-        sim.close()
-        base.close()
+    def test_tile_bytes_env_var(self, monkeypatch, capsys):
+        # ...and neither library nor CLI reads the old env var
+        from repro.cli import main
 
-    def test_tile_bytes_env_var_validated(self, monkeypatch):
-        problem = advecting_pulse(ndim=2)
-        base = problem.build()
         monkeypatch.setenv("REPRO_BATCH_TILE_BYTES", "zork")
-        with pytest.raises(ValueError, match="must be an integer"):
-            Simulation(base.forest, base.scheme)
-        monkeypatch.setenv("REPRO_BATCH_TILE_BYTES", "1024")
-        with pytest.raises(ValueError, match=">= 4096"):
-            Simulation(base.forest, base.scheme)
-        base.close()
+        assert main(["run", "pulse", "--steps", "1"]) == 0
+        assert "final grid" in capsys.readouterr().out
 
-    def test_default_tile_bytes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_TILE_BYTES", raising=False)
-        problem = advecting_pulse(ndim=2)
-        sim = problem.build()
-        assert sim.batch_tile_bytes == Simulation.BATCH_TILE_BYTES
-        sim.close()
+    def test_default_tile_bytes(self):
+        # both rows-per-call modes, computed exactly as the rank workers do
+        with advecting_pulse(ndim=2).build() as sim:
+            row_bytes = sim.forest.arena.pool[:1].nbytes
+            assert sim.sweep_tile() == tile_rows(row_bytes)
+            assert tile_rows(row_bytes) == max(8, BATCH_TILE_BYTES // row_bytes)
+            sim.engine = "blocked"
+            assert sim.sweep_tile() == 1
 
     def test_tile_bytes_reaches_tile_rows(self):
-        problem = advecting_pulse(ndim=2)
-        base = problem.build()
-        small = Simulation(
-            base.forest, base.scheme, engine="batched", batch_tile_bytes=4096
-        )
-        big = Simulation(
-            base.forest, base.scheme, engine="batched",
-            batch_tile_bytes=4096 * 64,
-        )
-        row_bytes = base.forest.arena.pool[:1].nbytes
-        assert small._tile_rows(row_bytes) <= big._tile_rows(row_bytes)
-        small.close()
-        big.close()
-        base.close()
+        assert tile_rows(1024, 4096) == 8  # the floor
+        assert tile_rows(1024, 4096 * 64) == 256
+        assert tile_rows(10**9) == 8
 
 
 # ---------------------------------------------------------------------------

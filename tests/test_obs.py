@@ -360,14 +360,15 @@ class TestBitForBit:
 
     def test_block_profile_shapes(self):
         problem = advecting_pulse(2)
-        with problem.build(engine="blocked") as sim:
+        with problem.build() as sim:
+            assert sim.block_profile() == []  # off until enabled
             sim.enable_block_profile()
             sim.run(n_steps=2)
             blocks = sim.block_profile()
         assert blocks
         for entry in blocks:
+            assert set(entry) == {"id", "level", "steps"}
             assert entry["steps"] >= 1
-            assert entry["time_s"] >= 0.0  # blocked engine measures time
 
 
 class TestRecoveryRecorder:
@@ -421,15 +422,12 @@ class TestRendering:
         assert "75.0%" in lines[0]
         assert "total (timed phases)" in lines[-1]
 
-    def test_top_blocks_by_time_and_by_steps(self):
-        by_time = top_blocks_lines(
-            [{"id": "a", "level": 0, "time_s": 0.1},
-             {"id": "b", "level": 1, "time_s": 0.5}], k=1)
-        assert len(by_time) == 1 and "b" in by_time[0]
-        by_steps = top_blocks_lines(
-            [{"id": "a", "level": 0, "steps": 2},
-             {"id": "b", "level": 1, "steps": 9}], k=2)
-        assert "9 steps" in by_steps[0]
+    def test_top_blocks_by_steps(self):
+        blocks = [{"id": "a", "level": 0, "steps": 2},
+                  {"id": "b", "level": 1, "steps": 9}]
+        assert "9 steps" in top_blocks_lines(blocks, k=2)[0]
+        top = top_blocks_lines(blocks, k=1)
+        assert len(top) == 1 and "b" in top[0]
         assert top_blocks_lines([], k=3) == ["  (no per-block data)"]
 
     def test_engine_comparison_speedup_line(self):
@@ -450,7 +448,7 @@ class TestRendering:
             {"v": 1, "t": 2.0, "kind": "profile", "engine": "blocked",
              "wall_s": 0.5, "us_per_cell": 3.0,
              "phases": {"solve": 0.4, "ghosts": 0.1}, "mflops": 120.0,
-             "blocks": [{"id": "b", "level": 1, "time_s": 0.2}]},
+             "blocks": [{"id": "b", "level": 1, "steps": 2}]},
             {"v": 1, "t": 3.0, "kind": "exchange", "n_messages": 10,
              "n_bytes": 4096, "n_retries": 2},
             {"v": 1, "t": 4.0, "kind": "recovery", "step": 2,

@@ -77,11 +77,24 @@ class TestBlasts:
 
     def test_mhd_blast_field_anisotropy(self):
         # The blast in an oblique field expands preferentially along B
-        # (x=y diagonal): pressure contours elongate along the field.
+        # (x=y diagonal): the over-pressured region elongates along the
+        # field — its second moment along B exceeds the one across it
+        # (1.27 at t=0.03, 1.79 at t=0.05; the unmagnetised blast is 1).
+        from repro.amr.sampling import resample_uniform
+
         p = mhd_blast(2, b0=2.0)
         sim = p.build(initial_adapt_rounds=2)
-        sim.run(t_end=0.05)
+        sim.run(t_end=0.03)
         assert_finite(sim)
+        level = max(b.level for b in sim.forest)
+        pressure = p.scheme.cons_to_prim(resample_uniform(sim.forest, level))[4]
+        n = pressure.shape[0]
+        x = (np.arange(n) + 0.5) / n - 0.5
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        excess = np.maximum(pressure - np.median(pressure), 0.0)
+        along = (excess * (X + Y) ** 2).sum()
+        across = (excess * (X - Y) ** 2).sum()
+        assert along > 1.15 * across
 
     def test_sedov_radial_symmetry(self):
         p = sedov_blast(2)
@@ -317,23 +330,39 @@ class TestRayleighTaylor:
         assert vmax < 0.02  # far below the seeded-run velocities
 
     def test_instability_grows(self):
+        from dataclasses import replace
+
         from repro.amr import rayleigh_taylor
 
-        # Strong drive (g=2, Atwood 0.5) so the e-folding fits a test.
-        p = rayleigh_taylor(amplitude=0.01, gravity=2.0, rho_heavy=3.0)
-        sim = p.build(initial_adapt_rounds=1)
+        # The seeded mode's horizontal velocity is the clean signal: it
+        # is exactly zero without the seed (the atmosphere is uniform in
+        # x) and grows exponentially with it once the start-up transient
+        # has passed (t = 0.4).  Atwood 0.5 at g = 1.5 keeps the
+        # hydrostatic pressure positive up to the top wall; two
+        # refinement levels resolve the mode (sigma ~ 2.3 against the
+        # inviscid 3.1).
+        drive = dict(gravity=1.5, rho_heavy=3.0)
+        cfg = replace(rayleigh_taylor().config, max_level=2)
 
-        def max_uy():
-            out = 0.0
-            for b in sim.forest:
-                w = p.scheme.cons_to_prim(b.interior)
-                out = max(out, float(np.abs(w[2]).max()))
-            return out
+        def max_ux(sim):
+            return max(
+                float(np.abs(sim.scheme.cons_to_prim(b.interior)[1]).max())
+                for b in sim.forest
+            )
 
-        v0 = max_uy()
-        sim.run(t_end=1.2)
+        still = rayleigh_taylor(amplitude=0.0, config=cfg, **drive).build(
+            initial_adapt_rounds=1
+        )
+        still.run(t_end=0.1)
+        assert max_ux(still) == 0.0
+        sim = rayleigh_taylor(amplitude=0.01, config=cfg, **drive).build(
+            initial_adapt_rounds=1
+        )
+        sim.run(t_end=0.4)
+        v0 = max_ux(sim)
+        sim.run(t_end=1.0)
         assert_finite(sim)
-        assert max_uy() > 10.0 * v0  # exponential buoyant growth
+        assert max_ux(sim) > 2.5 * v0 > 0.0  # exponential buoyant growth
 
     def test_reflecting_walls_trap_mass(self):
         from repro.amr import rayleigh_taylor

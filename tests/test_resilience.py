@@ -909,10 +909,11 @@ class FragileAdvection(AdvectionScheme):
         super().__init__(*args, **kw)
         self.dt_limit = dt_limit
 
-    def step(self, u, dx, dt, g):
-        super().step(u, dx, dt, g)
+    def step(self, u, dx, dt, g, **kw):
+        super().step(u, dx, dt, g, **kw)
         if dt > self.dt_limit:
-            u[0, g, g] = np.nan
+            # one cell of one block: ``u`` is a (blocks, nvar, ny, nx) tile
+            u[(0,) * (u.ndim - 2) + (g, g)] = np.nan
 
 
 class TestSafeMode:

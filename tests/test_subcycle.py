@@ -7,15 +7,19 @@ from repro.amr import Simulation, advecting_pulse
 from repro.core import BlockID
 
 
-def build(subcycle, levels=2):
+def build_sim(levels=3, **kw):
+    """Multi-level pulse forest driven by ``Simulation(**kw)``."""
     p = advecting_pulse(2)
     forest = p.config.make_forest(p.scheme.nvar)
-    p.init_forest(forest)
     forest.adapt([BlockID(0, (0, 0)), BlockID(0, (1, 1))])
-    if levels >= 2:
+    if levels >= 3:
         forest.adapt([BlockID(1, (1, 1))])
     p.init_forest(forest)
-    return p, Simulation(forest, p.scheme, subcycle=subcycle)
+    return p, Simulation(forest, p.scheme, **kw)
+
+
+def build(subcycle):
+    return build_sim(3, subcycle=subcycle)
 
 
 def run_to(sim, t_end):
@@ -130,27 +134,32 @@ class TestSparseLevels:
         assert sim.time == pytest.approx(0.02)
 
 
+def assert_uniform_degeneracy(**kw):
+    """On a uniform forest subcycling degenerates to exactly the global
+    midpoint step — the results must be bit-identical."""
+    results = {}
+    for subcycle in (False, True):
+        p = advecting_pulse(2)
+        forest = p.config.make_forest(p.scheme.nvar)
+        p.init_forest(forest)
+        sim = Simulation(forest, p.scheme, subcycle=subcycle, **kw)
+        for _ in range(5):
+            sim.advance(1e-3)
+        results[subcycle] = sim.forest
+    assert_forests_identical(results[False], results[True])
+
+
 class TestUniformEquivalence:
     def test_single_level_matches_global_bitwise(self):
-        """On a uniform forest subcycling degenerates to exactly the
-        global midpoint step — the results must be bit-identical."""
-        results = []
-        for subcycle in (False, True):
-            p = advecting_pulse(2)
-            forest = p.config.make_forest(p.scheme.nvar)
-            p.init_forest(forest)
-            sim = Simulation(forest, p.scheme, subcycle=subcycle)
-            for _ in range(5):
-                sim.advance(1e-3)
-            results.append({b.id: b.interior.copy() for b in sim.forest})
-        serial, subcycled = results
-        for bid in serial:
-            np.testing.assert_array_equal(serial[bid], subcycled[bid])
+        assert_uniform_degeneracy()
+
 
 # ---------------------------------------------------------------------------
 # first-class driver mode (Simulation(subcycle=True)): engines, backends,
 # reflux conservation, and regressions for the old stub's correctness holes
 # ---------------------------------------------------------------------------
+
+from test_sweep_oracle import make_forest
 
 from repro.amr.config import SimulationConfig
 from repro.amr.subcycle import interval_spans, level_divisors
@@ -171,23 +180,27 @@ def require_backend(backend):
     return backend
 
 
-def build_sim(levels=3, **kw):
-    """Multi-level pulse forest driven by ``Simulation(**kw)``."""
-    p = advecting_pulse(2)
-    forest = p.config.make_forest(p.scheme.nvar)
-    forest.adapt([BlockID(0, (0, 0)), BlockID(0, (1, 1))])
-    if levels >= 3:
-        forest.adapt([BlockID(1, (1, 1))])
-    p.init_forest(forest)
-    return p, Simulation(forest, p.scheme, **kw)
-
-
 def assert_forests_identical(a, b):
     assert sorted(a.blocks) == sorted(b.blocks)
     for bid in a.blocks:
         np.testing.assert_array_equal(
             a.blocks[bid].interior, b.blocks[bid].interior, err_msg=str(bid)
         )
+
+
+def assert_engines_identical(make_sim, n_steps):
+    """One pool row per kernel call (``blocked``) and a tile of rows
+    (``batched``): same dt sequence, same final state."""
+    runs = []
+    for engine in ENGINES:
+        sim = make_sim(engine)
+        dts = []
+        for _ in range(n_steps):
+            dts.append(sim.stable_dt())
+            sim.advance(dts[-1])
+        runs.append((dts, sim.forest))
+    assert runs[0][0] == runs[1][0]
+    assert_forests_identical(runs[0][1], runs[1][1])
 
 
 class TestFirstClassMode:
@@ -247,14 +260,8 @@ class TestFloorsUnderSubcycling:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_floored_engines_bitwise_identical(self, engine):
         del engine  # parametrization documents both run below
-        sims = {}
-        for eng in ENGINES:
-            sim = build_euler_floored(3, subcycle=True, engine=eng)
-            for _ in range(2):
-                sim.advance(sim.stable_dt())
-            sims[eng] = sim
-        assert_forests_identical(
-            sims["blocked"].forest, sims["batched"].forest
+        assert_engines_identical(
+            lambda eng: build_euler_floored(3, subcycle=True, engine=eng), 2
         )
 
 
@@ -326,20 +333,12 @@ class TestEngineAndBackendRouting:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engines_bitwise_identical_multilevel(self, backend):
         require_backend(backend)
-        sims = {}
-        for engine in ENGINES:
-            _, sim = build_sim(
+        assert_engines_identical(
+            lambda engine: build_sim(
                 3, subcycle=True, engine=engine, kernel_backend=backend
-            )
-            dts = []
-            for _ in range(4):
-                dt = sim.stable_dt()
-                dts.append(dt)
-                sim.advance(dt)
-            sims[engine] = (sim, dts)
-        (a, dts_a), (b, dts_b) = sims["blocked"], sims["batched"]
-        assert dts_a == dts_b
-        assert_forests_identical(a.forest, b.forest)
+            )[1],
+            4,
+        )
 
 
 class TestInterpToleranceAndState:
@@ -452,51 +451,10 @@ class TestUniformDegeneracyMatrix:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subcycled_equals_global_bitwise(self, engine, backend):
-        """On a uniform forest subcycling degenerates to the global
-        stepper exactly, per engine and kernel backend."""
-        require_backend(backend)
-        results = {}
-        for subcycle in (False, True):
-            p = advecting_pulse(2)
-            forest = p.config.make_forest(p.scheme.nvar)
-            p.init_forest(forest)
-            sim = Simulation(
-                forest,
-                p.scheme,
-                subcycle=subcycle,
-                engine=engine,
-                kernel_backend=backend,
-            )
-            for _ in range(5):
-                sim.advance(1e-3)
-            results[subcycle] = sim.forest
-        assert_forests_identical(results[False], results[True])
-
-
-def _init_matrix_state(scheme, forest):
-    for b in forest:
-        x, y = b.meshgrid()
-        bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.02)
-        w = np.empty((scheme.nvar,) + x.shape)
-        if scheme.nvar == 1:          # advection
-            w[0] = 0.1 + bump
-            b.interior[...] = w
-            continue
-        if scheme.nvar == 3:          # shallow water
-            w[0] = 1.0 + 0.2 * bump
-            w[1] = 0.1
-            w[2] = 0.05
-        elif scheme.nvar == 4:        # euler
-            w[0] = 1.0 + 0.2 * bump
-            w[1] = 0.1
-            w[2] = 0.05
-            w[3] = 1.0
-        else:                         # mhd (8)
-            w[0] = 1.0 + 0.2 * bump
-            w[1:4] = 0.1
-            w[4] = 1.0
-            w[5:8] = 0.2
-        b.interior[...] = scheme.prim_to_cons(w)
+        """...per rows-per-call mode and kernel backend."""
+        assert_uniform_degeneracy(
+            engine=engine, kernel_backend=require_backend(backend)
+        )
 
 
 MATRIX_SCHEMES = {
@@ -511,42 +469,23 @@ MATRIX_SCHEMES = {
 
 
 class TestPhysicsMatrix:
-    """Tentpole acceptance: subcycled blocked and batched engines are
-    bit-for-bit identical across physics x order x limiter x backend."""
+    """Subcycled one-row and tiled sweeps are bit-for-bit identical
+    across physics x order x limiter x backend (against the per-block
+    oracle: ``test_sweep_oracle.py``, whose forest this borrows)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(MATRIX_SCHEMES))
     def test_engines_bitwise_identical(self, name, backend):
         require_backend(backend)
-        sims = {}
-        for engine in ENGINES:
+
+        def make_sim(engine):
             scheme = MATRIX_SCHEMES[name]()
-            cfg = SimulationConfig(
-                domain=Box((0.0, 0.0), (1.0, 1.0)),
-                n_root=(2, 2),
-                m=(8, 8),
-                periodic=(True, True),
-                max_level=2,
+            return Simulation(
+                make_forest(scheme, 2), scheme,
+                subcycle=True, engine=engine, kernel_backend=backend,
             )
-            forest = cfg.make_forest(scheme.nvar)
-            forest.adapt([BlockID(0, (1, 1))])
-            _init_matrix_state(scheme, forest)
-            sim = Simulation(
-                forest,
-                scheme,
-                subcycle=True,
-                engine=engine,
-                kernel_backend=backend,
-            )
-            dts = []
-            for _ in range(2):
-                dt = sim.stable_dt()
-                dts.append(dt)
-                sim.advance(dt)
-            sims[engine] = (sim, dts)
-        (a, dts_a), (b, dts_b) = sims["blocked"], sims["batched"]
-        assert dts_a == dts_b
-        assert_forests_identical(a.forest, b.forest)
+
+        assert_engines_identical(make_sim, 2)
 
 
 class TestRankKillRecovery:
