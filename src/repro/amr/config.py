@@ -50,10 +50,6 @@ class SimulationConfig:
     # see repro.amr.driver.Simulation
     engine: str = "batched"
 
-    # kernel backend for the hot per-tile ops (repro.kernels registry);
-    # every backend is bit-for-bit with the numpy reference
-    kernel_backend: str = "numpy"
-
     # time stepping: False advances every block with one global
     # CFL-limited dt; True subcycles — each level steps with its own dt
     # (2^delta substeps per coarse step, time-interpolated ghosts; see
@@ -66,13 +62,6 @@ class SimulationConfig:
         if self.engine not in ("blocked", "batched"):
             raise ValueError(
                 f"engine must be 'blocked' or 'batched', got {self.engine!r}"
-            )
-        from repro.kernels import BACKEND_NAMES
-
-        if self.kernel_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"kernel_backend must be one of {BACKEND_NAMES}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.n_ghost < self.order:
             raise ValueError(

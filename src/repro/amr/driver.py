@@ -27,7 +27,6 @@ from repro.amr.config import SimulationConfig
 from repro.core.block_id import BlockID
 from repro.core.forest import AdaptSummary, BlockForest
 from repro.core.ghost import BoundaryHandler, fill_ghosts, ghost_plan
-from repro.kernels import get_backend
 from repro.core.refine_criteria import RefinementCriterion, compute_flags
 from repro.obs.metrics import METRICS
 from repro.solvers.scheme import FVScheme
@@ -100,12 +99,6 @@ class Simulation:
         ``"blocked"`` one row per call — the same sweep paying numpy's
         dispatch once per block, kept as the reference the benchmarks
         divide by.  Bit-for-bit identical.
-    kernel_backend:
-        Kernel backend name for the hot per-tile ops (see
-        :mod:`repro.kernels`): ``"numpy"`` (reference) or ``"numba"``
-        (fused JIT, bit-for-bit, auto-falls back to numpy when numba is
-        missing).  None keeps the scheme's current backend.  The backend
-        is attached to the *scheme* (``scheme.kernels``).
     subcycle:
         When True, step with level-local time steps (Berger–Colella
         subcycling, :mod:`repro.amr.subcycle`) instead of one global
@@ -137,7 +130,6 @@ class Simulation:
         hook: Optional[StepHook] = None,
         reflux: bool = False,
         engine: str = "batched",
-        kernel_backend: Optional[str] = None,
         subcycle: bool = False,
         safe_mode: bool = False,
         max_step_retries: int = 4,
@@ -152,8 +144,6 @@ class Simulation:
             raise ValueError(
                 f"engine must be 'blocked' or 'batched', got {engine!r}"
             )
-        if kernel_backend is not None:
-            scheme.kernels = get_backend(kernel_backend)
         self.forest = forest
         self.scheme = scheme
         self.engine = engine
@@ -247,13 +237,7 @@ class Simulation:
         if self.sanitizer is not None:
             self.sanitizer.before_exchange(self.forest)
         with self.timer.phase("ghost_exchange"):
-            fill_ghosts(
-                self.forest,
-                self.bc,
-                dest=dest,
-                batched_copies=True,
-                kernels=self.scheme.kernels,
-            )
+            fill_ghosts(self.forest, self.bc, dest=dest)
         if METRICS.enabled:
             METRICS.inc("ghost.exchanges")
         if self.sanitizer is not None:

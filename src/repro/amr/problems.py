@@ -96,7 +96,6 @@ class Problem:
         initial_adapt_rounds: int = 3,
         sanitize: bool = False,
         engine: Optional[str] = None,
-        kernel_backend: Optional[str] = None,
         subcycle: Optional[bool] = None,
     ) -> Simulation:
         """Construct the simulation, optionally pre-adapting the initial
@@ -105,10 +104,9 @@ class Problem:
         ``sanitize`` enables the ghost-poison sanitizer on the built
         simulation (see :class:`repro.amr.driver.Simulation`);
         ``engine`` overrides the configured rows-per-kernel-call mode
-        (``"blocked"`` / ``"batched"``); ``kernel_backend`` overrides
-        the configured kernel backend (``"numpy"`` / ``"numba"``);
-        ``subcycle`` overrides the configured time-stepping mode
-        (level-local subcycled steps vs one global dt).
+        (``"blocked"`` / ``"batched"``); ``subcycle`` overrides the
+        configured time-stepping mode (level-local subcycled steps vs
+        one global dt).
         """
         forest = self.config.make_forest(self.scheme.nvar)
         self.init_forest(forest)
@@ -123,11 +121,6 @@ class Problem:
             hook=self.hook,
             sanitize=sanitize,
             engine=engine if engine is not None else self.config.engine,
-            kernel_backend=(
-                kernel_backend
-                if kernel_backend is not None
-                else self.config.kernel_backend
-            ),
             subcycle=subcycle if subcycle is not None else self.config.subcycle,
         )
         if adaptive:

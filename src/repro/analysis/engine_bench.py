@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.amr.config import SimulationConfig
 from repro.amr.driver import Simulation
-from repro.kernels import available_backends
 from repro.solvers.mhd import MHDScheme
 from repro.util.geometry import Box
 from repro.util.timing import measure
@@ -39,7 +38,6 @@ __all__ = [
     "run_cases",
     "run_subcycle_case",
     "check_equivalence",
-    "check_backend_equivalence",
     "check_subcycle_equivalence",
 ]
 
@@ -83,7 +81,6 @@ def build_uniform_mhd(
     engine: str,
     *,
     seed: int = 42,
-    kernel_backend: str = "numpy",
 ) -> Simulation:
     """Uniform periodic MHD forest with smooth random-ish initial data."""
     cfg = SimulationConfig(
@@ -103,22 +100,11 @@ def build_uniform_mhd(
         w[4] = 1.0
         w[5:8] = 0.2
         block.interior[...] = scheme.prim_to_cons(w)
-    return Simulation(
-        forest, scheme, engine=engine, kernel_backend=kernel_backend
-    )
+    return Simulation(forest, scheme, engine=engine)
 
 
-def _time_engine(
-    case: BenchCase, engine: str, warmup: int, *, kernel_backend: str = "numpy"
-) -> Dict[str, Any]:
-    # JIT backends compile on first dispatch, i.e. during the warm-up
-    # steps (warmup >= 1 always) — the timed region below never pays
-    # compilation; the compile seconds are reported separately.
-    with build_uniform_mhd(
-        case.ndim, case.m, case.n_root, engine, kernel_backend=kernel_backend
-    ) as sim:
-        kernels = sim.scheme.kernels
-        compile_before = kernels.compile_s
+def _time_engine(case: BenchCase, engine: str, warmup: int) -> Dict[str, Any]:
+    with build_uniform_mhd(case.ndim, case.m, case.n_root, engine) as sim:
         for _ in range(max(warmup, 1)):
             sim.step()
         sim.timer = type(sim.timer)()  # drop warmup from phase totals
@@ -132,26 +118,22 @@ def _time_engine(
             "cells_per_s": cell_steps / elapsed,
             "us_per_cell": elapsed / cell_steps * 1e6,
             "wall_s": elapsed,
-            "compile_s": round(kernels.compile_s - compile_before, 6),
             "phases_s": {k: round(v, 6) for k, v in sim.timer.totals.items()},
             "tile_rows": sim.sweep_tile(),
         }
 
 
-def run_case(
-    case: BenchCase, *, warmup: int = 2, kernel_backend: str = "numpy"
-) -> Dict[str, Any]:
+def run_case(case: BenchCase, *, warmup: int = 2) -> Dict[str, Any]:
     """Measure one-row and tiled sweeps on one case; returns a result
     record."""
-    blocked = _time_engine(case, "blocked", warmup, kernel_backend=kernel_backend)
-    batched = _time_engine(case, "batched", warmup, kernel_backend=kernel_backend)
+    blocked = _time_engine(case, "blocked", warmup)
+    batched = _time_engine(case, "batched", warmup)
     return {
         "label": case.label,
         "ndim": case.ndim,
         "m": case.m,
         "n_blocks": case.n_root ** case.ndim,
         "steps": case.steps,
-        "kernel_backend": kernel_backend,
         "blocked": blocked,
         "batched": batched,
         "speedup": batched["cells_per_s"] / blocked["cells_per_s"],
@@ -159,15 +141,10 @@ def run_case(
 
 
 def run_cases(
-    cases: Sequence[BenchCase] = DEFAULT_CASES,
-    *,
-    warmup: int = 2,
-    kernel_backend: str = "numpy",
+    cases: Sequence[BenchCase] = DEFAULT_CASES, *, warmup: int = 2
 ) -> List[Dict[str, Any]]:
     """Measure every case (see :func:`run_case`)."""
-    return [
-        run_case(c, warmup=warmup, kernel_backend=kernel_backend) for c in cases
-    ]
+    return [run_case(c, warmup=warmup) for c in cases]
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +173,6 @@ def build_deep_pulse(
     levels: int = 3,
     *,
     engine: str = "batched",
-    kernel_backend: str = "numpy",
     subcycle: bool = False,
     n_root: int = 4,
     m: int = 8,
@@ -226,7 +202,6 @@ def build_deep_pulse(
         forest,
         AdvectionScheme(_PULSE_V, order=2),
         engine=engine,
-        kernel_backend=kernel_backend,
         subcycle=subcycle,
     )
 
@@ -263,7 +238,6 @@ def run_subcycle_case(
     levels: int = 3,
     coarse_steps: int = 6,
     engine: str = "batched",
-    kernel_backend: str = "numpy",
 ) -> Dict[str, Any]:
     """Subcycled vs global-dt stepping on the deep hierarchy.
 
@@ -279,9 +253,7 @@ def run_subcycle_case(
     from repro.amr.subcycle import level_divisors
 
     def build(subcycle: bool) -> Simulation:
-        return build_deep_pulse(
-            levels, engine=engine, kernel_backend=kernel_backend, subcycle=subcycle
-        )
+        return build_deep_pulse(levels, engine=engine, subcycle=subcycle)
 
     def subcycled(sim: Simulation) -> int:
         updates = 0
@@ -319,7 +291,6 @@ def run_subcycle_case(
         "depth": depth,
         "n_blocks": n_blocks,
         "engine": engine,
-        "kernel_backend": kernel_backend,
         "coarse_steps": coarse_steps,
         "t_end": t_end,
         "substeps_per_coarse_step": {str(k): v for k, v in substeps.items()},
@@ -344,39 +315,25 @@ def run_subcycle_case(
     }
 
 
-def check_subcycle_equivalence(
-    *,
-    levels: int = 3,
-    steps: int = 3,
-    backends: Optional[Sequence[str]] = None,
-) -> bool:
-    """True iff the subcycled driver is bit-identical across rows per
-    kernel call x kernel backend on the deep hierarchy (final state and
-    dt history)."""
-    names = tuple(available_backends() if backends is None else backends)
-    reference: Optional[Dict[Any, np.ndarray]] = None
-    ref_dts: Optional[List[float]] = None
-    for backend in names:
-        for engine in ("blocked", "batched"):
-            with build_deep_pulse(
-                levels, engine=engine, kernel_backend=backend, subcycle=True
-            ) as sim:
-                dts = []
-                for _ in range(steps):
-                    dt = sim.stable_dt()
-                    dts.append(dt)
-                    sim.advance(dt)
-                state = _final_state(sim)
-            if reference is None:
-                reference, ref_dts = state, dts
-                continue
-            if dts != ref_dts or state.keys() != reference.keys():
-                return False
-            if not all(
-                np.array_equal(state[k], reference[k]) for k in reference
-            ):
-                return False
-    return True
+def check_subcycle_equivalence(*, levels: int = 3, steps: int = 3) -> bool:
+    """True iff the subcycled driver is bit-identical at one row and at
+    a tile of rows per kernel call on the deep hierarchy (final state
+    and dt history)."""
+    runs = []
+    for engine in ("blocked", "batched"):
+        with build_deep_pulse(levels, engine=engine, subcycle=True) as sim:
+            dts = []
+            for _ in range(steps):
+                dt = sim.stable_dt()
+                dts.append(dt)
+                sim.advance(dt)
+            runs.append((dts, _final_state(sim)))
+    (dts_a, a), (dts_b, b) = runs
+    return (
+        dts_a == dts_b
+        and a.keys() == b.keys()
+        and all(np.array_equal(a[k], b[k]) for k in a)
+    )
 
 
 def _final_state(sim: Simulation) -> Dict[Any, np.ndarray]:
@@ -389,17 +346,13 @@ def check_equivalence(
     case: BenchCase,
     *,
     steps: Optional[int] = None,
-    kernel_backend: str = "numpy",
 ) -> bool:
     """True iff one-row and tiled sweeps produce bit-identical state on
     ``case``."""
     n_steps = case.steps if steps is None else steps
     sims = {}
     for engine in ("blocked", "batched"):
-        with build_uniform_mhd(
-            case.ndim, case.m, case.n_root, engine,
-            kernel_backend=kernel_backend,
-        ) as sim:
+        with build_uniform_mhd(case.ndim, case.m, case.n_root, engine) as sim:
             for _ in range(n_steps):
                 sim.step()
             sims[engine] = sim
@@ -412,41 +365,3 @@ def check_equivalence(
         np.array_equal(a.forest.blocks[bid].interior, b.forest.blocks[bid].interior)
         for bid in a.forest.blocks
     )
-
-
-def check_backend_equivalence(
-    case: BenchCase,
-    *,
-    steps: Optional[int] = None,
-    engine: str = "batched",
-    backends: Optional[Sequence[str]] = None,
-) -> bool:
-    """True iff every kernel backend produces bit-identical state.
-
-    Runs the case once per backend (``backends`` defaults to everything
-    available in this environment — a single-backend environment is
-    trivially equivalent) and compares final block state and the dt
-    history with exact equality.
-    """
-    names = tuple(available_backends() if backends is None else backends)
-    if len(names) < 2:
-        return True
-    n_steps = case.steps if steps is None else steps
-    reference: Optional[Dict[Any, np.ndarray]] = None
-    ref_dts: Optional[List[float]] = None
-    for backend in names:
-        with build_uniform_mhd(
-            case.ndim, case.m, case.n_root, engine, kernel_backend=backend
-        ) as sim:
-            for _ in range(n_steps):
-                sim.step()
-            state = _final_state(sim)
-            dts = [r.dt for r in sim.history]
-        if reference is None:
-            reference, ref_dts = state, dts
-            continue
-        if dts != ref_dts or state.keys() != reference.keys():
-            return False
-        if not all(np.array_equal(state[k], reference[k]) for k in reference):
-            return False
-    return True

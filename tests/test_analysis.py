@@ -412,52 +412,6 @@ class TestLintRules:
         )
         assert lint_source(src, "repro/amr/driver2.py") == []
 
-    def test_repro108_flags_jit_imports_outside_kernels(self):
-        bad = [
-            "import numba\n",
-            "import numba.core\n",
-            "from numba import njit\n",
-            "from numba.core import types\n",
-            "import llvmlite\n",
-            "from llvmlite import binding\n",
-            "import numba as nb\n",
-        ]
-        for src in bad:
-            for module in (
-                "repro/amr/driver.py",
-                "repro/solvers/scheme.py",
-                "repro/analysis/engine_bench.py",
-            ):
-                v = lint_source(src, module)
-                assert any(x.code == "REPRO108" for x in v), (src, module)
-
-    def test_repro108_allowed_in_kernels_package(self):
-        for module in (
-            "repro/kernels/numba_backend.py",
-            "repro/kernels/__init__.py",
-        ):
-            assert lint_source("from numba import njit\n", module) == []
-
-    def test_repro108_ignores_lookalike_names(self):
-        # Only the real top-level JIT distributions are restricted.
-        ok = [
-            "import numbad\n",
-            "from mynumba import njit\n",
-            "import repro.kernels.numba_backend\n",
-            "from repro.kernels import numba_available\n",
-        ]
-        for src in ok:
-            assert lint_source(src, "repro/amr/driver.py") == [], src
-
-    def test_repro108_applies_to_tests_directory(self, tmp_path):
-        # Tests must use pytest.importorskip, never a bare import — the
-        # suite has to collect cleanly without the jit extra.
-        f = tmp_path / "tests" / "test_x.py"
-        f.parent.mkdir()
-        f.write_text("import numba\n")
-        v = lint_paths([str(f)])
-        assert any(x.code == "REPRO108" for x in v)
-
     def test_noqa_suppression(self):
         src = "b.data = x  # repro: noqa[REPRO101]\n"
         assert lint_source(src, "repro/amr/driver2.py") == []

@@ -3,39 +3,25 @@
 ``engine="blocked"`` (one pool row per kernel call — the reference
 ``benchmarks/e2e`` divides by) and ``engine="batched"`` (a tile of rows)
 are the same :class:`~repro.solvers.sweep.PoolSweep` and must agree bit
-for bit across kernel backends, physics, orders, limiters, mid-run
-adaptation and refluxing; ``PoolSweep`` itself is pinned for any tile
-size and row range.  (The sweep against the per-block update it replaced
-is ``test_sweep_oracle.py``.)  Also: the ghost sanitizer, the exchange
-race detector, rank-kill recovery, and unit tests of the block arena.
-
-Backend matrix: every engine-equivalence case runs once per kernel
-backend (the numba legs skip when the jit extra is absent — REPRO108
-bans a bare ``import numba`` here, so gating goes through
-``pytest.importorskip``), and dedicated cross-backend cases pin the
-numba backend against the numpy reference state directly.
+for bit across physics, orders, limiters, mid-run adaptation and
+refluxing; ``PoolSweep`` itself is pinned for any tile size and row
+range.  (The sweep against the per-block update it replaced is
+``test_sweep_oracle.py``.)  Also: the tile rule, the ghost sanitizer,
+the exchange race detector, rank-kill recovery, unit tests of the block
+arena, and the settings that no longer exist.
 """
 
 import numpy as np
 import pytest
 
 from repro.amr import Simulation, advecting_pulse
+from repro.amr.config import SimulationConfig
 from repro.amr.problems import mhd_blast, sedov_blast
 from repro.core import BlockForest, BlockID
 from repro.core.arena import BlockArena
-from repro.kernels import get_backend
 from repro.solvers import AdvectionScheme
-from repro.solvers.sweep import PoolSweep, tile_rows
+from repro.solvers.sweep import BATCH_TILE_BYTES, PoolSweep, tile_rows
 from repro.util.geometry import Box
-
-BACKENDS = ("numpy", "numba")
-
-
-def require_backend(backend):
-    """Skip (not fail) a numba leg in environments without the extra."""
-    if backend != "numpy":
-        pytest.importorskip(backend)
-    return backend
 
 
 def assert_forests_identical(a, b):
@@ -44,10 +30,8 @@ def assert_forests_identical(a, b):
         assert np.array_equal(a.blocks[bid].interior, b.blocks[bid].interior), bid
 
 
-def run_one(problem, steps, engine, kernel_backend, reflux=False, **sim_kwargs):
-    sim = problem.build(
-        engine=engine, kernel_backend=kernel_backend, **sim_kwargs
-    )
+def run_one(problem, steps, engine, reflux=False, **sim_kwargs):
+    sim = problem.build(engine=engine, **sim_kwargs)
     sim.reflux = reflux
     with sim:
         for _ in range(steps):
@@ -55,12 +39,11 @@ def run_one(problem, steps, engine, kernel_backend, reflux=False, **sim_kwargs):
     return sim
 
 
-def run_pair(problem, steps, kernel_backend="numpy", **kw):
+def run_pair(problem, steps, **kw):
     """Run one row per kernel call and a tile of rows on a problem;
     returns (blocked, batched) sims."""
     return tuple(
-        run_one(problem, steps, engine, kernel_backend, **kw)
-        for engine in ("blocked", "batched")
+        run_one(problem, steps, engine, **kw) for engine in ("blocked", "batched")
     )
 
 
@@ -167,84 +150,40 @@ def _problem(name, **cfg_kwargs):
     return maker(ndim=2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["advection", "euler", "mhd"])
 @pytest.mark.parametrize("order", [1, 2])
-def test_equivalence_problems_orders(name, order, backend):
-    require_backend(backend)
+def test_equivalence_problems_orders(name, order):
     problem = _problem(name, order=order)
-    blocked, batched = run_pair(problem, steps=6, kernel_backend=backend)
+    blocked, batched = run_pair(problem, steps=6)
     assert_forests_identical(blocked.forest, batched.forest)
     assert [r.dt for r in blocked.history] == [r.dt for r in batched.history]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("limiter", ["minmod", "mc", "superbee"])
-def test_equivalence_limiters(limiter, backend):
-    require_backend(backend)
+def test_equivalence_limiters(limiter):
     problem = _problem("euler", limiter=limiter)
-    blocked, batched = run_pair(problem, steps=5, kernel_backend=backend)
+    blocked, batched = run_pair(problem, steps=5)
     assert_forests_identical(blocked.forest, batched.forest)
 
 
-@pytest.mark.parametrize("name", ["advection", "euler", "mhd"])
-@pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("limiter", ["van_leer", "minmod", "mc", "superbee"])
-def test_backend_equivalence_matrix(name, order, limiter):
-    """Numba must land bit-for-bit on the numpy reference state across
-    the full physics x order x limiter matrix."""
-    require_backend("numba")
-    problem = _problem(name, order=order, limiter=limiter)
-    ref = run_one(problem, 5, "batched", "numpy")
-    jit = run_one(problem, 5, "batched", "numba")
-    assert_forests_identical(ref.forest, jit.forest)
-    assert [r.dt for r in ref.history] == [r.dt for r in jit.history]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_equivalence_through_adaptation(backend):
-    require_backend(backend)
+def test_equivalence_through_adaptation():
     # enough steps to cross several adapt checks (interval 4) so blocks
     # refine/coarsen mid-run, exercising arena growth + recompaction
     problem = _problem("mhd")
-    blocked, batched = run_pair(problem, steps=10, kernel_backend=backend)
+    blocked, batched = run_pair(problem, steps=10)
     assert any(r.adapted is not None and r.adapted.changed
                for r in batched.history)
     assert_forests_identical(blocked.forest, batched.forest)
 
 
-def test_backend_equivalence_through_adaptation():
-    require_backend("numba")
-    problem = _problem("mhd")
-    ref = run_one(problem, 10, "batched", "numpy")
-    jit = run_one(problem, 10, "batched", "numba")
-    assert any(r.adapted is not None and r.adapted.changed
-               for r in jit.history)
-    assert_forests_identical(ref.forest, jit.forest)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_equivalence_with_reflux(backend):
-    require_backend(backend)
-    blocked, batched = run_pair(
-        _problem("euler"), steps=6, kernel_backend=backend, reflux=True
-    )
+def test_equivalence_with_reflux():
+    blocked, batched = run_pair(_problem("euler"), steps=6, reflux=True)
     assert_forests_identical(blocked.forest, batched.forest)
 
 
-def test_backend_equivalence_with_reflux():
-    require_backend("numba")
-    problem = _problem("euler")
-    ref = run_one(problem, 6, "batched", "numpy", reflux=True)
-    jit = run_one(problem, 6, "batched", "numba", reflux=True)
-    assert_forests_identical(ref.forest, jit.forest)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_tile_invariance(backend):
+def test_batch_tile_invariance():
     """``PoolSweep`` directly: any tile, with and without a row range."""
-    require_backend(backend)
-    sim = _problem("mhd").build(kernel_backend=backend)
+    sim = _problem("mhd").build()
     sim.step()  # a developed state with filled ghosts
     forest = sim.forest
     blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
@@ -283,17 +222,13 @@ def test_equivalence_3d():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_under_ghost_sanitizer(backend):
-    require_backend(backend)
+def test_batched_under_ghost_sanitizer():
     problem = _problem("mhd")
-    plain = problem.build(engine="batched", kernel_backend=backend)
+    plain = problem.build(engine="batched")
     with plain:
         for _ in range(5):
             plain.step()
-    sanitized = problem.build(
-        engine="batched", sanitize=True, kernel_backend=backend
-    )
+    sanitized = problem.build(engine="batched", sanitize=True)
     with sanitized:
         for _ in range(5):
             sanitized.step()  # raises PoisonError on any violation
@@ -302,11 +237,9 @@ def test_batched_under_ghost_sanitizer(backend):
     assert_forests_identical(plain.forest, sanitized.forest)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_reference_vs_emulator_with_race_detector(backend):
+def test_batched_reference_vs_emulator_with_race_detector():
     """The emulated distributed machine (race-checked) must match a
     batched-engine serial reference bit-for-bit."""
-    require_backend(backend)
     from repro.parallel.emulator import EmulatedMachine
 
     def make_forest():
@@ -323,7 +256,6 @@ def test_batched_reference_vs_emulator_with_race_detector(backend):
             b.interior[0] = np.exp(-50 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
 
     scheme = AdvectionScheme((1.0, 0.5), order=2)
-    scheme.kernels = get_backend(backend)
     dt, n_steps = 2e-3, 5
 
     ref_forest = make_forest()
@@ -344,12 +276,10 @@ def test_batched_reference_vs_emulator_with_race_detector(backend):
         assert np.array_equal(gathered[bid], blk.interior), bid
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_reference_through_rank_kill_recovery(tmp_path, backend):
+def test_batched_reference_through_rank_kill_recovery(tmp_path):
     """Rank-kill + checkpoint recovery must land bit-for-bit on the
     batched-engine reference (recovery deepcopies the forest, so this
     also exercises arena re-binding under deepcopy)."""
-    require_backend(backend)
     from repro.parallel.emulator import EmulatedMachine
     from repro.resilience import (
         Checkpointer,
@@ -372,7 +302,6 @@ def test_batched_reference_through_rank_kill_recovery(tmp_path, backend):
             b.interior[0] = np.exp(-50 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
 
     scheme = AdvectionScheme((1.0, 0.5), order=2)
-    scheme.kernels = get_backend(backend)
     dt, n_steps = 2e-3, 6
 
     ref_forest = make_forest()
@@ -431,9 +360,104 @@ def test_cli_engine_flag(capsys):
     assert "--engine" in capsys.readouterr().err
 
 
-def test_cli_kernel_backend_flag(capsys):
+# ---------------------------------------------------------------------------
+# the tile rule, and the settings that no longer exist
+# ---------------------------------------------------------------------------
+
+
+def test_tile_bytes_param():
+    # the tile is not a setting any more: constructor and CLI reject it
+    problem = advecting_pulse(ndim=2)
+    forest = problem.config.make_forest(problem.scheme.nvar)
+    with pytest.raises(TypeError, match="batch_tile_bytes"):
+        Simulation(forest, problem.scheme, batch_tile_bytes=8192)
     from repro.cli import main
 
-    assert main(["run", "pulse", "--steps", "2", "--kernel-backend", "numpy"]) == 0
-    out = capsys.readouterr().out
-    assert "final grid" in out
+    with pytest.raises(SystemExit):
+        main(["bench", "--quick", "--tile-bytes", "8192"])
+
+
+def test_tile_bytes_env_var(monkeypatch, capsys):
+    # ...and neither library nor CLI reads the old env var
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_BATCH_TILE_BYTES", "zork")
+    assert main(["run", "pulse", "--steps", "1"]) == 0
+    assert "final grid" in capsys.readouterr().out
+
+
+def test_default_tile_bytes():
+    # both rows-per-call modes, computed exactly as the rank workers do
+    with advecting_pulse(ndim=2).build() as sim:
+        row_bytes = sim.forest.arena.pool[:1].nbytes
+        assert sim.sweep_tile() == tile_rows(row_bytes)
+        assert tile_rows(row_bytes) == max(8, BATCH_TILE_BYTES // row_bytes)
+        sim.engine = "blocked"
+        assert sim.sweep_tile() == 1
+
+
+def test_tile_bytes_reaches_tile_rows():
+    assert tile_rows(1024, 4096) == 8  # the floor
+    assert tile_rows(1024, 4096 * 64) == 256
+    assert tile_rows(10**9) == 8
+
+
+def test_kernel_backend_setting_removed():
+    # one numpy kernel path: nothing about it is selectable
+    problem = _problem("advection")
+    forest = problem.config.make_forest(problem.scheme.nvar)
+    with pytest.raises(TypeError, match="kernel_backend"):
+        Simulation(forest, problem.scheme, kernel_backend="numpy")
+    with pytest.raises(TypeError, match="kernel_backend"):
+        SimulationConfig(
+            domain=Box((0.0, 0.0), (1.0, 1.0)), n_root=(2, 2), kernel_backend="numpy"
+        )
+    with pytest.raises(TypeError, match="kernel_backend"):
+        problem.build(kernel_backend="numpy")
+
+
+def test_cli_kernel_backend_flag_removed(capsys):
+    from repro.cli import main
+
+    for argv in (["run", "pulse"], ["emulate", "pulse"], ["profile", "pulse"], ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--kernel-backend", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
+
+
+def test_kernel_call_counter():
+    # the one leftover of the backend registry: a per-scheme count of
+    # non-capturing flux divergences plus CFL tiles (the e2e benchmark's
+    # kernels.* metrics read it through stats())
+    import pickle
+
+    sim = _problem("euler").build()
+    sim.reflux = True
+    scheme = sim.scheme
+    calls = {"flux": 0, "captured": 0, "cfl": 0}
+    flux_divergence = scheme.flux_divergence
+    max_signal_speed_batched = scheme.max_signal_speed_batched
+
+    def count_flux(*args, face_flux_out=None, **kw):
+        calls["flux" if face_flux_out is None else "captured"] += 1
+        return flux_divergence(*args, face_flux_out=face_flux_out, **kw)
+
+    def count_cfl(*args, **kw):
+        calls["cfl"] += 1
+        return max_signal_speed_batched(*args, **kw)
+
+    scheme.flux_divergence = count_flux
+    scheme.max_signal_speed_batched = count_cfl
+    before = scheme.kernels.dispatches
+    with sim:
+        for _ in range(6):
+            sim.step()
+    assert any(r.adapted is not None and r.adapted.changed for r in sim.history)
+    assert calls["captured"] > 0 and calls["cfl"] > 0
+    stats = scheme.kernels.stats()
+    assert stats == {
+        "dispatches": before + calls["flux"] + calls["cfl"], "fallbacks": 0
+    }
+    del scheme.flux_divergence, scheme.max_signal_speed_batched
+    assert pickle.loads(pickle.dumps(scheme)).kernels.stats() == stats

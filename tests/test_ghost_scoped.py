@@ -69,20 +69,17 @@ def assert_same_bytes(a, b, ids):
     ndim=st.sampled_from((2, 3)),
     periodic=st.booleans(),
     prolong_order=st.sampled_from((1, 2)),
-    batched=st.booleans(),
 )
-def test_scoped_fill_equals_full_fill(seed, ndim, periodic, prolong_order, batched):
+def test_scoped_fill_equals_full_fill(seed, ndim, periodic, prolong_order):
     rng = np.random.default_rng(seed)
     f = random_forest(rng, ndim, periodic, prolong_order, rounds=3 if ndim == 2 else 2)
     bc = None if periodic else ReflectingBC({a: (1,) for a in range(ndim)})
     level = int(rng.choice(sorted({bid.level for bid in f.blocks})))
     dest = level_ids(f, level)
-    if batched:
-        f.arena.ensure_compact([f.blocks[bid] for bid in f.sorted_ids()])
     full = stale_copy(f)
 
-    counts = fill_ghosts(f, bc, dest=dest, batched_copies=batched)
-    full_counts = fill_ghosts(full, bc, batched_copies=batched)
+    counts = fill_ghosts(f, bc, dest=dest)
+    full_counts = fill_ghosts(full, bc)
 
     assert_same_bytes(f, full, dest)
     assert all(a <= b for a, b in zip(counts, full_counts))
@@ -219,6 +216,6 @@ class TestSubplanCache:
         assert f.arena.layout_epoch > epoch
         assert ghost_plan(f, dest) is not before
         g = stale_copy(f)
-        fill_ghosts(f, dest=dest, batched_copies=True)
-        fill_ghosts(g, batched_copies=True)
+        fill_ghosts(f, dest=dest)
+        fill_ghosts(g)
         assert_same_bytes(f, g, dest)

@@ -531,8 +531,15 @@ class TestCompareToBench:
             name="nonexistent", directory=tmp_path) == []
 
     def test_loads_committed_record_from_directory(self, tmp_path):
+        # records written before the kernel path was fixed still carry
+        # per-backend tags; they load and compare like untagged ones
+        old = dict(self.RECORD, kernel_backends=["numpy"], cases=[
+            dict(c, kernel_backend="numpy",
+                 batched=dict(c["batched"], compile_s=0.0))
+            for c in self.RECORD["cases"]
+        ])
         path = tmp_path / "BENCH_batched_engine.json"
-        path.write_text(json.dumps(self.RECORD))
+        path.write_text(json.dumps(old))
         flags = compare_to_bench(
             [self._prof("batched", 9.0)], directory=tmp_path)
         assert len(flags) == 1

@@ -155,7 +155,7 @@ class TestUniformEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# first-class driver mode (Simulation(subcycle=True)): engines, backends,
+# first-class driver mode (Simulation(subcycle=True)): engines,
 # reflux conservation, and regressions for the old stub's correctness holes
 # ---------------------------------------------------------------------------
 
@@ -169,15 +169,7 @@ from repro.solvers.mhd import MHDScheme
 from repro.solvers.shallow_water import ShallowWaterScheme
 from repro.util.geometry import Box
 
-BACKENDS = ("numpy", "numba")
 ENGINES = ("blocked", "batched")
-
-
-def require_backend(backend):
-    """Skip (not fail) a numba leg in environments without the extra."""
-    if backend != "numpy":
-        pytest.importorskip(backend)
-    return backend
 
 
 def assert_forests_identical(a, b):
@@ -302,10 +294,10 @@ class TestSanitizerUnderSubcycling:
         assert_forests_identical(plain.forest, sane.forest)
 
 
-class TestEngineAndBackendRouting:
-    """Regression: the old stub silently ignored ``engine=`` and
-    ``kernel_backend=`` — bogus values sailed through and ``batched``
-    quietly ran the blocked path."""
+class TestEngineRouting:
+    """Regression: the old stub silently ignored ``engine=`` — bogus
+    values sailed through and ``batched`` quietly ran the blocked
+    path."""
 
     def test_unknown_engine_raises(self):
         p = advecting_pulse(2)
@@ -313,13 +305,6 @@ class TestEngineAndBackendRouting:
         p.init_forest(forest)
         with pytest.raises(ValueError, match="engine"):
             Simulation(forest, p.scheme, subcycle=True, engine="vectorized")
-
-    def test_unknown_kernel_backend_raises(self):
-        p = advecting_pulse(2)
-        forest = p.config.make_forest(p.scheme.nvar)
-        p.init_forest(forest)
-        with pytest.raises(ValueError, match="backend"):
-            Simulation(forest, p.scheme, subcycle=True, kernel_backend="fortran")
 
     def test_batched_engine_actually_batches(self):
         """The batched subcycled sweep compacts the arena level-major:
@@ -330,14 +315,9 @@ class TestEngineAndBackendRouting:
         blocks.sort(key=lambda b: b.level)
         assert [b.arena_row for b in blocks] == list(range(len(blocks)))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_engines_bitwise_identical_multilevel(self, backend):
-        require_backend(backend)
+    def test_engines_bitwise_identical_multilevel(self):
         assert_engines_identical(
-            lambda engine: build_sim(
-                3, subcycle=True, engine=engine, kernel_backend=backend
-            )[1],
-            4,
+            lambda engine: build_sim(3, subcycle=True, engine=engine)[1], 4
         )
 
 
@@ -449,12 +429,9 @@ class TestMidRunAdaptation:
 
 class TestUniformDegeneracyMatrix:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_subcycled_equals_global_bitwise(self, engine, backend):
-        """...per rows-per-call mode and kernel backend."""
-        assert_uniform_degeneracy(
-            engine=engine, kernel_backend=require_backend(backend)
-        )
+    def test_subcycled_equals_global_bitwise(self, engine):
+        """...per rows-per-call mode."""
+        assert_uniform_degeneracy(engine=engine)
 
 
 MATRIX_SCHEMES = {
@@ -470,19 +447,15 @@ MATRIX_SCHEMES = {
 
 class TestPhysicsMatrix:
     """Subcycled one-row and tiled sweeps are bit-for-bit identical
-    across physics x order x limiter x backend (against the per-block
-    oracle: ``test_sweep_oracle.py``, whose forest this borrows)."""
+    across physics x order x limiter (against the per-block oracle:
+    ``test_sweep_oracle.py``, whose forest this borrows)."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(MATRIX_SCHEMES))
-    def test_engines_bitwise_identical(self, name, backend):
-        require_backend(backend)
-
+    def test_engines_bitwise_identical(self, name):
         def make_sim(engine):
             scheme = MATRIX_SCHEMES[name]()
             return Simulation(
-                make_forest(scheme, 2), scheme,
-                subcycle=True, engine=engine, kernel_backend=backend,
+                make_forest(scheme, 2), scheme, subcycle=True, engine=engine
             )
 
         assert_engines_identical(make_sim, 2)
