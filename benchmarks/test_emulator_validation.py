@@ -1,8 +1,10 @@
 """Validation: the emulated distributed run vs the serial driver.
 
 The strongest check the Figures 6–7 cost model can get: execute the
-parallel algorithm *for real* (per-rank private block copies, ghost data
-moving only through explicit messages) and confirm
+parallel algorithm *for real* (per-rank private block pools, ranks
+reading each other only through their compiled exchange entries, one
+phase per barrier, every remote transfer charged as a wire message) and
+confirm
 
 * the result matches the serial driver bit-for-bit,
 * the wire traffic matches the schedule the cost model charges for.

@@ -17,9 +17,8 @@ Inference is deliberately conservative-by-table rather than fully
 general dataflow: the repo's arena regions are only reachable through
 a small, stable vocabulary (``.interior``, ``.data``, ``.view()``,
 ``.ghost_region()``, ``.mirror_view()``, the worker's staging
-attributes, and a handful of kernel entry points — the wire halves the
-emulator calls, the compiled-plan executors and the tiled sweep the
-rank processes call), so a name-driven
+attributes, and a handful of kernel entry points — the compiled-plan
+executors and the tiled sweep the rank phases call), so a name-driven
 classification plus single-assignment local aliasing covers the real
 access paths without false mazes.  Misses are safe: an effect the
 analyzer cannot see simply goes unchecked; an effect it *does* see
@@ -78,7 +77,6 @@ _CALL_RESULT_REGION: Dict[str, FrozenSet[str]] = {
     "ghost_region": frozenset({"ghost"}),
     "mirror_view": frozenset({"mirror"}),
     "copy_view": frozenset({"mirror"}),
-    "gather_bordered": frozenset({"staging"}),
     "gather_prolong": frozenset({"staging"}),
 }
 
@@ -90,9 +88,6 @@ _VIEW_METHODS = ("view",)
 #: ``arg0`` entries additionally read/write the region aliased by the
 #: first argument (resolved through the local environment).
 _CALL_EFFECTS: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {
-    "gather_bordered": (frozenset({"interior", "ghost"}), frozenset()),
-    "restriction_contribution": (frozenset({"interior"}), frozenset()),
-    "apply_restrictions": (frozenset(), frozenset({"ghost"})),
     # executors of a compiled ghost plan (repro.core.ghost)
     "run_copies": (frozenset({"interior"}), frozenset({"ghost"})),
     "run_restrictions": (frozenset({"interior"}), frozenset({"ghost"})),
@@ -116,7 +111,6 @@ _CALL_EFFECTS: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {
 _ARG_READS: Dict[str, int] = {
     "content_crc": 0,
     "crc_bytes": 0,
-    "prolong_bordered": 0,
     "write_prolongs": 1,
 }
 
@@ -241,10 +235,6 @@ class _FunctionEffectVisitor(ast.NodeVisitor):
                 reads, writes = _CALL_EFFECTS[name]
                 self.reads |= reads
                 self.writes |= writes
-            if name in _CALL_RESULT_REGION and id(node) not in self._consumed:
-                # producing a view of a region reads nothing yet; only
-                # gather_bordered (in _CALL_EFFECTS) actually copies.
-                pass
             if name in _VIEW_METHODS and id(node) not in self._consumed:
                 self.reads |= frozenset({"interior"})
             if name in _SCHEME_WRITERS and _scheme_call(node):

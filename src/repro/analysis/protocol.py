@@ -169,8 +169,8 @@ class ProtocolSpec:
 
 
 #: Wire phases in canonical order, with their arena-region contracts.
-#: The contracts mirror what the worker phase methods in
-#: ``procworker._Worker`` actually do (see docs/static-analysis.md):
+#: The contracts mirror what the rank phase methods in
+#: ``procworker.RankPhases`` actually do (see docs/static-analysis.md):
 #: exch1 copies/restricts neighbor interiors into own ghosts;
 #: exch2-gather stages bordered coarse sources (and CRC-tags them,
 #: re-reading its own staging); exch2-write prolongs staged payloads

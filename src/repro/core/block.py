@@ -92,7 +92,8 @@ class Block:
     data: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     face_neighbors: Dict[int, FaceNeighbors] = field(default_factory=dict, repr=False)
     #: pool row when ``data`` is a view into a :class:`~repro.core.arena.
-    #: BlockArena` (None for standalone blocks, e.g. emulator rank clones).
+    #: BlockArena` (None for standalone blocks, e.g. a rank process's
+    #: views into shared segments).
     arena_row: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:

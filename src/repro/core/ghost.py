@@ -38,18 +38,17 @@ that fills those, dependencies included (:func:`ghost_plan`).
 
 The same geometry is exposed as :class:`Transfer` records
 (:func:`exchange_regions`, :func:`iter_transfers`) so the simulated
-parallel machine can account messages without touching any arrays, and
-as source-side/receiver-side halves (:func:`gather_bordered`,
-:func:`prolong_bordered`, :func:`restriction_contribution`,
-:func:`apply_restrictions`) for the emulated machine that ships payloads
-between ranks.  The process machine's ranks run the compiled entries
-themselves, one stage per barrier phase, through the same executors
-:func:`fill_ghosts` is made of (:func:`run_restrictions`,
-:func:`run_boundaries`, :func:`gather_prolong`, and
-:func:`write_prolongs` — batched, since a rank has every source in hand
-before it writes any), plus :func:`run_copies`, the slab-per-transfer
-form of the same-level copies that :func:`fill_ghosts` runs as one flat
-gather/scatter over the arena pool.
+parallel machines can account messages (:func:`payload_values`) without
+touching any arrays.  The ranks of the emulated and of the process
+machine run their compiled entries themselves — ranks read each other
+only through their compiled entries, one phase per barrier — through
+the same executors :func:`fill_ghosts` is made of
+(:func:`run_restrictions`, :func:`run_boundaries`,
+:func:`gather_prolong`, and :func:`write_prolongs` — batched, since a
+rank has every source in hand before it writes any), plus
+:func:`run_copies`, the slab-per-transfer form of the same-level copies
+that :func:`fill_ghosts` runs as one flat gather/scatter over the arena
+pool.
 """
 
 from __future__ import annotations
@@ -332,34 +331,6 @@ def _bordered_read(
     return avail, pad if any(p != (0, 0) for p in pad) else None
 
 
-def gather_bordered(src: Block, region: IndexBox, border: int) -> np.ndarray:
-    """Source-side half of a prolongation: extract ``region.grow(border)``
-    from the source's padded array, edge-replicating where the border
-    falls outside it (this is also the wire payload in the distributed
-    emulation — coarse data travels, prolongation happens receiver-side,
-    as in the real codes)."""
-    avail, pad = _bordered_read(src, region, border)
-    data = src.view(avail)
-    return data.copy() if pad is None else np.pad(data, pad, mode="edge")
-
-
-def prolong_bordered(
-    data: np.ndarray, region: IndexBox, up: int, order: int, ndim: int
-) -> np.ndarray:
-    """Receiver-side half: prolong a bordered array ``up`` levels.
-
-    ``data`` covers ``region.grow(prolongation_border(up, order))``;
-    the result covers exactly ``region.refined(up)``.
-    """
-    prolong: Callable[[np.ndarray, int], np.ndarray] = (
-        prolong_inject if order == 1 else prolong_linear
-    )
-    for _ in range(up):
-        data = prolong(data, ndim)
-    sl = _prolonged_slices(region, up, prolongation_border(up, order))
-    return data[(slice(None),) + sl]
-
-
 def _prolonged_slices(region: IndexBox, up: int, border: int) -> Slices:
     """Where ``region.refined(up)`` sits in an array covering
     ``region.grow(border)`` after ``up`` prolongation steps (each linear
@@ -440,63 +411,11 @@ def _restriction_weights(
     return _restrict_sum(w[np.newaxis], ndim, down)[0] * frac
 
 
-def restriction_contribution(
-    src: Block, t: Transfer, ndim: int
-) -> Tuple[IndexBox, np.ndarray, np.ndarray]:
-    """Source-side half of a restriction: one fine block's volume-
-    weighted partial sums for a coarse region.
-
-    Returns ``(coarse_box, value_sums, volume_sums)`` with the box in
-    the *destination* frame.  This tuple is also the wire payload of a
-    fine→coarse ghost message in the distributed emulation — the data is
-    restricted before it travels, as in the real codes.
-    """
-    down = t.delta
-    aligned, inner, frac, coarse_box = _restriction_geometry(t, ndim)
-    data = np.zeros((src.nvar,) + aligned.shape)
-    data[(slice(None),) + inner] = src.view(t.src_box)
-    csum = _restrict_sum(data, ndim, down) * frac
-    wsum = _restriction_weights(aligned, inner, down, frac, ndim)
-    return coarse_box, csum, wsum
-
-
-def apply_restrictions(
-    block: Block,
-    items: List[Tuple[IndexBox, IndexBox, np.ndarray, np.ndarray]],
-) -> int:
-    """Receiver-side half: accumulate restriction contributions.
-
-    ``items`` holds ``(dst_box, coarse_box, value_sums, volume_sums)``
-    per contributing fine source.  Each destination ghost cell takes the
-    volume-weighted average of everything covering it; cells with
-    (numerically) zero covered volume are left untouched — they belong
-    to a different offset region or the physical boundary.
-    """
-    if not items:
-        return 0
-    union = _hull([it[0] for it in items])
-    acc = np.zeros((block.nvar,) + union.shape)
-    vol = np.zeros(union.shape)
-    for _dst_box, coarse_box, csum, wsum in items:
-        tgt = coarse_box.intersect(union)
-        src_sl = tgt.slices(coarse_box.lo)
-        dst_sl = tgt.slices(union.lo)
-        acc[(slice(None),) + dst_sl] += csum[(slice(None),) + src_sl]
-        vol[dst_sl] += wsum[src_sl]
-    filled = vol > _FILLED_VOLUME
-    if not filled.any():
-        return 0
-    view = block.view(union)
-    out = np.where(filled, acc / np.where(filled, vol, 1.0), view)
-    view[...] = out
-    return len(items)
-
-
 def payload_values(t: Transfer, nvar: int, ndim: int, order: int) -> int:
     """Float64 values the wire payload of ``t`` holds between ranks: the
-    slab itself (same level), value and volume sums per coarse cell
-    (:func:`restriction_contribution`), or the bordered coarse region
-    (:func:`gather_bordered`)."""
+    slab itself (same level), value and volume sums per coarse cell (a
+    fine source restricts before it sends), or the bordered coarse
+    region (a fine receiver prolongs after it receives)."""
     if t.delta == 0:
         return nvar * t.src_box.size
     if t.delta > 0:
@@ -804,8 +723,8 @@ def compile_plan(
     :func:`ghost_plan`: whoever owns the other blocks fills those).
 
     ``staged`` is for an executor that gathers the source of *every*
-    prolongation before it writes any (the process machine's two-phase
-    stage 2).  Run in plan order, a prolongation whose slope border
+    prolongation before it writes any (the two-phase stage 2 of the
+    rank phases both executing machines run).  Run in plan order, a prolongation whose slope border
     reaches ghost cells an earlier prolongation writes reads them
     prolonged; gathered up front it would read them stale.  A staged
     plan records those earlier entries in :attr:`_Prolong.deps` — of

@@ -2,11 +2,17 @@
 
 The cost model (:mod:`repro.parallel.parallel_driver`) simulates *time*;
 this module executes the parallel algorithm *for real*: every rank owns
-private copies of its blocks, and ghost data moves **only** through
-explicit messages — same-level slabs, source-side-restricted partial
-sums, and bordered coarse regions prolonged receiver-side, exactly the
-three payload kinds a production block-AMR code sends.  Nothing reads
-another rank's memory.
+private copies of its blocks in a pool of its own and runs the process
+workers' compiled phases (:class:`~repro.parallel.procworker.RankPhases`)
+in-process — ``exch1`` on every rank, then ``exch2-gather``, then
+``exch2-write``, then the compute phase.  Ranks read each other only
+through their compiled entries, one phase per barrier.  The wire side
+of each stage is a data-independent table of its transfers in plan
+order, gone through before the stage runs: every remote one is charged
+and fault-checked as a message — a same-level slab, source-side-
+restricted partial sums or a bordered coarse region, the three payload
+kinds a production block-AMR code sends — and every rank-local one is
+counted.
 
 Purpose:
 
@@ -34,32 +40,21 @@ replays — bit-for-bit identical to a fault-free run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple, cast
 
 import numpy as np
 
 from repro.analysis.protocol import phase_effect
 from repro.core.arena import BlockArena
 from repro.core.block import Block
-from repro.core.block_id import BlockID, IndexBox
+from repro.core.block_id import BlockID
 from repro.core.forest import BlockForest
-from repro.core.ghost import (
-    BoundaryHandler,
-    Transfer,
-    _bc_scan_faces,
-    _neg,
-    apply_restrictions,
-    exchange_regions,
-    gather_bordered,
-    prolong_bordered,
-    prolongation_border,
-    restriction_contribution,
-)
+from repro.core.ghost import BoundaryHandler, Region, Transfer, exchange_regions, payload_values
 from repro.obs.metrics import METRICS
 from repro.parallel.partition import Assignment, sfc_partition
+from repro.parallel.procworker import RankPhases
 from repro.solvers.scheme import FVScheme
-from repro.solvers.sweep import PoolSweep, tile_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.poison import GhostSanitizer
@@ -112,7 +107,238 @@ class ExchangeStats:
             METRICS.inc("exchange.retries")
 
 
-class EmulatedMachine:
+class RankMachine:
+    """What both executing machines share: blocks spread over ranks by
+    an assignment over the replicated topology, the accessors the
+    resilience layer uses, and the race-detector events replayed from
+    the exchange schedule at the phase barriers."""
+
+    topology: BlockForest
+    n_ranks: int
+    alive: List[bool]
+    assignment: Assignment
+    rank_blocks: List[Dict[BlockID, Block]]
+    #: the exchange schedule (:func:`repro.core.ghost.exchange_regions`)
+    _plan: List[Region]
+    race_detector: Optional["RaceDetector"]
+    scrubber: Optional["Scrubber"]
+    fault_plan: Optional["FaultPlan"]
+    _staged_flips: List["BitFlip"]
+    time: float
+    step_index: int
+
+    def _check_assignment(self, assignment: Assignment) -> None:
+        """Raise ``ValueError`` unless ``assignment`` names every block of
+        the topology, and nothing else, each on an alive rank."""
+        blocks = set(self.topology.blocks)
+        missing = len(blocks - set(assignment))
+        extra = len(set(assignment) - blocks)
+        bad = sorted(
+            {
+                rank for rank in assignment.values()
+                if not isinstance(rank, (int, np.integer))
+                or not 0 <= rank < self.n_ranks
+                or not self.alive[rank]
+            },
+            key=repr,
+        )
+        problems = []
+        if missing:
+            problems.append(f"{missing} block(s) unassigned")
+        if extra:
+            problems.append(f"{extra} unknown block(s)")
+        if bad:
+            problems.append(f"dead or out-of-range rank(s) {bad}")
+        if problems:
+            raise ValueError("bad assignment: " + "; ".join(problems))
+
+    def _restore_assignment(
+        self, forest: BlockForest, assignment: Optional[Assignment]
+    ) -> Assignment:
+        """The assignment a restore from ``forest`` installs: the given
+        one, checked, or an SFC cut over the surviving ranks."""
+        if set(forest.blocks) != set(self.topology.blocks):
+            raise ValueError(
+                "checkpoint topology does not match the machine's "
+                "replicated topology"
+            )
+        alive = self.alive_ranks
+        if not alive:
+            raise RuntimeError("cannot restore: every rank has failed")
+        if assignment is None:
+            chunks = sfc_partition(self.topology, len(alive))
+            assignment = {bid: alive[r] for bid, r in chunks.items()}
+        self._check_assignment(assignment)
+        return dict(assignment)
+
+    def _restored(self, time: float, step_index: Optional[int]) -> None:
+        """Close a restore: every interior was rewritten and the clock
+        rewinds to the checkpoint."""
+        if self.race_detector is not None:
+            # A restore is the rollback after a failure that may have
+            # aborted an exchange mid-epoch; close that dead epoch so
+            # the checkpoint repopulation is not a write-after-publish.
+            self.race_detector.end_epoch()
+            for bid, rank in self.assignment.items():
+                self.race_detector.on_interior_write(bid, rank)
+        self.time = time
+        if step_index is not None:
+            self.step_index = step_index
+        self._staged_flips.clear()
+        self.scrub_retag()
+
+    def _flip_and_scrub(self) -> None:
+        """Before a step's first exchange: the step's scripted bit-flips
+        land (staging flips wait for their payload), then the scrubber
+        runs if it is due and raises on any mismatch."""
+        step = self.step_index
+        if self.fault_plan is not None and self.fault_plan.bitflips:
+            from repro.resilience.scrub import apply_scripted_flips
+
+            partner = self.scrubber.partner if self.scrubber is not None else None
+            self._staged_flips.extend(
+                apply_scripted_flips(
+                    self.fault_plan.flips_at(step), self.blocks_by_id(), partner
+                )
+            )
+        if self.scrubber is not None and self.scrubber.due(step):
+            from repro.resilience.scrub import CorruptionError
+
+            entries = self.scrubber.scrub_blocks(
+                self.blocks_by_id(),
+                rank_of=self.assignment,
+                partner=self.scrubber.partner,
+            )
+            if entries:
+                raise CorruptionError(step, entries)
+
+    @property
+    def alive_ranks(self) -> List[int]:
+        """Ranks that have not failed (all of them before any fault)."""
+        return [r for r in range(self.n_ranks) if self.alive[r]]
+
+    def owner_rank(self, bid: BlockID) -> int:
+        return self.assignment[bid]
+
+    def local_block(self, bid: BlockID) -> Block:
+        return self.rank_blocks[self.assignment[bid]][bid]
+
+    def _all_blocks(self) -> Iterator[Block]:
+        """Every block on every alive rank (sanitizer traversal)."""
+        for rank in self.alive_ranks:
+            yield from self.rank_blocks[rank].values()
+
+    def blocks_by_id(self) -> Dict[BlockID, Block]:
+        """Every live block keyed by id, in deterministic SFC order —
+        the traversal the scrubber and bitflip injection index into."""
+        out: Dict[BlockID, Block] = {}
+        for bid in self.topology.sorted_ids():
+            rank = self.assignment.get(bid)
+            if rank is None or not self.alive[rank]:
+                continue
+            block = self.rank_blocks[rank].get(bid)
+            if block is not None:
+                out[bid] = block
+        return out
+
+    def lost_blocks(self) -> List[BlockID]:
+        """Blocks of the replicated topology no surviving rank owns."""
+        owned: Set[BlockID] = set()
+        for rank in self.alive_ranks:
+            owned.update(self.rank_blocks[rank])
+        return [bid for bid in self.topology.sorted_ids() if bid not in owned]
+
+    def gather(self) -> Dict[BlockID, np.ndarray]:
+        """Collect every surviving block's interior (the 'MPI_Gather' at
+        the end).  After a clean run or a completed recovery this covers
+        the whole topology; blocks lost to an unrecovered rank failure
+        are absent (see :meth:`lost_blocks`)."""
+        out: Dict[BlockID, np.ndarray] = {}
+        for rank in self.alive_ranks:
+            for bid, block in self.rank_blocks[rank].items():
+                out[bid] = block.interior.copy()
+        return out
+
+    def rank_cells(self) -> List[int]:
+        """Computational cells owned per *alive* rank (load distribution).
+
+        Dead ranks are excluded so post-recovery imbalance metrics
+        reflect the surviving machine rather than averaging in zeros."""
+        return [
+            sum(b.n_cells for b in self.rank_blocks[rank].values())
+            for rank in self.alive_ranks
+        ]
+
+    def attach_scrubber(self, scrubber: "Scrubber") -> "Scrubber":
+        """Attach a memory scrubber and tag the current state as the
+        trusted baseline."""
+        self.scrubber = scrubber
+        scrubber.retag_blocks(self.blocks_by_id())
+        return scrubber
+
+    def scrub_retag(self) -> None:
+        """Re-baseline every live block's integrity tag (called at the
+        write boundaries: post-step, post-restore, post-repair)."""
+        if self.scrubber is not None:
+            self.scrubber.retag_blocks(self.blocks_by_id())
+
+    def attach_race_detector(
+        self, detector: Optional["RaceDetector"] = None
+    ) -> "RaceDetector":
+        """Attach (and return) an exchange race detector.
+
+        The expected-inbound message sets are derived from the machine's
+        own exchange schedule — the one its ranks execute — keyed
+        ``(src block, ghost-region offset)`` and split into stage 1
+        (same-level copies + restrictions, ``delta >= 0``) and stage 2
+        (prolongations, ``delta < 0``).  The machine replays the
+        schedule's publish / receive events at the phase barriers
+        (:meth:`_replay_exchange`) and every block's consume /
+        interior-write around the compute phase.
+        """
+        from repro.analysis.races import RaceDetector
+
+        if detector is None:
+            detector = RaceDetector()
+        expected: Dict[object, Tuple[Set["InboundKey"], Set["InboundKey"]]] = {}
+        for bid, offset, transfers in self._plan:
+            stage1, stage2 = expected.setdefault(bid, (set(), set()))
+            for t in transfers:
+                (stage1 if t.delta >= 0 else stage2).add((t.src_id, offset))
+        detector.set_expected_inbound(expected)
+        self.race_detector = detector
+        return detector
+
+    def _replay_exchange(self, stage2: bool) -> None:
+        """The race-detector events of one exchange stage, at the barrier
+        that closes it: every transfer of the stage published by its
+        source's rank and received by its destination's; a prolongation
+        first reads its source's ghost cells, which stage 1 filled."""
+        det = self.race_detector
+        if det is None:
+            return
+        for bid, offset, transfers in self._plan:
+            dst_rank = self.owner_rank(bid)
+            for t in transfers:
+                if (t.delta < 0) == stage2:
+                    src_rank = self.owner_rank(t.src_id)
+                    if stage2:
+                        det.on_ghost_read(t.src_id, src_rank)
+                    det.on_publish(t.src_id, bid, offset, src_rank)
+                    det.on_receive(bid, t.src_id, offset, dst_rank)
+
+    def _replay_compute(self) -> None:
+        """The race-detector events of a compute phase: every block's
+        ghosts consumed and its interior written."""
+        det = self.race_detector
+        if det is not None:
+            for rank in self.alive_ranks:
+                for bid in self.rank_blocks[rank]:
+                    det.on_consume(bid, rank)
+                    det.on_interior_write(bid, rank)
+
+
+class EmulatedMachine(RankMachine):
     """Run a block-AMR time step across emulated distributed ranks.
 
     Parameters
@@ -140,8 +366,8 @@ class EmulatedMachine:
         ghost layers are poisoned at construction and before each
         exchange, and verified filled afterwards (see
         :class:`repro.analysis.poison.GhostSanitizer`).  Because ghost
-        data moves only through explicit messages here, a sanitizer trip
-        pinpoints a missing message in the derived schedule.
+        data reaches a rank only through its compiled entries, a
+        sanitizer trip pinpoints a transfer missing from the schedule.
 
     A :class:`repro.analysis.races.RaceDetector` can additionally be
     attached with :meth:`attach_race_detector`; the machine then emits
@@ -169,15 +395,23 @@ class EmulatedMachine:
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.alive: List[bool] = [True] * n_ranks
+        if assignment is not None:
+            self._check_assignment(assignment)
         self.step_index = 0
         self._msg_index = 0
-        self.assignment = (
+        self.assignment = dict(
             assignment if assignment is not None else sfc_partition(forest, n_ranks)
         )
-        self._populate(forest, self.assignment)
+        self._populate(forest)
         self.stats = ExchangeStats()
         self.time = 0.0
         self._plan = exchange_regions(forest)
+        #: every alive rank's compiled phases, and the wire table: the
+        #: transfers of stage 1 and of stage 2 in plan order, each with
+        #: its payload size if it crosses ranks (None if it does not);
+        #: both rebuilt at the first exchange after a change
+        self._ranks: Dict[int, RankPhases] = {}
+        self._wire: Tuple[List[Tuple[Transfer, Optional[int]]], ...] = ([], [])
         self.race_detector: Optional["RaceDetector"] = None
         self.sanitizer: Optional["GhostSanitizer"] = None
         self.scrubber: Optional["Scrubber"] = None
@@ -188,17 +422,16 @@ class EmulatedMachine:
             self.sanitizer = GhostSanitizer(depth=scheme.required_ghost)
             poison_forest(self._all_blocks())
 
-    def _populate(self, forest: BlockForest, assignment: Assignment) -> None:
+    def _populate(self, forest: BlockForest) -> None:
         """Fill per-rank storage with private copies of the block data:
-        every rank gets its own pool, its blocks are rows of it, and one
-        :class:`PoolSweep` per rank advances them."""
-        owned = list(assignment.values())
+        every rank gets its own pool and its blocks are rows of it."""
+        owned = list(self.assignment.values())
         ranks = range(self.n_ranks)
-        self.rank_blocks: List[Dict[BlockID, Block]] = [{} for _ in ranks]
+        self.rank_blocks = [{} for _ in ranks]
         self._arenas = [self._empty_pool(owned.count(rank)) for rank in ranks]
         for bid, block in forest.blocks.items():
-            np.copyto(self._place(bid, assignment[bid]).data, block.data)
-        self._sweeps = [self._sweep(rank) for rank in ranks]
+            np.copyto(self._place(bid, self.assignment[bid]).data, block.data)
+        self._config_dirty = True
 
     def _empty_pool(self, capacity: int = 1) -> BlockArena:
         geom = self.topology
@@ -220,89 +453,32 @@ class EmulatedMachine:
         self.rank_blocks[rank][bid] = clone
         return clone
 
-    def _sweep(self, rank: int) -> PoolSweep:
-        """The stage update over the rows ``rank`` holds right now."""
-        arena = self._arenas[rank]
-        return PoolSweep(
-            self.scheme, arena.pool,
-            [(b.arena_row, b) for b in self.rank_blocks[rank].values()],
-            self.topology.n_ghost,
-            save=arena.save_pool(), rate=arena.rate_pool(),
-            tile=tile_rows(arena.pool[:1].nbytes),
-        )
-
-    # ------------------------------------------------------------------
-
-    def owner_rank(self, bid: BlockID) -> int:
-        return self.assignment[bid]
-
-    def local_block(self, bid: BlockID) -> Block:
-        return self.rank_blocks[self.assignment[bid]][bid]
-
-    def _all_blocks(self) -> Iterator[Block]:
-        """Every block on every alive rank (sanitizer traversal)."""
-        for rank in range(self.n_ranks):
-            if self.alive[rank]:
-                yield from self.rank_blocks[rank].values()
-
-    def blocks_by_id(self) -> Dict[BlockID, Block]:
-        """Every live block keyed by id, in deterministic SFC order —
-        the traversal the scrubber and bitflip injection index into."""
-        out: Dict[BlockID, Block] = {}
-        for bid in self.topology.sorted_ids():
-            rank = self.assignment.get(bid)
-            if rank is None or not self.alive[rank]:
-                continue
-            block = self.rank_blocks[rank].get(bid)
-            if block is not None:
-                out[bid] = block
-        return out
-
-    def attach_scrubber(self, scrubber: "Scrubber") -> "Scrubber":
-        """Attach a memory scrubber and tag the current state as the
-        trusted baseline."""
-        self.scrubber = scrubber
-        scrubber.retag_blocks(self.blocks_by_id())
-        return scrubber
-
-    def scrub_retag(self) -> None:
-        """Re-baseline every live block's integrity tag (called at the
-        write boundaries: post-step, post-restore, post-repair)."""
-        if self.scrubber is not None:
-            self.scrubber.retag_blocks(self.blocks_by_id())
-
-    def attach_race_detector(
-        self, detector: Optional["RaceDetector"] = None
-    ) -> "RaceDetector":
-        """Attach (and return) an exchange race detector.
-
-        The expected-inbound message sets are derived from the machine's
-        own transfer plan — the same source of truth the exchange
-        executes — keyed ``(src block, ghost-region offset)`` and split
-        into stage 1 (same-level copies + restrictions, ``delta >= 0``)
-        and stage 2 (prolongations, ``delta < 0``).
-        """
-        from repro.analysis.races import RaceDetector
-
-        if detector is None:
-            detector = RaceDetector()
-        expected: Dict[object, Tuple[Set["InboundKey"], Set["InboundKey"]]] = {}
-        for bid, offset, transfers in self._plan:
-            stage1, stage2 = expected.setdefault(bid, (set(), set()))
+    def _compile(self) -> None:
+        """Compile every alive rank's phases over its pool and the wire
+        table of the current assignment."""
+        geom = self.topology
+        blocks = self.blocks_by_id()
+        self._ranks = {
+            rank: RankPhases(
+                rank, geom, self._plan, self.scheme, self.bc, blocks,
+                self._arenas[rank].pool,
+                {bid: cast(int, b.arena_row)
+                 for bid, b in self.rank_blocks[rank].items()},
+            )
+            for rank in self.alive_ranks
+        }
+        self._wire = ([], [])
+        for bid, _offset, transfers in self._plan:
             for t in transfers:
-                (stage1 if t.delta >= 0 else stage2).add((t.src_id, offset))
-        detector.set_expected_inbound(expected)
-        self.race_detector = detector
-        return detector
+                remote = self.owner_rank(t.src_id) != self.owner_rank(bid)
+                self._wire[t.delta < 0].append((t, payload_values(
+                    t, geom.nvar, geom.ndim, geom.prolong_order
+                ) if remote else None))
+        self._config_dirty = False
 
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
-
-    @property
-    def alive_ranks(self) -> List[int]:
-        """Ranks that have not failed (all of them before any fault)."""
-        return [r for r in range(self.n_ranks) if self.alive[r]]
 
     def kill_rank(self, rank: int) -> None:
         """Simulate a node loss: the rank's private block data vanishes."""
@@ -311,14 +487,7 @@ class EmulatedMachine:
         self.alive[rank] = False
         self.rank_blocks[rank] = {}
         self._arenas[rank] = self._empty_pool()
-        self._sweeps[rank] = self._sweep(rank)
-
-    def lost_blocks(self) -> List[BlockID]:
-        """Blocks of the replicated topology no surviving rank owns."""
-        owned = set()
-        for rank in self.alive_ranks:
-            owned.update(self.rank_blocks[rank])
-        return [bid for bid in self.topology.sorted_ids() if bid not in owned]
+        self._config_dirty = True
 
     def restore(
         self,
@@ -336,35 +505,9 @@ class EmulatedMachine:
         to the checkpoint — the receiving half of the global
         rollback-and-replay recovery protocol.
         """
-        if set(forest.blocks) != set(self.topology.blocks):
-            raise ValueError(
-                "checkpoint topology does not match the machine's "
-                "replicated topology"
-            )
-        alive = self.alive_ranks
-        if not alive:
-            raise RuntimeError("cannot restore: every rank has failed")
-        if assignment is None:
-            chunks = sfc_partition(self.topology, len(alive))
-            assignment = {bid: alive[r] for bid, r in chunks.items()}
-        else:
-            bad = {assignment[bid] for bid in assignment} - set(alive)
-            if bad:
-                raise ValueError(f"assignment targets dead rank(s) {sorted(bad)}")
-        self.assignment = assignment
-        self._populate(forest, assignment)
-        if self.race_detector is not None:
-            # A restore is the rollback after a failure that may have
-            # aborted an exchange mid-epoch; close that dead epoch so
-            # the checkpoint repopulation is not a write-after-publish.
-            self.race_detector.end_epoch()
-            for bid, rank in assignment.items():
-                self.race_detector.on_interior_write(bid, rank)
-        self.time = time
-        if step_index is not None:
-            self.step_index = step_index
-        self._staged_flips.clear()
-        self.scrub_retag()
+        self.assignment = self._restore_assignment(forest, assignment)
+        self._populate(forest)
+        self._restored(time, step_index)
 
     @phase_effect("heal")
     def adopt_block(self, bid: BlockID, rank: int, interior: np.ndarray) -> None:
@@ -381,72 +524,56 @@ class EmulatedMachine:
         gone = self.rank_blocks[old].pop(bid, None) if old is not None else None
         if gone is not None:  # the previous owner is alive: free its row
             self._arenas[old].release(gone)
-            self._sweeps[old] = self._sweep(old)
         clone = self._place(bid, rank)
         clone.interior[...] = interior
-        self._sweeps[rank] = self._sweep(rank)
         self.assignment[bid] = rank
+        self._config_dirty = True
         if self.race_detector is not None:
             self.race_detector.on_interior_write(bid, rank)
         if self.scrubber is not None:
             self.scrubber.retag_block(bid, clone)
 
-    def _send(self, payload: np.ndarray, src_rank: int, dst_rank: int,
-              t: Transfer, *, extra_values: int = 0) -> np.ndarray:
-        """Move one payload between ranks, injecting planned faults.
+    def _send(self, t: Transfer, values: int) -> None:
+        """Put one remote transfer's payload of ``values`` float64 on the
+        wire, injecting planned faults.
 
-        Remote payloads are counted in the wire stats and checked
-        against the fault plan: a "drop" fault never arrives (the
-        timeout analogue), a "corrupt" fault flips the payload and is
-        caught by the receiver's content checksum.  Faults marked
-        transient are retransmitted under the machine's
+        The payload is counted in the wire stats and checked against
+        the fault plan: a "drop" fault never arrives (the timeout
+        analogue), a "corrupt" fault flips the payload and is caught by
+        the receiver's content checksum, and a staged bit-flip addressed
+        to this message index corrupts the staging buffer after the
+        sender computed its CRC.  Faults marked transient are
+        retransmitted under the machine's
         :class:`~repro.resilience.faults.RetryPolicy` — each attempt
         re-charges the wire stats plus the backoff wait — and only
         retry exhaustion (or a fatal fault) raises
         :class:`~repro.resilience.faults.MessageFailure`.
         """
-        if src_rank == dst_rank:
-            self.stats.n_local += 1
-            if METRICS.enabled:
-                METRICS.inc("exchange.local")
-            return payload
         index = self._msg_index
         self._msg_index += 1
-        if self._staged_flips:
-            for f in list(self._staged_flips):
-                if f.block == index:
-                    # The staging buffer is corrupted after the sender
-                    # computed its content CRC, so the receiver's
-                    # independent check catches the mismatch — loud,
-                    # like a scripted "corrupt" message fault, but
-                    # classified as silent-corruption for the ladder.
-                    self._staged_flips.remove(f)
-                    from repro.resilience.faults import apply_bitflip
-                    from repro.resilience.scrub import (
-                        CorruptEntry,
-                        CorruptionError,
-                    )
+        flip = next((f for f in self._staged_flips if f.block == index), None)
+        if flip is not None:
+            # Loud, like a scripted "corrupt" message fault, but
+            # classified as silent corruption for the recovery ladder.
+            from repro.resilience.scrub import CorruptEntry, CorruptionError
 
-                    self.stats.add(payload.size + extra_values)
-                    apply_bitflip(payload, f.byte, f.bit)
-                    raise CorruptionError(
-                        self.step_index,
-                        [
-                            CorruptEntry(
-                                "staging", block=t.dst_id, rank=dst_rank
-                            )
-                        ],
-                    )
+            self._staged_flips.remove(flip)
+            self.stats.add(values)
+            raise CorruptionError(
+                self.step_index,
+                [CorruptEntry("staging", block=t.dst_id,
+                              rank=self.owner_rank(t.dst_id))],
+            )
         attempt = 0
         while True:
-            self.stats.add(payload.size + extra_values)
+            self.stats.add(values)
             fault = None
             if self.fault_plan is not None:
                 fault = self.fault_plan.take_message_fault(
                     self.step_index, index
                 )
             if fault is None:
-                return payload
+                return
             # The receiver notices the failure: a dropped payload times
             # out, a corrupted one fails the CRC32 content check (any
             # tampering breaks the checksum computed independently on
@@ -469,20 +596,27 @@ class EmulatedMachine:
                 retries=attempt,
             )
 
+    def _transmit(self, stage2: bool) -> None:
+        """The wire side of one exchange stage, before its phases run, in
+        plan order: every remote transfer through :meth:`_send`, every
+        rank-local one counted."""
+        for t, values in self._wire[stage2]:
+            if values is not None:
+                self._send(t, values)
+                continue
+            self.stats.n_local += 1
+            if METRICS.enabled:
+                METRICS.inc("exchange.local")
+
     # ------------------------------------------------------------------
 
     @phase_effect("exchange")
     def exchange(self) -> None:
-        """One full ghost exchange through explicit messages.
-
-        Stage 1: same-level copies and restrictions (source side
-        restricts before sending).  Stage 2: prolongations (source sends
-        the bordered coarse region; the receiver prolongs).  Physical
-        BCs run rank-locally after each stage, mirroring
-        :func:`repro.core.ghost.fill_ghosts`.
+        """One full ghost exchange, the rank processes' phase program
+        with method calls for pipes: stage 1 (same-level copies and
+        restrictions, then physical BCs) on every rank, then stage 2
+        (prolongations) gathered on every rank before any rank writes.
         """
-        ndim = self.topology.ndim
-        order = self.topology.prolong_order
         if not all(self.alive):
             lost = self.lost_blocks()
             if lost:
@@ -490,80 +624,28 @@ class EmulatedMachine:
                     f"cannot exchange: {len(lost)} block(s) lost to failed "
                     "ranks; restore from a checkpoint first"
                 )
+        if self._config_dirty:
+            self._compile()
         det = self.race_detector
         if self.sanitizer is not None:
             self.sanitizer.before_exchange(self._all_blocks())
         if det is not None:
             det.begin_epoch()
-
-        # ---- stage 1: same + restriction --------------------------------
-        for bid, offset, transfers in self._plan:
-            dst_rank = self.owner_rank(bid)
-            dst = self.rank_blocks[dst_rank][bid]
-            restrict_items = []
-            for t in transfers:
-                src_rank = self.owner_rank(t.src_id)
-                src = self.rank_blocks[src_rank][t.src_id]
-                if t.delta == 0:
-                    if det is not None:
-                        det.on_publish(t.src_id, bid, offset, src_rank)
-                    payload = src.view(t.src_box).copy()  # the message
-                    payload = self._send(payload, src_rank, dst_rank, t)
-                    dst.view(t.dst_box)[...] = payload
-                    if det is not None:
-                        det.on_receive(bid, t.src_id, offset, dst_rank)
-                elif t.delta > 0:
-                    if det is not None:
-                        det.on_publish(t.src_id, bid, offset, src_rank)
-                    coarse_box, csum, wsum = restriction_contribution(
-                        src, t, ndim
-                    )
-                    csum = self._send(
-                        csum, src_rank, dst_rank, t, extra_values=wsum.size
-                    )
-                    restrict_items.append((t.dst_box, coarse_box, csum, wsum))
-                    if det is not None:
-                        det.on_receive(bid, t.src_id, offset, dst_rank)
-            if restrict_items:
-                apply_restrictions(dst, restrict_items)
-        self._apply_bc()
-
-        # ---- stage 2: prolongation ---------------------------------------
-        for bid, offset, transfers in self._plan:
-            dst_rank = self.owner_rank(bid)
-            dst = self.rank_blocks[dst_rank][bid]
-            for t in transfers:
-                if t.delta >= 0:
-                    continue
-                src_rank = self.owner_rank(t.src_id)
-                src = self.rank_blocks[src_rank][t.src_id]
-                up = -t.delta
-                border = prolongation_border(up, order)
-                if det is not None:
-                    # The bordered gather may read the source's own
-                    # ghost cells — legal only once its stage-1 inbound
-                    # messages have all arrived in this epoch.
-                    det.on_ghost_read(t.src_id, src_rank)
-                    det.on_publish(t.src_id, bid, offset, src_rank)
-                payload = gather_bordered(src, t.src_box, border)
-                payload = self._send(payload, src_rank, dst_rank, t)
-                fine = prolong_bordered(payload, t.src_box, up, order, ndim)
-                cover = t.src_box.refined(up).shift(_neg(t.shift))
-                sub = t.dst_box.slices(cover.lo)
-                dst.view(t.dst_box)[...] = fine[(slice(None),) + sub]
-                if det is not None:
-                    det.on_receive(bid, t.src_id, offset, dst_rank)
-        self._apply_bc()
+        ranks = self._ranks.values()
+        self._transmit(stage2=False)
+        for phases in ranks:
+            phases.exch1()
+        self._replay_exchange(stage2=False)
+        self._transmit(stage2=True)
+        for phases in ranks:
+            phases.exch2_gather()
+        for phases in ranks:
+            phases.exch2_write()
+        self._replay_exchange(stage2=True)
         if det is not None:
             det.end_epoch()
         if self.sanitizer is not None:
             self.sanitizer.after_exchange(self._all_blocks())
-
-    def _apply_bc(self) -> None:
-        if self.bc is not None:
-            blocks = list(self._all_blocks())
-            for block, face, region in _bc_scan_faces(blocks, self.topology.ndim):
-                self.bc(block, face, region, self.topology)
 
     # ------------------------------------------------------------------
 
@@ -595,41 +677,17 @@ class EmulatedMachine:
                     raise RankFailure(
                         self.step_index, tuple(killed), tuple(lost)
                     )
-        if self.fault_plan is not None and self.fault_plan.bitflips:
-            from repro.resilience.scrub import apply_scripted_flips
-
-            partner = self.scrubber.partner if self.scrubber is not None else None
-            self._staged_flips.extend(
-                apply_scripted_flips(
-                    self.fault_plan.flips_at(self.step_index),
-                    self.blocks_by_id(),
-                    partner,
-                )
-            )
-        if self.scrubber is not None and self.scrubber.due(self.step_index):
-            from repro.resilience.scrub import CorruptionError
-
-            entries = self.scrubber.scrub_blocks(
-                self.blocks_by_id(),
-                rank_of=self.assignment,
-                partner=self.scrubber.partner,
-            )
-            if entries:
-                raise CorruptionError(self.step_index, entries)
+        self._flip_and_scrub()
         self._msg_index = 0
         if self.race_detector is not None:
             self.race_detector.begin_step()
         self.exchange()
         if self.scheme.n_stages == 1:
-            self._stage(lambda sweep: sweep.forward(dt))
+            self._compute(lambda phases: phases.step(dt))
         else:
-            def predictor(sweep: PoolSweep) -> None:
-                sweep.snapshot()
-                sweep.forward(0.5 * dt)
-
-            self._stage(predictor)
+            self._compute(lambda phases: phases.predictor(dt))
             self.exchange()
-            self._stage(lambda sweep: sweep.correct(dt))
+            self._compute(lambda phases: phases.corrector(dt))
         if self.sanitizer is not None:
             self.sanitizer.after_stage(self._all_blocks())
         self.time += dt
@@ -639,36 +697,8 @@ class EmulatedMachine:
         self._staged_flips.clear()
         self.scrub_retag()
 
-    def _stage(self, update: Callable[[PoolSweep], object]) -> None:
-        """Run one stage ``update`` of every alive rank's sweep; the race
-        detector sees each block consumed before and written after."""
-        det = self.race_detector
-        for rank in self.alive_ranks:
-            if det is not None:
-                for bid in self.rank_blocks[rank]:
-                    det.on_consume(bid, rank)
-            update(self._sweeps[rank])
-            if det is not None:
-                for bid in self.rank_blocks[rank]:
-                    det.on_interior_write(bid, rank)
-
-    def gather(self) -> Dict[BlockID, np.ndarray]:
-        """Collect every surviving block's interior (the 'MPI_Gather' at
-        the end).  After a clean run or a completed recovery this covers
-        the whole topology; blocks lost to an unrecovered rank failure
-        are absent (see :meth:`lost_blocks`)."""
-        out: Dict[BlockID, np.ndarray] = {}
-        for rank in self.alive_ranks:
-            for bid, block in self.rank_blocks[rank].items():
-                out[bid] = block.interior.copy()
-        return out
-
-    def rank_cells(self) -> List[int]:
-        """Computational cells owned per *alive* rank (load distribution).
-
-        Dead ranks are excluded so post-recovery imbalance metrics
-        reflect the surviving machine rather than averaging in zeros."""
-        return [
-            sum(b.n_cells for b in self.rank_blocks[rank].values())
-            for rank in self.alive_ranks
-        ]
+    def _compute(self, phase: Callable[[RankPhases], object]) -> None:
+        """One compute phase on every alive rank."""
+        for phases in self._ranks.values():
+            phase(phases)
+        self._replay_compute()

@@ -53,7 +53,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterator,
     List,
     Optional,
     Set,
@@ -69,7 +68,7 @@ from repro.core.block_id import BlockID
 from repro.core.forest import BlockForest
 from repro.core.ghost import BoundaryHandler, Region, exchange_regions
 from repro.obs.metrics import METRICS
-from repro.parallel.emulator import ExchangeStats
+from repro.parallel.emulator import ExchangeStats, RankMachine
 from repro.parallel.partition import Assignment, sfc_partition
 from repro.parallel.procworker import WorkerSpec, worker_main
 from repro.parallel.shared_arena import (
@@ -90,7 +89,7 @@ from repro.util.timing import wall_clock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.poison import GhostSanitizer
-    from repro.analysis.races import InboundKey, RaceDetector
+    from repro.analysis.races import RaceDetector
     from repro.obs.recorder import RunRecorder
     from repro.resilience.faults import BitFlip, FaultPlan, RetryPolicy
     from repro.resilience.procpartner import SharedPartnerRing
@@ -104,8 +103,12 @@ _EXCHANGE_OPS = ("exch1", "exch2-gather", "exch2-write")
 _COMPUTE_OPS = ("step", "predictor", "corrector")
 
 
-class ProcessMachine:
+class ProcessMachine(RankMachine):
     """Run a block-AMR time step across real single-rank OS processes.
+
+    The supervisor-side block views alias the rank segments directly,
+    so scrubbing and bitflip injection touch the same shared memory the
+    worker processes compute on — no copies, no extra phases.
 
     Constructor signature matches
     :class:`~repro.parallel.emulator.EmulatedMachine` plus:
@@ -150,6 +153,8 @@ class ProcessMachine:
         #: ranks whose respawn is scripted to fail (degradation tests)
         self.fail_respawn: Set[int] = set()
         self.alive: List[bool] = [True] * self.n_ranks
+        if assignment is not None:
+            self._check_assignment(assignment)
         self.step_index = 0
         self.time = 0.0
         self.stats = ExchangeStats()
@@ -337,94 +342,6 @@ class ProcessMachine:
         if METRICS.enabled:
             METRICS.gauge("proc.alive_ranks", len(self.alive_ranks))
         return True
-
-    # ------------------------------------------------------------------
-    # machine surface shared with the emulator
-    # ------------------------------------------------------------------
-
-    @property
-    def alive_ranks(self) -> List[int]:
-        return [r for r in range(self.n_ranks) if self.alive[r]]
-
-    def owner_rank(self, bid: BlockID) -> int:
-        return self.assignment[bid]
-
-    def local_block(self, bid: BlockID) -> Block:
-        return self.rank_blocks[self.assignment[bid]][bid]
-
-    def _all_blocks(self) -> Iterator[Block]:
-        for rank in range(self.n_ranks):
-            if self.alive[rank]:
-                yield from self.rank_blocks[rank].values()
-
-    def lost_blocks(self) -> List[BlockID]:
-        owned: Set[BlockID] = set()
-        for rank in self.alive_ranks:
-            owned.update(self.rank_blocks[rank])
-        return [bid for bid in self.topology.sorted_ids() if bid not in owned]
-
-    def rank_cells(self) -> List[int]:
-        return [
-            sum(b.n_cells for b in self.rank_blocks[rank].values())
-            for rank in self.alive_ranks
-        ]
-
-    def gather(self) -> Dict[BlockID, np.ndarray]:
-        out: Dict[BlockID, np.ndarray] = {}
-        for rank in self.alive_ranks:
-            for bid, block in self.rank_blocks[rank].items():
-                out[bid] = block.interior.copy()
-        return out
-
-    def blocks_by_id(self) -> Dict[BlockID, Block]:
-        """Every live block keyed by id, in deterministic SFC order.
-
-        The supervisor-side views alias the rank segments directly, so
-        scrubbing and bitflip injection touch the same shared memory the
-        worker processes compute on — no copies, no extra phases.
-        """
-        out: Dict[BlockID, Block] = {}
-        for bid in self.topology.sorted_ids():
-            rank = self.assignment.get(bid)
-            if rank is None or not self.alive[rank]:
-                continue
-            block = self.rank_blocks[rank].get(bid)
-            if block is not None:
-                out[bid] = block
-        return out
-
-    def attach_scrubber(self, scrubber: "Scrubber") -> "Scrubber":
-        """Attach a memory scrubber and tag the current state as the
-        trusted baseline."""
-        self.scrubber = scrubber
-        scrubber.retag_blocks(self.blocks_by_id())
-        return scrubber
-
-    def scrub_retag(self) -> None:
-        """Re-baseline every live block's integrity tag (called at the
-        write boundaries: post-step, post-restore, post-repair)."""
-        if self.scrubber is not None:
-            self.scrubber.retag_blocks(self.blocks_by_id())
-
-    def attach_race_detector(
-        self, detector: Optional["RaceDetector"] = None
-    ) -> "RaceDetector":
-        """Attach the exchange race detector, unchanged from the emulator:
-        expected inbound sets come from the same transfer plan the
-        workers execute, so the supervisor replays the schedule's
-        publish/receive events at phase barriers."""
-        from repro.analysis.races import RaceDetector
-
-        if detector is None:
-            detector = RaceDetector()
-        expected: Dict[object, Tuple[Set["InboundKey"], Set["InboundKey"]]] = {}
-        for bid, offset, transfers in self._plan:
-            stage1, stage2 = expected.setdefault(bid, (set(), set()))
-            for t in transfers:
-                (stage1 if t.delta >= 0 else stage2).add((t.src_id, offset))
-        detector.set_expected_inbound(expected)
-        self.race_detector = detector
-        return detector
 
     # ------------------------------------------------------------------
     # failure handling
@@ -770,15 +687,7 @@ class ProcessMachine:
         if det is not None:
             det.begin_epoch()
         self._charge_exchange(self._phase("exch1"))
-        if det is not None:
-            for bid, offset, transfers in self._plan:
-                dst_rank = self.owner_rank(bid)
-                for t in transfers:
-                    if t.delta >= 0:
-                        det.on_publish(
-                            t.src_id, bid, offset, self.owner_rank(t.src_id)
-                        )
-                        det.on_receive(bid, t.src_id, offset, dst_rank)
+        self._replay_exchange(stage2=False)
         verify = self.scrubber is not None or bool(self._staged_flips)
         gather_replies = self._phase(
             "exch2-gather", payload={"verify": True} if verify else None
@@ -791,15 +700,8 @@ class ProcessMachine:
         write_replies = self._phase("exch2-write", payload=write_payload)
         if verify:
             self._check_staging(write_replies)
+        self._replay_exchange(stage2=True)
         if det is not None:
-            for bid, offset, transfers in self._plan:
-                dst_rank = self.owner_rank(bid)
-                for t in transfers:
-                    if t.delta < 0:
-                        src_rank = self.owner_rank(t.src_id)
-                        det.on_ghost_read(t.src_id, src_rank)
-                        det.on_publish(t.src_id, bid, offset, src_rank)
-                        det.on_receive(bid, t.src_id, offset, dst_rank)
             det.end_epoch()
         if self.sanitizer is not None:
             self.sanitizer.after_exchange(self._all_blocks())
@@ -874,14 +776,9 @@ class ProcessMachine:
             raise CorruptionError(self.step_index, entries)
 
     def _compute(self, op: str, dt: float) -> None:
-        det = self.race_detector
         self._interiors_dirty = True
         self._phase(op, dt=dt)
-        if det is not None:
-            for rank in self.alive_ranks:
-                for block in self.rank_blocks[rank].values():
-                    det.on_consume(block.id, rank)
-                    det.on_interior_write(block.id, rank)
+        self._replay_compute()
 
     def advance(self, dt: float) -> None:
         """One step across all rank processes.
@@ -918,27 +815,7 @@ class ProcessMachine:
                         step, tuple(killed), tuple(lost),
                         kinds=(FailureKind.SIGKILL,) * len(killed),
                     )
-        if self.fault_plan is not None and self.fault_plan.bitflips:
-            from repro.resilience.scrub import apply_scripted_flips
-
-            partner = self.scrubber.partner if self.scrubber is not None else None
-            self._staged_flips.extend(
-                apply_scripted_flips(
-                    self.fault_plan.flips_at(step),
-                    self.blocks_by_id(),
-                    partner,
-                )
-            )
-        if self.scrubber is not None and self.scrubber.due(step):
-            from repro.resilience.scrub import CorruptionError
-
-            entries = self.scrubber.scrub_blocks(
-                self.blocks_by_id(),
-                rank_of=self.assignment,
-                partner=self.scrubber.partner,
-            )
-            if entries:
-                raise CorruptionError(step, entries)
+        self._flip_and_scrub()
         self._msg_index = 0
         self._interiors_dirty = False
         if self._config_dirty:
@@ -1010,28 +887,11 @@ class ProcessMachine:
         machine); ranks that cannot be revived stay dead and the SFC
         repartition simply cuts over the survivors.
         """
-        if set(forest.blocks) != set(self.topology.blocks):
-            raise ValueError(
-                "checkpoint topology does not match the machine's "
-                "replicated topology"
-            )
         for rank in range(self.n_ranks):
             if not self.alive[rank]:
                 self.try_respawn(rank)
-        alive = self.alive_ranks
-        if not alive:
-            raise RuntimeError("cannot restore: every rank has failed")
-        if assignment is None:
-            chunks = sfc_partition(self.topology, len(alive))
-            assignment = {bid: alive[r] for bid, r in chunks.items()}
-        else:
-            bad = {assignment[bid] for bid in assignment} - set(alive)
-            if bad:
-                raise ValueError(
-                    f"assignment targets dead rank(s) {sorted(bad)}"
-                )
-        self.assignment = dict(assignment)
-        for rank in alive:
+        self.assignment = self._restore_assignment(forest, assignment)
+        for rank in self.alive_ranks:
             seg = self._segments[rank]
             if seg is not None and seg.arena is not None:
                 for blk in self.rank_blocks[rank].values():
@@ -1041,16 +901,8 @@ class ProcessMachine:
         self._populate(forest)
         self._config_dirty = True
         self._sync_config()
-        if self.race_detector is not None:
-            self.race_detector.end_epoch()
-            for bid, rank in self.assignment.items():
-                self.race_detector.on_interior_write(bid, rank)
-        self.time = time
-        if step_index is not None:
-            self.step_index = step_index
         self._interiors_dirty = False
-        self._staged_flips.clear()
-        self.scrub_retag()
+        self._restored(time, step_index)
 
     # ------------------------------------------------------------------
     # teardown

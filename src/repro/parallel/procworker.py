@@ -10,7 +10,8 @@ carry only control messages, never payloads.
 
 Phase protocol (each command is a global barrier: the supervisor sends
 the next phase only after every alive rank acknowledged the previous
-one):
+one).  Every phase but ``config`` is a method of :class:`RankPhases`,
+which the emulated machine runs in-process as well:
 
 ``exch1``
     Stage 1 of the ghost exchange for the rank's own blocks: same-level
@@ -73,7 +74,6 @@ from repro.core.forest import BlockForest
 from repro.core.integrity import content_crc
 from repro.core.ghost import (
     BoundaryHandler,
-    GhostPlan,
     Region,
     compile_plan,
     gather_prolong,
@@ -89,7 +89,7 @@ from repro.solvers.scheme import FVScheme
 from repro.solvers.sweep import PoolSweep, tile_rows
 from repro.util.timing import wall_clock
 
-__all__ = ["WorkerSpec", "worker_main"]
+__all__ = ["RankPhases", "WorkerSpec", "worker_main"]
 
 
 @dataclass
@@ -157,108 +157,71 @@ class _Heartbeat:
             pass
 
 
-class _Worker:
-    """Mutable worker state: segments, block views, compiled phases."""
+class RankPhases:
+    """One rank's share of a step, compiled once per configuration: the
+    ghost-exchange entries whose destination the rank owns (staged, see
+    :func:`repro.core.ghost.compile_plan`), their wire counts, and the
+    tiled sweep over its pool rows.
 
-    def __init__(self, spec: WorkerSpec) -> None:
-        self.rank = spec.rank
-        self.conn = spec.conn
-        self.topology = spec.topology
-        self.regions = spec.regions
-        self.scheme = spec.scheme
-        self.bc = spec.bc
-        self.hooks = dict(spec.test_hooks)
-        self.segments: Dict[int, SharedBlockArena] = {}
-        self.blocks: Dict[BlockID, Block] = {}
-        self.assignment: Dict[BlockID, int] = {}
-        self.plan: Optional[GhostPlan] = None
-        self.sweep: Optional[PoolSweep] = None
-        #: reply counts of stage 1 and stage 2, fixed by the config
-        self.counts: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
-        self._payloads: List[np.ndarray] = []
-        self._payload_crcs: List[int] = []
+    Both executing machines run it, one method per barrier phase: a rank
+    process on views into shared segments (:class:`_Worker`), the
+    emulator in-process on each rank's private pool — the same code
+    whether a neighbour is local or remote.  ``blocks`` holds every
+    block the rank reads (its own and its neighbours'), ``rows`` the row
+    of ``pool`` each of its own blocks lives in.
+    """
 
-    # -- configuration --------------------------------------------------
-
-    def drop_views(self) -> None:
-        """Forget everything that references a segment's memory: a
-        mapping cannot close while views into it are alive."""
-        self.blocks = {}
-        self.plan = None
-        self.sweep = None
-        self._payloads = []
-        self._payload_crcs = []
-
-    @phase_effect("config")
-    def apply_config(self, cfg: Dict[str, Any]) -> Dict[str, Any]:
-        """Attach segments, rebuild block views per the row locator,
-        and compile the rank's share of the exchange and of the sweep."""
-        wanted: Dict[int, Tuple[str, int, int]] = cfg["segments"]
-        self.drop_views()
-        for rank in list(self.segments):
-            seg = self.segments[rank]
-            if rank not in wanted or wanted[rank][0] != seg.name:
-                seg.destroy()  # attach-side: close only, never unlink
-                del self.segments[rank]
-        geom = self.topology
-        for rank, (name, capacity, mirror_capacity) in wanted.items():
-            if rank not in self.segments:
-                self.segments[rank] = SharedBlockArena(
-                    geom.m, geom.n_ghost, geom.nvar,
-                    capacity=capacity, mirror_capacity=mirror_capacity,
-                    name=name, create=False,
-                )
-        self.assignment = dict(cfg["assignment"])
-        locator: Dict[BlockID, Tuple[int, int]] = cfg["locator"]
-        for bid, (rank, row) in locator.items():
-            tmpl = geom.blocks[bid]
-            blk = Block(
-                id=tmpl.id, box=tmpl.box, m=tmpl.m,
-                n_ghost=tmpl.n_ghost, nvar=tmpl.nvar,
-                data=self.segments[rank].pool_view(row),
-            )
-            blk.face_neighbors = tmpl.face_neighbors
-            self.blocks[bid] = blk
-        own = frozenset(
-            bid for bid in self.blocks if self.assignment.get(bid) == self.rank
-        )
+    def __init__(
+        self,
+        rank: int,
+        topology: BlockForest,
+        regions: List[Region],
+        scheme: FVScheme,
+        bc: Optional[BoundaryHandler],
+        blocks: Dict[BlockID, Block],
+        pool: np.ndarray,
+        rows: Dict[BlockID, int],
+    ) -> None:
+        self.rank = rank
+        self.topology = topology
+        self.bc = bc
+        own = frozenset(rows)
         self.plan = compile_plan(
-            geom, regions=self.regions, blocks=self.blocks, dest=own,
-            staged=True,
+            topology, regions=regions, blocks=blocks, dest=own, staged=True,
         )
         keys = ("n_messages", "n_values", "n_local")
+        #: reply counts of stage 1 and stage 2
         self.counts = (dict.fromkeys(keys, 0), dict.fromkeys(keys, 0))
-        for bid, _offset, transfers in self.regions:
+        for bid, _offset, transfers in regions:
             if bid in own:
                 for t in transfers:
                     count = self.counts[t.delta < 0]
-                    if self.assignment[t.src_id] != self.rank:
+                    if t.src_id not in own:
                         count["n_messages"] += 1
                         count["n_values"] += payload_values(
-                            t, geom.nvar, geom.ndim, geom.prolong_order
+                            t, topology.nvar, topology.ndim,
+                            topology.prolong_order,
                         )
                     else:
                         count["n_local"] += 1
-        arena = self.segments[self.rank].arena
-        assert arena is not None
-        tile = tile_rows(arena.pool[:1].nbytes)
-        interior = (geom.nvar,) + tuple(geom.m)
+        tile = tile_rows(pool[:1].nbytes)
+        interior = (topology.nvar,) + tuple(topology.m)
         self.sweep = PoolSweep(
-            self.scheme, arena.pool,
-            [(locator[bid][1], self.blocks[bid]) for bid in own],
-            geom.n_ghost,
-            save=np.empty((arena.capacity,) + interior),
-            rate=np.empty((min(tile, arena.capacity),) + interior),
+            scheme, pool,
+            [(row, blocks[bid]) for bid, row in rows.items()],
+            topology.n_ghost,
+            save=np.empty((len(pool),) + interior),
+            rate=np.empty((min(tile, len(pool)),) + interior),
             tile=tile,
         )
-        return {"status": "ok", "n_blocks": len(own)}
+        self._payloads: List[np.ndarray] = []
+        self._payload_crcs: List[int] = []
 
     # -- exchange phases ------------------------------------------------
 
     @phase_effect("exch1")
     def exch1(self) -> Dict[str, Any]:
         """Stage 1: same-level copies + restrictions into own ghosts."""
-        assert self.plan is not None
         run_copies(self.plan)
         run_restrictions(self.plan, self.topology.ndim)
         run_boundaries(self.plan, self.bc, self.topology)
@@ -274,7 +237,6 @@ class _Worker:
         bit flipped in the staging buffers between the two phases is
         caught before it ever reaches a ghost region.
         """
-        assert self.plan is not None
         geom = self.topology
         payloads = [
             gather_prolong(p, geom.prolong_order, geom.ndim)
@@ -298,7 +260,6 @@ class _Worker:
         buffer — and its index is reported back so the supervisor can
         raise the corruption for the recovery ladder.
         """
-        assert self.plan is not None
         geom = self.topology
         payloads = self._payloads
         if cmd is not None and payloads:
@@ -329,43 +290,100 @@ class _Worker:
     # -- compute phases -------------------------------------------------
 
     @phase_effect("step")
-    def step_single(self, dt: float) -> Dict[str, Any]:
-        assert self.sweep is not None
+    def step(self, dt: float) -> Dict[str, Any]:
         self.sweep.forward(dt)
         return {"status": "ok"}
 
     @phase_effect("predictor")
     def predictor(self, dt: float) -> Dict[str, Any]:
-        assert self.sweep is not None
         self.sweep.snapshot()
         self.sweep.forward(0.5 * dt)
         return {"status": "ok"}
 
     @phase_effect("corrector")
     def corrector(self, dt: float) -> Dict[str, Any]:
-        assert self.sweep is not None
         self.sweep.correct(dt)
         return {"status": "ok"}
+
+
+class _Worker:
+    """Mutable worker state: the attached segments and the rank's
+    compiled phases over views into them."""
+
+    def __init__(self, spec: WorkerSpec) -> None:
+        self.spec = spec
+        self.hooks = dict(spec.test_hooks)
+        self.segments: Dict[int, SharedBlockArena] = {}
+        self.phases: Optional[RankPhases] = None
+
+    def drop_views(self) -> None:
+        """Forget everything that references a segment's memory: a
+        mapping cannot close while views into it are alive."""
+        self.phases = None
+
+    @phase_effect("config")
+    def apply_config(self, cfg: Dict[str, Any]) -> Dict[str, Any]:
+        """Attach segments, rebuild block views per the row locator,
+        and compile the rank's phases over them."""
+        wanted: Dict[int, Tuple[str, int, int]] = cfg["segments"]
+        self.drop_views()
+        for rank in list(self.segments):
+            seg = self.segments[rank]
+            if rank not in wanted or wanted[rank][0] != seg.name:
+                seg.destroy()  # attach-side: close only, never unlink
+                del self.segments[rank]
+        spec = self.spec
+        geom = spec.topology
+        for rank, (name, capacity, mirror_capacity) in wanted.items():
+            if rank not in self.segments:
+                self.segments[rank] = SharedBlockArena(
+                    geom.m, geom.n_ghost, geom.nvar,
+                    capacity=capacity, mirror_capacity=mirror_capacity,
+                    name=name, create=False,
+                )
+        assignment: Dict[BlockID, int] = cfg["assignment"]
+        blocks: Dict[BlockID, Block] = {}
+        rows: Dict[BlockID, int] = {}
+        for bid, (rank, row) in cfg["locator"].items():
+            tmpl = geom.blocks[bid]
+            blk = Block(
+                id=tmpl.id, box=tmpl.box, m=tmpl.m,
+                n_ghost=tmpl.n_ghost, nvar=tmpl.nvar,
+                data=self.segments[rank].pool_view(row),
+            )
+            blk.face_neighbors = tmpl.face_neighbors
+            blocks[bid] = blk
+            if assignment.get(bid) == spec.rank:
+                rows[bid] = row
+        arena = self.segments[spec.rank].arena
+        assert arena is not None
+        self.phases = RankPhases(
+            spec.rank, geom, spec.regions, spec.scheme, spec.bc,
+            blocks, arena.pool, rows,
+        )
+        return {"status": "ok", "n_blocks": len(rows)}
 
 
 def _execute(worker: _Worker, msg: Dict[str, Any]) -> Dict[str, Any]:
     op = msg["op"]
     if op == "config":
         return worker.apply_config(msg["payload"])
-    if op == "exch1":
-        return worker.exch1()
-    if op == "exch2-gather":
-        return worker.exch2_gather(msg.get("payload"))
-    if op == "exch2-write":
-        return worker.exch2_write(msg.get("payload"))
-    if op == "step":
-        return worker.step_single(msg["dt"])
-    if op == "predictor":
-        return worker.predictor(msg["dt"])
-    if op == "corrector":
-        return worker.corrector(msg["dt"])
     if op == "shutdown":
         return {"status": "ok"}
+    phases = worker.phases
+    assert phases is not None
+    if op == "exch1":
+        return phases.exch1()
+    if op == "exch2-gather":
+        return phases.exch2_gather(msg.get("payload"))
+    if op == "exch2-write":
+        return phases.exch2_write(msg.get("payload"))
+    if op == "step":
+        return phases.step(msg["dt"])
+    if op == "predictor":
+        return phases.predictor(msg["dt"])
+    if op == "corrector":
+        return phases.corrector(msg["dt"])
     raise ValueError(f"unknown worker op {op!r}")
 
 

@@ -8,7 +8,7 @@ block at a time with no batch axis (the call Fig. 5 and T-A time).
 
 import repro.amr.driver
 import repro.amr.subcycle
-import repro.parallel.emulator
+import repro.parallel.procworker
 
 
 class BlockOracle:
@@ -36,5 +36,5 @@ class BlockOracle:
 
 
 def use_oracle(monkeypatch):
-    for module in (repro.amr.driver, repro.amr.subcycle, repro.parallel.emulator):
+    for module in (repro.amr.driver, repro.amr.subcycle, repro.parallel.procworker):
         monkeypatch.setattr(module, "PoolSweep", BlockOracle)

@@ -1,10 +1,10 @@
 """Tests for the distributed-memory emulation (repro.parallel.emulator).
 
-The headline oracle: an emulated multi-rank run — where ghost data moves
-only through explicit messages — reproduces the serial driver
-bit-for-bit.  This validates that the transfer geometry (and therefore
-the cost model's message schedules) carries everything the algorithm
-needs.
+The headline oracle: an emulated multi-rank run — where ranks read each
+other only through their compiled exchange entries, one phase per
+barrier — reproduces the serial driver bit-for-bit.  This validates
+that the transfer geometry (and therefore the cost model's message
+schedules) carries everything the algorithm needs.
 """
 
 import numpy as np
@@ -110,6 +110,33 @@ class TestIsolation:
         forest = make_amr_forest(1)
         emu = EmulatedMachine(forest, 4, scheme)
         assert sum(emu.rank_cells()) == forest.n_cells
+
+    def test_bad_assignment_is_rejected_before_any_change(self):
+        scheme = AdvectionScheme((1.0, 0.5), order=2)
+        forest = make_amr_forest(1)
+        init_pulse(forest, scheme)
+        good = sfc_partition(forest, 3)
+        first = next(iter(good))
+        bad = [
+            {**good, first: -1},  # negative rank
+            {**good, first: 3},  # rank out of range
+            {b: r for b, r in good.items() if b != first},  # missing block
+            {**good, BlockID(0, (0, 0)): 0},  # extra block (not a leaf)
+        ]
+        for assignment in bad:
+            with pytest.raises(ValueError, match="bad assignment"):
+                EmulatedMachine(forest, 3, scheme, assignment=assignment)
+        emu = EmulatedMachine(forest, 3, scheme)
+        for assignment in bad:
+            with pytest.raises(ValueError, match="bad assignment"):
+                emu.restore(forest, time=0.0, step_index=0, assignment=assignment)
+        assert emu.assignment == good
+        sim = Simulation(forest, scheme)
+        for _ in range(2):
+            sim.advance(1e-3)
+            emu.advance(1e-3)
+        for bid, interior in emu.gather().items():
+            np.testing.assert_array_equal(interior, forest.blocks[bid].interior)
 
 
 class TestAccounting:

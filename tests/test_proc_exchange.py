@@ -1,7 +1,7 @@
-"""The process machine's compiled exchange and tiled sweep against the
-serial driver.
+"""The rank phases' compiled exchange and tiled sweep against the serial
+driver, on the process machine and the emulated one.
 
-The rank processes run the serial driver's own machinery — compiled
+The ranks run the serial driver's own machinery — compiled
 ghost entries, one stage per barrier phase, and the tiled stage update
 over their pool rows — so the oracle is the serial driver, byte for
 byte: every padded array after an exchange, every interior after a step.
@@ -93,15 +93,16 @@ def assert_interiors_equal(machine, forest):
         np.testing.assert_array_equal(gathered[bid], block.interior, err_msg=str(bid))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     ndim=st.sampled_from((2, 3)),
     periodic=st.booleans(),
     prolong_order=st.sampled_from((1, 2)),
     n_ranks=st.integers(1, 3),
+    machine=st.sampled_from(("emulated", "process")),
 )
-def test_worker_phases_equal_serial_fill(seed, ndim, periodic, prolong_order, n_ranks):
+def test_worker_phases_equal_serial_fill(seed, ndim, periodic, prolong_order, n_ranks, machine):
     rng = np.random.default_rng(seed)
     forest = random_forest(rng, ndim, periodic, prolong_order)
     bc = None if periodic else ReflectingBC({a: (1,) for a in range(ndim)})
@@ -109,19 +110,27 @@ def test_worker_phases_equal_serial_fill(seed, ndim, periodic, prolong_order, n_
     set_ghosts(serial, 1e300)
     fill_ghosts(serial, bc)
     scheme = AdvectionScheme((1.0,) * ndim, order=1)
-    with ProcessMachine(forest, n_ranks, scheme, bc=bc, config=FAST) as m:
+
+    def exchange_equals_serial(m, exchange):
         set_ghosts(m.blocks_by_id().values(), -7e200)
-        m._exchange()
+        exchange()
         for bid, block in m.blocks_by_id().items():
             assert block.data.tobytes() == serial.blocks[bid].data.tobytes(), bid
+
+    if machine == "emulated":
+        emu = EmulatedMachine(forest, n_ranks, scheme, bc=bc)
+        exchange_equals_serial(emu, emu.exchange)
+    else:
+        with ProcessMachine(forest, n_ranks, scheme, bc=bc, config=FAST) as m:
+            exchange_equals_serial(m, m._exchange)
 
 
 @pytest.mark.parametrize("levels", [2, 3, 4])
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])
 def test_deep_forest_matches_serial_and_emulated(levels, n_ranks):
     """Prolongations whose slope border reads ghosts another prolongation
-    writes: the serial fill and the emulator run them in plan order, the
-    workers gather every source before writing any."""
+    writes: the serial fill runs them in plan order, the ranks of both
+    machines gather every source before writing any."""
     sim = build_deep_pulse(levels)
     forest = copy.deepcopy(sim.forest)
     emu = EmulatedMachine(copy.deepcopy(sim.forest), n_ranks, sim.scheme)
@@ -216,8 +225,12 @@ def test_reconfig_recompiles_after_adopt_respawn_and_restore():
 
 
 def test_counts_on_the_benchmark_forest():
-    """Same transfers as ever: exact wire counts per step and per phase."""
+    """Same transfers as ever: exact wire counts per step and per phase,
+    on both machines."""
     scheme = AdvectionScheme((1.0, 0.5), order=2)
+    emu = EmulatedMachine(bench_forest(), 2, scheme)
+    emu.advance(DT)
+    assert (emu.stats.n_messages, emu.stats.n_bytes, emu.stats.n_local) == (432, 94_656, 1392)
     with ProcessMachine(bench_forest(), 2, scheme, config=FAST) as m:
         m.advance(DT)
         assert (m.stats.n_messages, m.stats.n_bytes, m.stats.n_local) == (432, 94_656, 1392)

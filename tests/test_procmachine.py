@@ -29,6 +29,7 @@ from repro.parallel import (
     ProcConfig,
     ProcessMachine,
     leaked_segments,
+    sfc_partition,
 )
 from repro.parallel.shared_arena import SharedBlockArena
 from repro.resilience import (
@@ -569,3 +570,27 @@ class TestRestoreParity:
             for _ in range(2):
                 m.advance(DT)
             assert_bitwise(m, ref)
+
+    def test_bad_assignment_is_rejected_before_any_change(self):
+        scheme = AdvectionScheme((1.0, 0.5), order=2)
+        forest = make_amr_forest()
+        init_pulse(forest, scheme)
+        good = sfc_partition(forest, 3)
+        first = next(iter(good))
+        bad = [
+            {**good, first: -1},  # negative rank
+            {**good, first: 3},  # rank out of range
+            {b: r for b, r in good.items() if b != first},  # missing block
+            {**good, BlockID(0, (0, 0)): 0},  # extra block (not a leaf)
+        ]
+        for assignment in bad:
+            with pytest.raises(ValueError, match="bad assignment"):
+                ProcessMachine(forest, 3, scheme, assignment=assignment, config=FAST)
+        with ProcessMachine(forest, 3, scheme, config=FAST) as m:
+            for assignment in bad:
+                with pytest.raises(ValueError, match="bad assignment"):
+                    m.restore(forest, time=0.0, step_index=0, assignment=assignment)
+            assert m.assignment == good
+            for _ in range(2):
+                m.advance(DT)
+            assert_bitwise(m, serial_reference(scheme, 2, DT))

@@ -15,9 +15,11 @@ import pytest
 
 from repro.amr import Simulation, advecting_pulse
 from repro.amr.io import CheckpointError, save_forest
+from repro.analysis.engine_bench import build_deep_pulse
 from repro.core import BlockForest, BlockID
 from repro.core.forest import ForestError
-from repro.core.ghost import fill_ghosts
+from repro.core.ghost import exchange_regions, fill_ghosts
+from repro.parallel import sfc_partition
 from repro.parallel.emulator import EmulatedMachine
 from repro.resilience import (
     Checkpointer,
@@ -168,6 +170,29 @@ class TestEmulatorFaults:
             emu.advance(1e-3)
         assert exc.value.mode == mode
         assert exc.value.index == 3
+
+    def test_message_index_names_the_kth_remote_transfer(self):
+        """Fault plans address messages by index: the remote transfers of
+        a step, stage 1 (copies, restrictions) in plan order, then stage
+        2 (prolongations), once per exchange of the step."""
+        sim = build_deep_pulse(3)
+        assignment = sfc_partition(sim.forest, 3)
+        stages = ([], [])
+        for bid, _offset, transfers in exchange_regions(sim.forest):
+            for t in transfers:
+                if assignment[t.src_id] != assignment[bid]:
+                    stages[t.delta < 0].append((t.src_id, bid))
+        wire = (stages[0] + stages[1]) * sim.scheme.n_stages
+        assert len(wire) == 316
+        edges = {len(stages[0]) - 1, len(stages[0]), len(wire) // 2, len(wire) - 1}
+        for k in sorted(edges | set(range(0, len(wire), 13))):
+            plan = FaultPlan(message_faults=[MessageFault(step=0, index=k, mode="drop")])
+            emu = EmulatedMachine(sim.forest, 3, sim.scheme, fault_plan=plan)
+            with pytest.raises(MessageFailure) as exc:
+                emu.advance(1e-4)
+            assert (exc.value.src_id, exc.value.dst_id) == wire[k], k
+            assert exc.value.index == k
+            assert emu.stats.n_messages == k + 1
 
 
 # ---------------------------------------------------------------------------
