@@ -183,24 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     emulate.add_argument("--checkpoint-dir", default=None,
                          help="recovery checkpoint directory "
                               "(default: a temporary directory)")
-    emulate.add_argument("--recovery-strategy", default="auto",
-                         choices=("local", "global", "auto"),
+    emulate.add_argument("--recovery-strategy", default="local",
+                         choices=("local", "global"),
                          help="fault recovery policy: localized "
-                              "partner-copy recovery (escalating to "
-                              "global on double faults), always-global "
-                              "checkpoint rollback, or auto (default)")
-    emulate.add_argument("--partner-refresh-every", type=int, default=1,
-                         metavar="N",
-                         help="partner-snapshot refresh cadence in steps "
-                              "(local/auto strategies; larger N = less "
-                              "redundancy traffic, longer replay window)")
+                              "partner-copy recovery, escalating to "
+                              "global on double faults (default), or "
+                              "always-global checkpoint rollback")
     emulate.add_argument("--retry-max", type=int, default=2, metavar="N",
                          help="retransmissions before a transient message "
                               "fault escalates to a failure")
-    emulate.add_argument("--retry-backoff", type=float, default=1e-4,
-                         metavar="SECONDS",
-                         help="base backoff before the first "
-                              "retransmission (doubles per retry, capped)")
     emulate.add_argument("--sanitize", action="store_true",
                          help="run the emulation under the ghost-poison "
                               "sanitizer and the exchange race detector")
@@ -215,28 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "with shared-memory pools; --kill then sends "
                               "an actual SIGKILL and recovery respawns the "
                               "process")
-    emulate.add_argument("--phase-timeout", type=float, default=10.0,
-                         metavar="SECONDS",
-                         help="process backend: soft per-phase reply "
-                              "deadline before the supervisor probes a "
-                              "silent rank")
-    emulate.add_argument("--hard-timeout", type=float, default=60.0,
-                         metavar="SECONDS",
-                         help="process backend: hard per-phase deadline "
-                              "before a silent rank is declared hung "
-                              "and killed")
-    emulate.add_argument("--heartbeat-interval", type=float, default=0.05,
-                         metavar="SECONDS",
-                         help="process backend: worker heartbeat cadence")
-    emulate.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                         metavar="SECONDS",
-                         help="process backend: heartbeat staleness after "
-                              "which a rank is declared hung")
-    emulate.add_argument("--respawn-max", type=int, default=3,
-                         metavar="N",
-                         help="process backend: respawn attempts per dead "
-                              "rank before recovery degrades to "
-                              "redistributing its blocks over survivors")
     emulate.add_argument("--schedule", metavar="TRACE.json", default=None,
                          help="replay a `repro check` counterexample trace: "
                               "its fault injections are mapped onto the "
@@ -925,37 +894,9 @@ def cmd_emulate(args: argparse.Namespace) -> int:
     if args.scrub_every is not None and args.scrub_every < 1:
         print("error: --scrub-every must be >= 1", file=sys.stderr)
         return 2
-    for flag, value, floor in (
-        ("--partner-refresh-every", args.partner_refresh_every, 1),
-        ("--retry-max", args.retry_max, 0),
-    ):
-        if value < floor:
-            print(f"error: {flag} must be >= {floor}", file=sys.stderr)
-            return 2
-    if args.retry_backoff <= 0:
-        print("error: --retry-backoff must be > 0", file=sys.stderr)
+    if args.retry_max < 0:
+        print("error: --retry-max must be >= 0", file=sys.stderr)
         return 2
-    if args.backend == "process":
-        for flag, value in (
-            ("--phase-timeout", args.phase_timeout),
-            ("--hard-timeout", args.hard_timeout),
-            ("--heartbeat-interval", args.heartbeat_interval),
-            ("--heartbeat-timeout", args.heartbeat_timeout),
-        ):
-            if value <= 0:
-                print(f"error: {flag} must be > 0", file=sys.stderr)
-                return 2
-        if args.hard_timeout < args.phase_timeout:
-            print("error: --hard-timeout must be >= --phase-timeout",
-                  file=sys.stderr)
-            return 2
-        if args.heartbeat_timeout <= args.heartbeat_interval:
-            print("error: --heartbeat-timeout must exceed "
-                  "--heartbeat-interval", file=sys.stderr)
-            return 2
-        if args.respawn_max < 0:
-            print("error: --respawn-max must be >= 0", file=sys.stderr)
-            return 2
 
     problem = _make_problem(args.problem, args.ndim)
     with problem.build(adaptive=False) as sim:
@@ -1011,26 +952,18 @@ def _drive_emulate(
 
     from repro.resilience import RetryPolicy
 
-    retry_policy = RetryPolicy(max_retries=args.retry_max,
-                               backoff_base=args.retry_backoff)
+    retry_policy = RetryPolicy(max_retries=args.retry_max)
     # The process backend owns real child processes and /dev/shm segments;
     # the exit stack guarantees teardown on every path, including raises.
     with contextlib.ExitStack() as stack:
         if args.backend == "process":
-            from repro.parallel import ProcConfig, ProcessMachine
+            from repro.parallel import ProcessMachine
 
             emu = stack.enter_context(ProcessMachine(
                 forest_emu, args.ranks, problem.scheme, bc=problem.bc,
                 fault_plan=fault_plan,
                 retry_policy=retry_policy,
                 sanitize=args.sanitize,
-                config=ProcConfig(
-                    phase_timeout=args.phase_timeout,
-                    hard_timeout=args.hard_timeout,
-                    heartbeat_interval=args.heartbeat_interval,
-                    heartbeat_timeout=args.heartbeat_timeout,
-                    respawn_max=args.respawn_max,
-                ),
             ))
             emu.recorder = recorder
         else:
@@ -1104,7 +1037,6 @@ def _emulate_loop(
                 checkpointer=Checkpointer(ckpt_dir),
                 checkpoint_every=args.checkpoint_every,
                 strategy=args.recovery_strategy,
-                partner_refresh_every=args.partner_refresh_every,
                 recorder=recorder,
             )
         except CorruptionError as exc:

@@ -1,18 +1,22 @@
-"""In-process distributed-memory emulation of the parallel algorithm.
+"""In-process distributed-memory execution of the parallel algorithm.
 
 The cost model (:mod:`repro.parallel.parallel_driver`) simulates *time*;
-this module executes the parallel algorithm *for real*: every rank owns
-private copies of its blocks in a pool of its own and runs the process
-workers' compiled phases (:class:`~repro.parallel.procworker.RankPhases`)
-in-process — ``exch1`` on every rank, then ``exch2-gather``, then
-``exch2-write``, then the compute phase.  Ranks read each other only
-through their compiled entries, one phase per barrier.  The wire side
-of each stage is a data-independent table of its transfers in plan
-order, gone through before the stage runs: every remote one is charged
-and fault-checked as a message — a same-level slab, source-side-
-restricted partial sums or a bordered coarse region, the three payload
-kinds a production block-AMR code sends — and every rank-local one is
-counted.
+this module executes the parallel algorithm *for real*.
+:class:`RankMachine` is what both executing machines share, written
+once: the assignment, block placement, the step program, the exchange
+around its stage hooks, ``restore`` and ``adopt_block``.  Its transport
+here, :class:`EmulatedMachine`, gives every rank a private pool and runs
+the process workers' compiled phases
+(:class:`~repro.parallel.procworker.RankPhases`) in-process — ``exch1``
+on every rank, then ``exch2-gather``, then ``exch2-write``, then the
+compute phase — with method calls where
+:class:`~repro.parallel.procmachine.ProcessMachine` uses pipes.  The
+wire side of each stage is a data-independent table of its transfers in
+plan order, gone through before the stage runs: every remote one is
+charged and fault-checked as a message — a same-level slab,
+source-side-restricted partial sums or a bordered coarse region, the
+three payload kinds a production block-AMR code sends — and every
+rank-local one is counted.
 
 Purpose:
 
@@ -27,21 +31,22 @@ Topology metadata (the forest structure) is replicated on every rank,
 matching the paper-era design where each PE holds the full (small)
 block tree but only its own block data.
 
-The machine is failure-aware: a :class:`repro.resilience.faults.FaultPlan`
-can kill ranks and drop/corrupt wire messages at scripted steps.  The
+The machines are failure-aware: a :class:`repro.resilience.faults.FaultPlan`
+can kill ranks and drop/corrupt wire messages at scripted steps.  A
 machine *detects* such failures (lost blocks; missing or
 checksum-mismatched payloads) and raises
 :class:`~repro.resilience.faults.RankFailure` /
 :class:`~repro.resilience.faults.MessageFailure`;
 :func:`repro.resilience.recovery.run_with_recovery` then rolls the run
-back to the last checkpoint, repartitions over the surviving ranks, and
-replays — bit-for-bit identical to a fault-free run.
+back to the last checkpoint (or rebuilds only the lost blocks from
+partner copies), repartitions over the surviving ranks, and replays —
+bit-for-bit identical to a fault-free run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple, cast
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, cast
 
 import numpy as np
 
@@ -60,9 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.poison import GhostSanitizer
     from repro.analysis.races import InboundKey, RaceDetector
     from repro.resilience.faults import BitFlip, FaultPlan, RetryPolicy
+    from repro.resilience.partner import PartnerStore
     from repro.resilience.scrub import Scrubber
 
-__all__ = ["EmulatedMachine", "ExchangeStats"]
+__all__ = ["EmulatedMachine", "ExchangeStats", "RankMachine"]
 
 
 @dataclass
@@ -108,24 +114,138 @@ class ExchangeStats:
 
 
 class RankMachine:
-    """What both executing machines share: blocks spread over ranks by
-    an assignment over the replicated topology, the accessors the
-    resilience layer uses, and the race-detector events replayed from
-    the exchange schedule at the phase barriers."""
+    """Run a block-AMR time step across distributed ranks.
 
-    topology: BlockForest
-    n_ranks: int
-    alive: List[bool]
-    assignment: Assignment
-    rank_blocks: List[Dict[BlockID, Block]]
-    #: the exchange schedule (:func:`repro.core.ghost.exchange_regions`)
-    _plan: List[Region]
-    race_detector: Optional["RaceDetector"]
-    scrubber: Optional["Scrubber"]
-    fault_plan: Optional["FaultPlan"]
-    _staged_flips: List["BitFlip"]
-    time: float
-    step_index: int
+    Parameters
+    ----------
+    forest:
+        Template forest carrying the topology and the initial data; its
+        block data is *copied* into per-rank storage (the template is
+        not modified by stepping).
+    n_ranks:
+        Number of ranks.
+    scheme:
+        Finite-volume scheme for stepping.
+    bc:
+        Physical boundary handler (applied rank-locally).
+    assignment:
+        Optional block-to-rank map (default: the SFC cut), checked to
+        name every block exactly once, each on a rank in range.
+    fault_plan:
+        Optional scripted failures (see
+        :class:`repro.resilience.faults.FaultPlan`).
+    retry_policy:
+        Optional :class:`repro.resilience.faults.RetryPolicy`; when
+        given, message faults marked transient are retransmitted with
+        capped exponential backoff instead of raising, and only retry
+        exhaustion escalates to a :class:`MessageFailure`.
+    sanitize:
+        When True, run under the ghost-poison sanitizer: every rank's
+        ghost layers are poisoned at construction and before each
+        exchange, and verified filled afterwards (see
+        :class:`repro.analysis.poison.GhostSanitizer`).  Because ghost
+        data reaches a rank only through its compiled entries, a
+        sanitizer trip pinpoints a transfer missing from the schedule.
+
+    A :class:`repro.analysis.races.RaceDetector` can additionally be
+    attached with :meth:`attach_race_detector`; the machine then emits
+    publish / receive / ghost-read / consume / interior-write events so
+    ordering violations in the bulk-synchronous schedule (write-after-
+    publish, read-before-receive) surface immediately.
+
+    A subclass supplies the transport: ``_open`` creates the ranks'
+    storage and populates it, ``_arena(rank)`` is a rank's pool,
+    ``kill_rank`` loses a rank, ``_configure`` compiles the alive ranks'
+    phases for the current placement, and ``_stage1`` (``exch1``),
+    ``_stage2`` (``exch2-gather`` then ``exch2-write``) and
+    ``_compute(op, dt)`` run a phase on every alive rank.  It may add
+    bookkeeping around a step (``_begin_step``, ``_end_step``), classify
+    deaths (``_death_kinds``) and revive ranks (``try_respawn``).
+    """
+
+    def __init__(
+        self,
+        forest: BlockForest,
+        n_ranks: int,
+        scheme: FVScheme,
+        *,
+        bc: Optional[BoundaryHandler] = None,
+        assignment: Optional[Assignment] = None,
+        fault_plan: Optional["FaultPlan"] = None,
+        retry_policy: Optional["RetryPolicy"] = None,
+        sanitize: bool = False,
+    ) -> None:
+        self.topology = forest  # replicated metadata (structure only)
+        self.scheme = scheme
+        self.bc = bc
+        self.n_ranks = int(n_ranks)
+        self.fault_plan = fault_plan
+        self.retry_policy = retry_policy
+        self.alive: List[bool] = [True] * self.n_ranks
+        if assignment is not None:
+            self._check_assignment(assignment)
+        self.assignment: Assignment = dict(
+            assignment if assignment is not None
+            else sfc_partition(forest, self.n_ranks)
+        )
+        self.step_index = 0
+        self.time = 0.0
+        self.stats = ExchangeStats()
+        #: the exchange schedule (:func:`repro.core.ghost.exchange_regions`)
+        self._plan: List[Region] = exchange_regions(forest)
+        self._msg_index = 0
+        self.rank_blocks: List[Dict[BlockID, Block]] = [{} for _ in range(self.n_ranks)]
+        #: the ranks' compiled phases are stale: the next exchange
+        #: reconfigures them (set whenever blocks move)
+        self._config_dirty = True
+        self.race_detector: Optional["RaceDetector"] = None
+        self.sanitizer: Optional["GhostSanitizer"] = None
+        self.scrubber: Optional["Scrubber"] = None
+        self._staged_flips: List["BitFlip"] = []
+        self._open(forest)
+        if sanitize:
+            from repro.analysis.poison import GhostSanitizer, poison_forest
+
+            self.sanitizer = GhostSanitizer(depth=scheme.required_ghost)
+            poison_forest(self._all_blocks())
+
+    # -- transport hooks (see the class docstring) ----------------------
+
+    def _open(self, forest: BlockForest) -> None:
+        raise NotImplementedError
+
+    def _arena(self, rank: int) -> BlockArena:
+        raise NotImplementedError
+
+    def kill_rank(self, rank: int) -> None:
+        raise NotImplementedError
+
+    def _configure(self) -> None:
+        raise NotImplementedError
+
+    def _stage1(self) -> None:
+        raise NotImplementedError
+
+    def _stage2(self) -> None:
+        raise NotImplementedError
+
+    def _compute(self, op: str, dt: float) -> None:
+        raise NotImplementedError
+
+    def _begin_step(self) -> None:
+        pass
+
+    def _end_step(self) -> None:
+        pass
+
+    def _death_kinds(self, ranks: Sequence[int]) -> Tuple[str, ...]:
+        return ()  # the emulator does not classify its failures
+
+    def try_respawn(self, rank: int) -> bool:
+        """Bring a dead rank back; an emulated rank stays dead."""
+        return False
+
+    # -- placement and recovery -----------------------------------------
 
     def _check_assignment(self, assignment: Assignment) -> None:
         """Raise ``ValueError`` unless ``assignment`` names every block of
@@ -152,11 +272,54 @@ class RankMachine:
         if problems:
             raise ValueError("bad assignment: " + "; ".join(problems))
 
-    def _restore_assignment(
-        self, forest: BlockForest, assignment: Optional[Assignment]
-    ) -> Assignment:
-        """The assignment a restore from ``forest`` installs: the given
-        one, checked, or an SFC cut over the surviving ranks."""
+    def _place(self, bid: BlockID, rank: int) -> Block:
+        """A zeroed clone of block ``bid`` in a row of ``rank``'s pool.
+        Connectivity comes from the machine's own replicated topology,
+        so restores from a checkpoint use identical pointers."""
+        arena = self._arena(rank)
+        tmpl = self.topology.blocks[bid]
+        row = arena.acquire()
+        clone = Block(
+            id=tmpl.id, box=tmpl.box, m=tmpl.m, n_ghost=tmpl.n_ghost,
+            nvar=tmpl.nvar, data=arena.view(row),
+        )
+        arena.bind(row, clone)
+        clone.face_neighbors = tmpl.face_neighbors
+        self.rank_blocks[rank][bid] = clone
+        return clone
+
+    def _populate(self, forest: BlockForest) -> None:
+        """Place every block on its assigned rank, in SFC order, holding
+        a copy of ``forest``'s padded data; rows held before are freed."""
+        for rank, blocks in enumerate(self.rank_blocks):
+            for block in blocks.values():
+                self._arena(rank).release(block)
+        self.rank_blocks = [{} for _ in range(self.n_ranks)]
+        for bid in self.topology.sorted_ids():
+            np.copyto(self._place(bid, self.assignment[bid]).data, forest.blocks[bid].data)
+        self._config_dirty = True
+
+    def restore(
+        self,
+        forest: BlockForest,
+        *,
+        time: float,
+        step_index: Optional[int] = None,
+        assignment: Optional[Assignment] = None,
+    ) -> None:
+        """Rebuild the machine's global state from a checkpoint forest.
+
+        Dead ranks are revived where the transport can (the rollback
+        restarts the whole machine), the block-to-rank assignment is
+        recomputed over the *surviving* ranks (SFC repartition) unless
+        one is given, every block's data is repopulated from
+        ``forest``, and the simulation clock rewinds to the checkpoint —
+        the receiving half of the global rollback-and-replay recovery
+        protocol.  A bad assignment is rejected before any block moves.
+        """
+        for rank in range(self.n_ranks):
+            if not self.alive[rank]:
+                self.try_respawn(rank)
         if set(forest.blocks) != set(self.topology.blocks):
             raise ValueError(
                 "checkpoint topology does not match the machine's "
@@ -169,11 +332,8 @@ class RankMachine:
             chunks = sfc_partition(self.topology, len(alive))
             assignment = {bid: alive[r] for bid, r in chunks.items()}
         self._check_assignment(assignment)
-        return dict(assignment)
-
-    def _restored(self, time: float, step_index: Optional[int]) -> None:
-        """Close a restore: every interior was rewritten and the clock
-        rewinds to the checkpoint."""
+        self.assignment = dict(assignment)
+        self._populate(forest)
         if self.race_detector is not None:
             # A restore is the rollback after a failure that may have
             # aborted an exchange mid-epoch; close that dead epoch so
@@ -186,6 +346,123 @@ class RankMachine:
             self.step_index = step_index
         self._staged_flips.clear()
         self.scrub_retag()
+
+    @phase_effect("heal")
+    def adopt_block(self, bid: BlockID, rank: int, interior: np.ndarray) -> None:
+        """Recreate one block on ``rank`` from a redundant interior copy.
+
+        The receiving half of *localized* recovery: only the lost block
+        is rebuilt (ghosts are garbage until the next exchange refills
+        them from live neighbors) and the assignment is updated in
+        place — no other rank's data moves.  A surviving previous
+        owner's row is freed first, so adopting onto the current owner
+        reuses its row (``interior`` must not be a view of that row).
+        """
+        if not self.alive[rank]:
+            raise ValueError(f"cannot adopt block onto dead rank {rank}")
+        old = self.assignment.get(bid)
+        if old is not None and bid in self.rank_blocks[old]:
+            # the previous owner is alive: free its row
+            self._arena(old).release(self.rank_blocks[old].pop(bid))
+        clone = self._place(bid, rank)
+        clone.interior[...] = interior
+        self.assignment[bid] = rank
+        self._config_dirty = True
+        if self.race_detector is not None:
+            self.race_detector.on_interior_write(bid, rank)
+        if self.scrubber is not None:
+            self.scrubber.retag_block(bid, clone)
+
+    def make_partner_store(self) -> "PartnerStore":
+        """The localized-recovery tier that keeps this machine's partner
+        copies (:func:`repro.resilience.recovery.run_with_recovery`)."""
+        from repro.resilience.partner import PartnerStore
+
+        return PartnerStore(self)
+
+    # -- stepping --------------------------------------------------------
+
+    def advance(self, dt: float) -> None:
+        """One (two-stage for order 2) time step across all ranks.
+
+        With a fault plan attached, scripted rank deaths fire before the
+        step executes; the resulting lost blocks are detected and
+        reported by raising :class:`~repro.resilience.faults.RankFailure`
+        (message faults surface mid-exchange as
+        :class:`~repro.resilience.faults.MessageFailure`).  The machine
+        is then in a partial state; recover with :meth:`restore` or
+        :meth:`adopt_block`.
+        """
+        self._begin_step()
+        if self.fault_plan is not None:
+            killed = [
+                r for r in self.fault_plan.kills_at(self.step_index)
+                if 0 <= r < self.n_ranks and self.alive[r]
+            ]
+            for rank in killed:
+                self.kill_rank(rank)
+            # Killing a rank that owned no blocks (possible when
+            # n_ranks > n_blocks) loses no data, so the step simply
+            # proceeds over the survivors instead of raising.
+            lost = self.lost_blocks() if killed else []
+            if lost:
+                from repro.resilience.faults import RankFailure
+
+                raise RankFailure(
+                    self.step_index, tuple(killed), tuple(lost),
+                    kinds=self._death_kinds(killed),
+                )
+        self._flip_and_scrub()
+        self._msg_index = 0
+        if self.race_detector is not None:
+            self.race_detector.begin_step()
+        stages = ("step",) if self.scheme.n_stages == 1 else ("predictor", "corrector")
+        for op in stages:
+            self.exchange()
+            self._compute(op, dt)
+            self._replay_compute()
+        if self.sanitizer is not None:
+            self.sanitizer.after_stage(self._all_blocks())
+        self.time += dt
+        self.step_index += 1
+        # Staging flips whose message index never came up this step are
+        # dropped — the staging buffers they targeted no longer exist —
+        # and the committed state becomes the scrubber's new baseline.
+        self._staged_flips.clear()
+        self.scrub_retag()
+        self._end_step()
+
+    @phase_effect("exchange")
+    def exchange(self) -> None:
+        """One full ghost exchange: stage 1 (same-level copies and
+        restrictions, then physical BCs) on every rank, then stage 2
+        (prolongations) gathered on every rank before any rank writes.
+
+        Refuses while blocks are lost to failed ranks (a dead rank holds
+        none, nor does a respawned one yet) — a survivor's entries would
+        read blocks nobody holds — until :meth:`restore` or
+        :meth:`adopt_block` puts them back.
+        """
+        if sum(map(len, self.rank_blocks)) != self.topology.n_blocks:
+            raise RuntimeError(
+                f"cannot exchange: {len(self.lost_blocks())} block(s) lost to "
+                "failed ranks; restore from a checkpoint first"
+            )
+        if self._config_dirty:
+            self._configure()
+        det = self.race_detector
+        if self.sanitizer is not None:
+            self.sanitizer.before_exchange(self._all_blocks())
+        if det is not None:
+            det.begin_epoch()
+        self._stage1()
+        self._replay_exchange(stage2=False)
+        self._stage2()
+        self._replay_exchange(stage2=True)
+        if det is not None:
+            det.end_epoch()
+        if self.sanitizer is not None:
+            self.sanitizer.after_exchange(self._all_blocks())
 
     def _flip_and_scrub(self) -> None:
         """Before a step's first exchange: the step's scripted bit-flips
@@ -339,121 +616,46 @@ class RankMachine:
 
 
 class EmulatedMachine(RankMachine):
-    """Run a block-AMR time step across emulated distributed ranks.
-
-    Parameters
-    ----------
-    forest:
-        Template forest carrying the topology and the initial data; its
-        block data is *copied* into per-rank storage (the template is
-        not modified by emulated stepping).
-    n_ranks:
-        Number of emulated ranks.
-    scheme:
-        Finite-volume scheme for stepping.
-    bc:
-        Physical boundary handler (applied rank-locally).
-    fault_plan:
-        Optional scripted failures (see
-        :class:`repro.resilience.faults.FaultPlan`).
-    retry_policy:
-        Optional :class:`repro.resilience.faults.RetryPolicy`; when
-        given, message faults marked transient are retransmitted with
-        capped exponential backoff instead of raising, and only retry
-        exhaustion escalates to a :class:`MessageFailure`.
-    sanitize:
-        When True, run under the ghost-poison sanitizer: every rank's
-        ghost layers are poisoned at construction and before each
-        exchange, and verified filled afterwards (see
-        :class:`repro.analysis.poison.GhostSanitizer`).  Because ghost
-        data reaches a rank only through its compiled entries, a
-        sanitizer trip pinpoints a transfer missing from the schedule.
-
-    A :class:`repro.analysis.races.RaceDetector` can additionally be
-    attached with :meth:`attach_race_detector`; the machine then emits
-    publish / receive / ghost-read / consume / interior-write events so
-    ordering violations in the bulk-synchronous schedule (write-after-
-    publish, read-before-receive) surface immediately.
+    """The in-process transport: every rank's blocks are rows of a
+    private pool, and every rank's compiled
+    :class:`~repro.parallel.procworker.RankPhases` run as method calls,
+    one phase on every rank before the next begins.  Remote transfers
+    are charged and fault-checked as wire messages from a
+    data-independent table (:meth:`_send`).  Constructor parameters:
+    see :class:`RankMachine`.
     """
 
-    def __init__(
-        self,
-        forest: BlockForest,
-        n_ranks: int,
-        scheme: FVScheme,
-        *,
-        bc: Optional[BoundaryHandler] = None,
-        assignment: Optional[Assignment] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        retry_policy: Optional["RetryPolicy"] = None,
-        sanitize: bool = False,
-    ) -> None:
-        self.topology = forest  # replicated metadata (structure only)
-        self.scheme = scheme
-        self.bc = bc
-        self.n_ranks = n_ranks
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
-        self.alive: List[bool] = [True] * n_ranks
-        if assignment is not None:
-            self._check_assignment(assignment)
-        self.step_index = 0
-        self._msg_index = 0
-        self.assignment = dict(
-            assignment if assignment is not None else sfc_partition(forest, n_ranks)
-        )
-        self._populate(forest)
-        self.stats = ExchangeStats()
-        self.time = 0.0
-        self._plan = exchange_regions(forest)
-        #: every alive rank's compiled phases, and the wire table: the
-        #: transfers of stage 1 and of stage 2 in plan order, each with
-        #: its payload size if it crosses ranks (None if it does not);
-        #: both rebuilt at the first exchange after a change
-        self._ranks: Dict[int, RankPhases] = {}
-        self._wire: Tuple[List[Tuple[Transfer, Optional[int]]], ...] = ([], [])
-        self.race_detector: Optional["RaceDetector"] = None
-        self.sanitizer: Optional["GhostSanitizer"] = None
-        self.scrubber: Optional["Scrubber"] = None
-        self._staged_flips: List["BitFlip"] = []
-        if sanitize:
-            from repro.analysis.poison import GhostSanitizer, poison_forest
+    #: every rank's private pool (a dead rank's is replaced by an empty one)
+    _arenas: List[BlockArena]
+    #: every alive rank's compiled phases, and the wire table: the
+    #: transfers of stage 1 and of stage 2 in plan order, each with its
+    #: payload size if it crosses ranks (None if it does not); both
+    #: rebuilt at the first exchange after a change
+    _ranks: Dict[int, RankPhases]
+    _wire: Tuple[List[Tuple[Transfer, Optional[int]]], ...]
 
-            self.sanitizer = GhostSanitizer(depth=scheme.required_ghost)
-            poison_forest(self._all_blocks())
-
-    def _populate(self, forest: BlockForest) -> None:
-        """Fill per-rank storage with private copies of the block data:
-        every rank gets its own pool and its blocks are rows of it."""
+    def _open(self, forest: BlockForest) -> None:
         owned = list(self.assignment.values())
-        ranks = range(self.n_ranks)
-        self.rank_blocks = [{} for _ in ranks]
-        self._arenas = [self._empty_pool(owned.count(rank)) for rank in ranks]
-        for bid, block in forest.blocks.items():
-            np.copyto(self._place(bid, self.assignment[bid]).data, block.data)
-        self._config_dirty = True
+        self._arenas = [self._empty_pool(owned.count(rank)) for rank in range(self.n_ranks)]
+        self._populate(forest)
 
     def _empty_pool(self, capacity: int = 1) -> BlockArena:
         geom = self.topology
         return BlockArena(geom.m, geom.n_ghost, geom.nvar, initial_capacity=capacity)
 
-    def _place(self, bid: BlockID, rank: int) -> Block:
-        """A zeroed private clone of block ``bid`` in a row of ``rank``'s
-        pool.  Connectivity comes from the machine's own replicated
-        topology, so restores from a checkpoint use identical pointers."""
-        arena = self._arenas[rank]
-        tmpl = self.topology.blocks[bid]
-        row = arena.acquire()
-        clone = Block(
-            id=tmpl.id, box=tmpl.box, m=tmpl.m, n_ghost=tmpl.n_ghost,
-            nvar=tmpl.nvar, data=arena.view(row),
-        )
-        arena.bind(row, clone)
-        clone.face_neighbors = tmpl.face_neighbors
-        self.rank_blocks[rank][bid] = clone
-        return clone
+    def _arena(self, rank: int) -> BlockArena:
+        return self._arenas[rank]
 
-    def _compile(self) -> None:
+    def kill_rank(self, rank: int) -> None:
+        """Simulate a node loss: the rank's private block data vanishes."""
+        if not (0 <= rank < self.n_ranks):
+            raise ValueError(f"rank {rank} out of range")
+        self.alive[rank] = False
+        self.rank_blocks[rank] = {}
+        self._arenas[rank] = self._empty_pool()
+        self._config_dirty = True
+
+    def _configure(self) -> None:
         """Compile every alive rank's phases over its pool and the wire
         table of the current assignment."""
         geom = self.topology
@@ -475,63 +677,6 @@ class EmulatedMachine(RankMachine):
                     t, geom.nvar, geom.ndim, geom.prolong_order
                 ) if remote else None))
         self._config_dirty = False
-
-    # ------------------------------------------------------------------
-    # failure handling
-    # ------------------------------------------------------------------
-
-    def kill_rank(self, rank: int) -> None:
-        """Simulate a node loss: the rank's private block data vanishes."""
-        if not (0 <= rank < self.n_ranks):
-            raise ValueError(f"rank {rank} out of range")
-        self.alive[rank] = False
-        self.rank_blocks[rank] = {}
-        self._arenas[rank] = self._empty_pool()
-        self._config_dirty = True
-
-    def restore(
-        self,
-        forest: BlockForest,
-        *,
-        time: float,
-        step_index: Optional[int] = None,
-        assignment: Optional[Assignment] = None,
-    ) -> None:
-        """Rebuild the machine's global state from a checkpoint forest.
-
-        The block-to-rank assignment is recomputed over the *surviving*
-        ranks (SFC repartition) unless one is given, every block's data
-        is repopulated from ``forest``, and the simulation clock rewinds
-        to the checkpoint — the receiving half of the global
-        rollback-and-replay recovery protocol.
-        """
-        self.assignment = self._restore_assignment(forest, assignment)
-        self._populate(forest)
-        self._restored(time, step_index)
-
-    @phase_effect("heal")
-    def adopt_block(self, bid: BlockID, rank: int, interior: np.ndarray) -> None:
-        """Recreate one block on ``rank`` from a redundant interior copy.
-
-        The receiving half of *localized* recovery: only the lost block
-        is rebuilt (ghosts are garbage until the next exchange refills
-        them from live neighbors) and the assignment is updated in
-        place — no other rank's data moves.
-        """
-        if not self.alive[rank]:
-            raise ValueError(f"cannot adopt block onto dead rank {rank}")
-        old = self.assignment.get(bid)
-        gone = self.rank_blocks[old].pop(bid, None) if old is not None else None
-        if gone is not None:  # the previous owner is alive: free its row
-            self._arenas[old].release(gone)
-        clone = self._place(bid, rank)
-        clone.interior[...] = interior
-        self.assignment[bid] = rank
-        self._config_dirty = True
-        if self.race_detector is not None:
-            self.race_detector.on_interior_write(bid, rank)
-        if self.scrubber is not None:
-            self.scrubber.retag_block(bid, clone)
 
     def _send(self, t: Transfer, values: int) -> None:
         """Put one remote transfer's payload of ``values`` float64 on the
@@ -608,97 +753,18 @@ class EmulatedMachine(RankMachine):
             if METRICS.enabled:
                 METRICS.inc("exchange.local")
 
-    # ------------------------------------------------------------------
-
-    @phase_effect("exchange")
-    def exchange(self) -> None:
-        """One full ghost exchange, the rank processes' phase program
-        with method calls for pipes: stage 1 (same-level copies and
-        restrictions, then physical BCs) on every rank, then stage 2
-        (prolongations) gathered on every rank before any rank writes.
-        """
-        if not all(self.alive):
-            lost = self.lost_blocks()
-            if lost:
-                raise RuntimeError(
-                    f"cannot exchange: {len(lost)} block(s) lost to failed "
-                    "ranks; restore from a checkpoint first"
-                )
-        if self._config_dirty:
-            self._compile()
-        det = self.race_detector
-        if self.sanitizer is not None:
-            self.sanitizer.before_exchange(self._all_blocks())
-        if det is not None:
-            det.begin_epoch()
-        ranks = self._ranks.values()
+    def _stage1(self) -> None:
         self._transmit(stage2=False)
-        for phases in ranks:
-            phases.exch1()
-        self._replay_exchange(stage2=False)
-        self._transmit(stage2=True)
-        for phases in ranks:
-            phases.exch2_gather()
-        for phases in ranks:
-            phases.exch2_write()
-        self._replay_exchange(stage2=True)
-        if det is not None:
-            det.end_epoch()
-        if self.sanitizer is not None:
-            self.sanitizer.after_exchange(self._all_blocks())
-
-    # ------------------------------------------------------------------
-
-    def advance(self, dt: float) -> None:
-        """One (two-stage for order 2) time step across all ranks.
-
-        With a fault plan attached, scripted rank deaths fire before the
-        step executes; the resulting lost blocks are detected and
-        reported by raising :class:`~repro.resilience.faults.RankFailure`
-        (message faults surface mid-exchange as
-        :class:`~repro.resilience.faults.MessageFailure`).  The machine
-        is then in a partial state; recover with :meth:`restore`.
-        """
-        if self.fault_plan is not None:
-            killed = [
-                r for r in self.fault_plan.kills_at(self.step_index)
-                if 0 <= r < self.n_ranks and self.alive[r]
-            ]
-            if killed:
-                for rank in killed:
-                    self.kill_rank(rank)
-                lost = self.lost_blocks()
-                # Killing a rank that owned no blocks (possible when
-                # n_ranks > n_blocks) loses no data, so the step simply
-                # proceeds over the survivors instead of raising.
-                if lost:
-                    from repro.resilience.faults import RankFailure
-
-                    raise RankFailure(
-                        self.step_index, tuple(killed), tuple(lost)
-                    )
-        self._flip_and_scrub()
-        self._msg_index = 0
-        if self.race_detector is not None:
-            self.race_detector.begin_step()
-        self.exchange()
-        if self.scheme.n_stages == 1:
-            self._compute(lambda phases: phases.step(dt))
-        else:
-            self._compute(lambda phases: phases.predictor(dt))
-            self.exchange()
-            self._compute(lambda phases: phases.corrector(dt))
-        if self.sanitizer is not None:
-            self.sanitizer.after_stage(self._all_blocks())
-        self.time += dt
-        self.step_index += 1
-        # Staging flips whose message index never came up this step are
-        # dropped — the staging buffers they targeted no longer exist.
-        self._staged_flips.clear()
-        self.scrub_retag()
-
-    def _compute(self, phase: Callable[[RankPhases], object]) -> None:
-        """One compute phase on every alive rank."""
         for phases in self._ranks.values():
-            phase(phases)
-        self._replay_compute()
+            phases.exch1()
+
+    def _stage2(self) -> None:
+        self._transmit(stage2=True)
+        for phases in self._ranks.values():
+            phases.exch2_gather()
+        for phases in self._ranks.values():
+            phases.exch2_write()
+
+    def _compute(self, op: str, dt: float) -> None:
+        for phases in self._ranks.values():
+            getattr(phases, op)(dt)

@@ -1,15 +1,16 @@
 """Real-process parallel backend: one OS process per rank.
 
-:class:`ProcessMachine` is API-compatible with
-:class:`~repro.parallel.emulator.EmulatedMachine` but every rank is a
-real forked process whose :class:`~repro.core.arena.BlockArena` pool
-lives in a POSIX shared-memory segment
+:class:`ProcessMachine` is the second transport of
+:class:`~repro.parallel.emulator.RankMachine`, which owns the step
+program, block placement and block adoption for both machines.  Every
+rank is a real forked process whose :class:`~repro.core.arena.BlockArena`
+pool lives in a POSIX shared-memory segment
 (:class:`~repro.parallel.shared_arena.SharedBlockArena`).  Same-node
 ghost exchange is therefore a flat index copy out of the neighbor's
-segment — no payload ever crosses the control pipes — while the step
-itself runs under a barrier-phase protocol driven by the supervisor
-(this class): ``exch1 → exch2-gather → exch2-write → compute``, each
-phase acknowledged by every alive rank before the next begins (see
+segment — no payload ever crosses the control pipes — while each phase
+of the step program (``exch1 → exch2-gather → exch2-write → compute``)
+is a barrier driven by the supervisor (this class) and acknowledged by
+every alive rank before the next begins (see
 :mod:`repro.parallel.procworker` for why stage 2 splits around a
 barrier and what the gather replays to stay bit-for-bit equal to the
 serial exchange).
@@ -55,6 +56,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -62,14 +64,11 @@ from typing import (
 import numpy as np
 import weakref
 
-from repro.analysis.protocol import phase_effect
-from repro.core.block import Block
+from repro.core.arena import BlockArena
 from repro.core.block_id import BlockID
 from repro.core.forest import BlockForest
-from repro.core.ghost import BoundaryHandler, Region, exchange_regions
 from repro.obs.metrics import METRICS
-from repro.parallel.emulator import ExchangeStats, RankMachine
-from repro.parallel.partition import Assignment, sfc_partition
+from repro.parallel.emulator import RankMachine
 from repro.parallel.procworker import WorkerSpec, worker_main
 from repro.parallel.shared_arena import (
     SharedBlockArena,
@@ -88,12 +87,8 @@ from repro.solvers.scheme import FVScheme
 from repro.util.timing import wall_clock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.poison import GhostSanitizer
-    from repro.analysis.races import RaceDetector
     from repro.obs.recorder import RunRecorder
-    from repro.resilience.faults import BitFlip, FaultPlan, RetryPolicy
     from repro.resilience.procpartner import SharedPartnerRing
-    from repro.resilience.scrub import Scrubber
 
 __all__ = ["ProcessMachine"]
 
@@ -106,12 +101,12 @@ _COMPUTE_OPS = ("step", "predictor", "corrector")
 class ProcessMachine(RankMachine):
     """Run a block-AMR time step across real single-rank OS processes.
 
-    The supervisor-side block views alias the rank segments directly,
-    so scrubbing and bitflip injection touch the same shared memory the
-    worker processes compute on — no copies, no extra phases.
-
-    Constructor signature matches
-    :class:`~repro.parallel.emulator.EmulatedMachine` plus:
+    A :class:`~repro.parallel.emulator.RankMachine` whose ranks' pools
+    are the arenas of their shared segments and whose phases are
+    barrier round trips over the control pipes.  The supervisor-side
+    block views alias the segments directly, so scrubbing and bitflip
+    injection touch the same shared memory the workers compute on.
+    Constructor parameters are ``RankMachine``'s plus:
 
     config:
         :class:`~repro.parallel.supervisor.ProcConfig` timeouts.
@@ -132,53 +127,26 @@ class ProcessMachine(RankMachine):
         n_ranks: int,
         scheme: FVScheme,
         *,
-        bc: Optional[BoundaryHandler] = None,
-        assignment: Optional[Assignment] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        retry_policy: Optional["RetryPolicy"] = None,
-        sanitize: bool = False,
         config: Optional[ProcConfig] = None,
         test_hooks: Optional[Dict[int, Dict[Tuple[int, str], str]]] = None,
+        **machine: Any,
     ) -> None:
         if not hasattr(os, "kill") or os.name != "posix":
             raise RuntimeError("the process backend requires a POSIX host")
-        self.topology = forest
-        self.scheme = scheme
-        self.bc = bc
-        self.n_ranks = int(n_ranks)
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
+        n_ranks = int(n_ranks)
         self.config = config if config is not None else ProcConfig()
         self.test_hooks = test_hooks or {}
         #: ranks whose respawn is scripted to fail (degradation tests)
         self.fail_respawn: Set[int] = set()
-        self.alive: List[bool] = [True] * self.n_ranks
-        if assignment is not None:
-            self._check_assignment(assignment)
-        self.step_index = 0
-        self.time = 0.0
-        self.stats = ExchangeStats()
-        self.assignment: Assignment = dict(
-            assignment if assignment is not None
-            else sfc_partition(forest, self.n_ranks)
-        )
-        #: the exchange schedule; workers inherit it through the fork
-        self._plan: List[Region] = exchange_regions(forest)
         self._ctx = get_context("fork")
+        #: pool rows and mirror rows per segment: room for every block
         self._capacity = max(1, forest.n_blocks)
-        self._mirror_capacity = max(1, forest.n_blocks)
-        self._segments: List[Optional[SharedBlockArena]] = [None] * self.n_ranks
-        self._procs: List[Optional[Any]] = [None] * self.n_ranks
-        self._conns: List[Optional[Connection]] = [None] * self.n_ranks
-        self._gen = [0] * self.n_ranks
-        self.rank_blocks: List[Dict[BlockID, Block]] = [
-            {} for _ in range(self.n_ranks)
-        ]
-        self._locator: Dict[BlockID, Tuple[int, int]] = {}
+        self._segments: List[Optional[SharedBlockArena]] = [None] * n_ranks
+        self._procs: List[Optional[Any]] = [None] * n_ranks
+        self._conns: List[Optional[Connection]] = [None] * n_ranks
+        self._gen = [0] * n_ranks
         self._seq = 0
-        self._msg_index = 0
         self._interiors_dirty = False
-        self._config_dirty = False
         self._closed = False
         self.deaths: List[RankDeath] = []
         self.phase_seconds: Dict[str, float] = {
@@ -186,15 +154,18 @@ class ProcessMachine(RankMachine):
         }
         #: per bucket, what the ranks report of their own phases: busy
         #: seconds by rank, and the rest of the supervisor's wall
-        self._work = {b: [0.0] * self.n_ranks for b in self.phase_seconds}
+        self._work = {b: [0.0] * n_ranks for b in self.phase_seconds}
         self._wait = dict.fromkeys(self.phase_seconds, 0.0)
         self.recorder: Optional["RunRecorder"] = None
-        self.race_detector: Optional["RaceDetector"] = None
-        self.sanitizer: Optional["GhostSanitizer"] = None
-        self.scrubber: Optional["Scrubber"] = None
-        self._staged_flips: List["BitFlip"] = []
+        super().__init__(forest, n_ranks, scheme, **machine)
 
-        # Heartbeat board: one float64 counter per rank.
+    # ------------------------------------------------------------------
+    # storage
+    # ------------------------------------------------------------------
+
+    def _open(self, forest: BlockForest) -> None:
+        # heartbeat board, a segment per rank, then the workers, which
+        # get the schedule and their configuration through the fork
         self._hb_shm = shared_memory.SharedMemory(
             name=segment_name("hb"), create=True, size=8 * self.n_ranks
         )
@@ -204,7 +175,6 @@ class ProcessMachine(RankMachine):
         board = np.frombuffer(self._hb_shm.buf, dtype=np.float64)
         board[:] = 0.0
         self._monitor = HeartbeatMonitor(board)
-
         try:
             for rank in range(self.n_ranks):
                 self._create_segment(rank)
@@ -215,22 +185,18 @@ class ProcessMachine(RankMachine):
         except BaseException:
             self.close()
             raise
-        if sanitize:
-            from repro.analysis.poison import GhostSanitizer, poison_forest
+        self._config_dirty = False
 
-            self.sanitizer = GhostSanitizer(depth=scheme.required_ghost)
-            poison_forest(self._all_blocks())
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
+    def _arena(self, rank: int) -> BlockArena:
+        seg = self._segments[rank]
+        assert seg is not None and seg.arena is not None
+        return seg.arena
 
     def _create_segment(self, rank: int) -> SharedBlockArena:
         self._gen[rank] += 1
         seg = SharedBlockArena(
             self.topology.m, self.topology.n_ghost, self.topology.nvar,
-            capacity=self._capacity,
-            mirror_capacity=self._mirror_capacity,
+            capacity=self._capacity, mirror_capacity=self._capacity,
             name=segment_name(f"r{rank}g{self._gen[rank]}"),
             create=True,
         )
@@ -239,45 +205,21 @@ class ProcessMachine(RankMachine):
             METRICS.inc("proc.segments_created")
         return seg
 
-    def _bind_block(self, bid: BlockID, rank: int) -> Block:
-        """Allocate a pool row on ``rank`` and bind a supervisor-side view."""
-        seg = self._segments[rank]
-        assert seg is not None and seg.arena is not None
-        row = seg.arena.acquire()
-        tmpl = self.topology.blocks[bid]
-        blk = Block(
-            id=tmpl.id, box=tmpl.box, m=tmpl.m,
-            n_ghost=tmpl.n_ghost, nvar=tmpl.nvar,
-            data=seg.arena.view(row),
-        )
-        seg.arena.bind(row, blk)
-        blk.face_neighbors = tmpl.face_neighbors
-        self.rank_blocks[rank][bid] = blk
-        self._locator[bid] = (rank, row)
-        return blk
-
-    def _populate(self, forest: BlockForest) -> None:
-        """Write every block's padded data into its owner's shared pool."""
-        for bid in self.topology.sorted_ids():
-            rank = self.assignment[bid]
-            blk = self._bind_block(bid, rank)
-            seg = self._segments[rank]
-            assert seg is not None and seg.arena is not None
-            assert blk.arena_row is not None
-            seg.arena.view(blk.arena_row)[...] = forest.blocks[bid].data
-
     def _config_payload(self) -> Dict[str, Any]:
         # Every live segment is announced — including a just-respawned
         # rank's fresh segment, which exists before the rank is marked
-        # alive (the bootstrap handshake needs it).
-        segments = {}
-        for rank in range(self.n_ranks):
-            seg = self._segments[rank]
-            if seg is not None:
-                segments[rank] = (seg.name, seg.capacity, seg.mirror_capacity)
+        # alive (the bootstrap handshake needs it) — and every held
+        # block's (rank, row) in it.
         return {
-            "segments": segments,
-            "locator": dict(self._locator),
+            "segments": {
+                rank: (seg.name, seg.capacity, seg.mirror_capacity)
+                for rank, seg in enumerate(self._segments) if seg is not None
+            },
+            "locator": {
+                bid: (rank, blk.arena_row)
+                for rank, blocks in enumerate(self.rank_blocks)
+                for bid, blk in blocks.items()
+            },
             "assignment": dict(self.assignment),
         }
 
@@ -373,9 +315,6 @@ class ProcessMachine(RankMachine):
         self._conns[rank] = None
         self.alive[rank] = False
         self.rank_blocks[rank] = {}
-        self._locator = {
-            bid: loc for bid, loc in self._locator.items() if loc[0] != rank
-        }
         seg = self._segments[rank]
         if seg is not None:
             seg.destroy()
@@ -443,8 +382,8 @@ class ProcessMachine(RankMachine):
         return False
 
     def make_partner_store(self) -> "SharedPartnerRing":
-        """The localized-recovery tier for this backend (duck-typed
-        hook used by :func:`repro.resilience.recovery.run_with_recovery`)."""
+        """The localized-recovery tier of this backend: partner copies
+        in the holders' shared segments, restored by respawning."""
         from repro.resilience.procpartner import SharedPartnerRing
 
         return SharedPartnerRing(self)
@@ -634,17 +573,15 @@ class ProcessMachine(RankMachine):
         if dead:
             lost = self.lost_blocks()
             if lost:
-                kinds = tuple(
-                    next(
-                        (d.kind for d in reversed(self.deaths) if d.rank == r),
-                        FailureKind.CRASH,
-                    )
-                    for r in dead
-                )
                 raise RankFailure(
-                    self.step_index, tuple(dead), tuple(lost), kinds=kinds
+                    self.step_index, tuple(dead), tuple(lost),
+                    kinds=self._death_kinds(dead),
                 )
         return replies
+
+    def _death_kinds(self, ranks: Sequence[int]) -> Tuple[str, ...]:
+        last = {d.rank: d.kind for d in self.deaths}
+        return tuple(last.get(r, FailureKind.CRASH) for r in ranks)
 
     def phase_breakdown(self) -> Dict[str, Dict[str, Any]]:
         """Work against wait, per :attr:`phase_seconds` bucket, since
@@ -661,7 +598,8 @@ class ProcessMachine(RankMachine):
             for bucket, wall in self.phase_seconds.items()
         }
 
-    def _sync_config(self) -> None:
+    def _configure(self) -> None:
+        """Every rank re-attaches segments and recompiles its phases."""
         self._config_dirty = False
         self._phase("config", payload=self._config_payload())
 
@@ -680,14 +618,20 @@ class ProcessMachine(RankMachine):
     # stepping
     # ------------------------------------------------------------------
 
-    def _exchange(self) -> None:
-        det = self.race_detector
-        if self.sanitizer is not None:
-            self.sanitizer.before_exchange(self._all_blocks())
-        if det is not None:
-            det.begin_epoch()
+    def _begin_step(self) -> None:
+        if self._closed:
+            raise RuntimeError("machine is closed")
+        # interiors hold a whole step until the first compute phase; the
+        # partner ring reads the flag to tell a mid-step failure
+        self._interiors_dirty = False
+
+    def _stage1(self) -> None:
         self._charge_exchange(self._phase("exch1"))
-        self._replay_exchange(stage2=False)
+
+    def _stage2(self) -> None:
+        """Gather, then write; with the scrub tier on (or staged flips
+        pending) the gathered payloads are CRC-tagged and re-checked
+        before they are prolonged."""
         verify = self.scrubber is not None or bool(self._staged_flips)
         gather_replies = self._phase(
             "exch2-gather", payload={"verify": True} if verify else None
@@ -700,11 +644,6 @@ class ProcessMachine(RankMachine):
         write_replies = self._phase("exch2-write", payload=write_payload)
         if verify:
             self._check_staging(write_replies)
-        self._replay_exchange(stage2=True)
-        if det is not None:
-            det.end_epoch()
-        if self.sanitizer is not None:
-            self.sanitizer.after_exchange(self._all_blocks())
 
     def _payload_block(self, rank: int, idx: int) -> Optional[BlockID]:
         """Destination block of ``rank``'s ``idx``-th exch2 payload.
@@ -778,131 +717,16 @@ class ProcessMachine(RankMachine):
     def _compute(self, op: str, dt: float) -> None:
         self._interiors_dirty = True
         self._phase(op, dt=dt)
-        self._replay_compute()
 
-    def advance(self, dt: float) -> None:
-        """One step across all rank processes.
-
-        Scripted rank kills deliver real SIGKILLs before the step and
-        surface as :class:`~repro.resilience.faults.RankFailure`; deaths
-        detected mid-phase (hang, crash, unreachable) surface the same
-        way from inside the failing phase.
-        """
-        if self._closed:
-            raise RuntimeError("machine is closed")
-        from repro.resilience.faults import RankFailure
-
-        step = self.step_index
-        if self.fault_plan is not None:
-            killed = [
-                r for r in self.fault_plan.kills_at(step)
-                if 0 <= r < self.n_ranks and self.alive[r]
-            ]
-            if killed:
-                for rank in killed:
-                    proc = self._procs[rank]
-                    if proc is not None and proc.is_alive() and proc.pid is not None:
-                        os.kill(proc.pid, signal.SIGKILL)
-                for rank in killed:
-                    self._declare_death(
-                        rank, FailureKind.SIGKILL,
-                        "scripted fault: real SIGKILL delivered",
-                        kill=False,
-                    )
-                lost = self.lost_blocks()
-                if lost:
-                    raise RankFailure(
-                        step, tuple(killed), tuple(lost),
-                        kinds=(FailureKind.SIGKILL,) * len(killed),
-                    )
-        self._flip_and_scrub()
-        self._msg_index = 0
-        self._interiors_dirty = False
-        if self._config_dirty:
-            self._sync_config()
-        det = self.race_detector
-        if det is not None:
-            det.begin_step()
-        self._exchange()
-        if self.scheme.n_stages == 1:
-            self._compute("step", dt)
-        else:
-            self._compute("predictor", dt)
-            self._exchange()
-            self._compute("corrector", dt)
-        if self.sanitizer is not None:
-            self.sanitizer.after_stage(self._all_blocks())
-        self.time += dt
-        self.step_index += 1
+    def _end_step(self) -> None:
         # The step committed: interiors are once again a consistent
-        # whole-step state (a kill at the *next* step's start must not
-        # read this flag as mid-step).
+        # whole-step state.
         self._interiors_dirty = False
-        # Staging flips that never matched an in-flight payload are
-        # dropped with the step, and the committed state becomes the
-        # scrubber's new trusted baseline (post-step write boundary).
-        self._staged_flips.clear()
-        self.scrub_retag()
         if self.recorder is not None:
             self._emit_supervisor(
                 "phase-breakdown", step=self.step_index,
                 **self.phase_breakdown(),
             )
-
-    # ------------------------------------------------------------------
-    # recovery surface
-    # ------------------------------------------------------------------
-
-    @phase_effect("heal")
-    def adopt_block(self, bid: BlockID, rank: int, interior: np.ndarray) -> None:
-        """Recreate one block on ``rank`` from a redundant interior copy."""
-        if not self.alive[rank]:
-            raise ValueError(f"cannot adopt block onto dead rank {rank}")
-        old = self.assignment.get(bid)
-        if old is not None and old != rank:
-            prev = self.rank_blocks[old].pop(bid, None)
-            seg_old = self._segments[old]
-            if prev is not None and seg_old is not None and seg_old.arena is not None:
-                seg_old.arena.release(prev)
-        blk = self._bind_block(bid, rank)
-        blk.interior[...] = interior
-        self.assignment[bid] = rank
-        self._config_dirty = True
-        if self.race_detector is not None:
-            self.race_detector.on_interior_write(bid, rank)
-        if self.scrubber is not None:
-            self.scrubber.retag_block(bid, blk)
-
-    def restore(
-        self,
-        forest: BlockForest,
-        *,
-        time: float,
-        step_index: Optional[int] = None,
-        assignment: Optional[Assignment] = None,
-    ) -> None:
-        """Rebuild global state from a checkpoint forest (global rollback).
-
-        Dead ranks are respawned first (the rollback restarts the whole
-        machine); ranks that cannot be revived stay dead and the SFC
-        repartition simply cuts over the survivors.
-        """
-        for rank in range(self.n_ranks):
-            if not self.alive[rank]:
-                self.try_respawn(rank)
-        self.assignment = self._restore_assignment(forest, assignment)
-        for rank in self.alive_ranks:
-            seg = self._segments[rank]
-            if seg is not None and seg.arena is not None:
-                for blk in self.rank_blocks[rank].values():
-                    seg.arena.release(blk)
-            self.rank_blocks[rank] = {}
-        self._locator = {}
-        self._populate(forest)
-        self._config_dirty = True
-        self._sync_config()
-        self._interiors_dirty = False
-        self._restored(time, step_index)
 
     # ------------------------------------------------------------------
     # teardown

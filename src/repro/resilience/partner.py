@@ -7,7 +7,10 @@ block-structured AMR codes (Schornbaum & Rüde) instead keep a redundant
 rank loss only reconstructs the lost blocks from the partner copy, with
 no disk I/O and no global rewind.
 
-:class:`PartnerStore` implements that tier for the emulated machine:
+:class:`PartnerStore` implements that tier for a
+:class:`~repro.parallel.emulator.RankMachine` (the emulated machine's
+store; the process machine's subclass keeps the copies in shared
+memory, see :mod:`repro.resilience.procpartner`):
 
 * **Pairing** — a buddy ring over the SFC cut: each alive rank's blocks
   are mirrored on its successor along the curve (with two ranks the
@@ -46,7 +49,7 @@ from repro.core.integrity import content_crc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.block import Block
-    from repro.parallel.emulator import EmulatedMachine
+    from repro.parallel.emulator import RankMachine
 
 __all__ = ["PartnerStore"]
 
@@ -63,7 +66,7 @@ def _tag(interior: np.ndarray) -> int:
 
 
 class PartnerStore:
-    """Pairwise in-memory redundancy over an emulated machine's ranks.
+    """Pairwise in-memory redundancy over a rank machine's ranks.
 
     The store tracks, per alive rank, a snapshot of every block interior
     it owned at the last :meth:`refresh`, conceptually held in the
@@ -72,7 +75,7 @@ class PartnerStore:
     distributed in-memory checkpoint at :attr:`snapshot_step`.
     """
 
-    def __init__(self, machine: "EmulatedMachine") -> None:
+    def __init__(self, machine: "RankMachine") -> None:
         self.machine = machine
         self._pairing: Dict[int, int] = {}
         self._copies: Dict[int, Dict[BlockID, np.ndarray]] = {}

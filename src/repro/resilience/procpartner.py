@@ -58,7 +58,7 @@ class SharedPartnerRing(PartnerStore):
         #: (owner, bid) -> (holder, row) of the mirror slot in use
         self._mirror_slots: Dict[Tuple[int, BlockID], Tuple[int, int]] = {}
         self._deaths_seen = len(machine.deaths)
-        super().__init__(machine)  # type: ignore[arg-type]
+        super().__init__(machine)
 
     def refresh(self) -> int:
         """Refresh, rebuilding first after any death/respawn cycle.

@@ -1,20 +1,21 @@
-"""Fault recovery for the emulated distributed machine.
+"""Fault recovery for the distributed rank machines.
 
-:func:`run_with_recovery` drives an
-:class:`~repro.parallel.emulator.EmulatedMachine` through ``n_steps``
-fixed-``dt`` steps under a (possibly faulty) execution, with periodic
-checkpoints, and now supports two recovery tiers selected by
-``strategy``:
+:func:`run_with_recovery` drives a
+:class:`~repro.parallel.emulator.RankMachine` — the emulated or the
+real-process one — through ``n_steps`` fixed-``dt`` steps under a
+(possibly faulty) execution, with periodic checkpoints, and supports
+two recovery tiers selected by ``strategy``:
 
 * ``"global"`` — the paper-era protocol: on any detected fault, every
   rank rolls back to the last durable on-disk checkpoint, the
   block-to-rank assignment is rebuilt over the survivors (SFC
   repartition — the dead rank simply drops out of the curve cut), and
   the run replays forward.
-* ``"local"`` / ``"auto"`` — localized recovery backed by an in-memory
-  :class:`~repro.resilience.partner.PartnerStore`: a rank failure
-  reconstructs **only the dead rank's blocks** from the partner copy
-  (re-cut over the survivors), re-fills their ghosts from live
+* ``"local"`` — localized recovery backed by the machine's in-memory
+  partner tier (:meth:`~repro.parallel.emulator.RankMachine.
+  make_partner_store`): a rank failure reconstructs **only the dead
+  rank's blocks** from the partner copy (re-cut over the survivors, or
+  back onto a respawned process), re-fills their ghosts from live
   neighbors at the next exchange, and replays only the bounded window
   since the last partner refresh — zero disk reads.  A mid-step message
   failure rewinds the survivors from the same in-memory snapshots.  A
@@ -22,7 +23,7 @@ checkpoints, and now supports two recovery tiers selected by
   degrades gracefully: the driver escalates to the global checkpoint
   rollback automatically and records the escalation.
 
-Because the emulated arithmetic is deterministic and independent of the
+Because the rank arithmetic is deterministic and independent of the
 assignment, recovered runs are **bit-for-bit identical** to a
 fault-free run under either tier — the property the equivalence tests
 pin down.
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.recorder import RunRecorder
-    from repro.parallel.emulator import EmulatedMachine
+    from repro.parallel.emulator import RankMachine
 
 from repro.amr.driver import StepRecord
 from repro.amr.io import CheckpointError
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 #: Valid ``strategy`` arguments of :func:`run_with_recovery`.
-RECOVERY_STRATEGIES = ("local", "global", "auto")
+RECOVERY_STRATEGIES = ("local", "global")
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class ResilienceReport:
         return sum(e.duration for e in self.events)
 
 
-def snapshot_forest(machine: "EmulatedMachine") -> BlockForest:
+def snapshot_forest(machine: "RankMachine") -> BlockForest:
     """A standalone forest holding the machine's current global state.
 
     The replicated topology is deep-copied and every alive rank's block
@@ -146,17 +147,9 @@ def _event_kind(exc: FaultDetected) -> str:
     return "fault"
 
 
-def _machine_retag(machine: "EmulatedMachine") -> None:
-    """Re-baseline the machine's integrity tags after a repair/rewind
-    (no-op when no scrubber is attached)."""
-    retag = getattr(machine, "scrub_retag", None)
-    if callable(retag):
-        retag()
-
-
 @phase_effect("heal")
 def _attempt_corruption_repair(
-    machine: "EmulatedMachine",
+    machine: "RankMachine",
     partner: PartnerStore,
     exc: CorruptionError,
     step: int,
@@ -227,12 +220,12 @@ def _attempt_corruption_repair(
             nbytes += partner.repair_block(owner, bid)
             blocks += 1
         restored_from = step
-    _machine_retag(machine)
+    machine.scrub_retag()
     return restored_from, blocks, nbytes
 
 
 def _attempt_local_recovery(
-    machine: "EmulatedMachine",
+    machine: "RankMachine",
     partner: PartnerStore,
     exc: FaultDetected,
     step: int,
@@ -280,7 +273,7 @@ def _attempt_local_recovery(
 
 
 def run_with_recovery(
-    machine: "EmulatedMachine",
+    machine: "RankMachine",
     *,
     n_steps: int,
     dt: float,
@@ -296,12 +289,11 @@ def run_with_recovery(
     A checkpoint of the initial state is always written (there must be
     something to fall back to even under localized recovery — it is the
     double-fault escape hatch), then every ``checkpoint_every`` steps.
-    With ``strategy`` ``"local"`` or ``"auto"`` a
-    :class:`~repro.resilience.partner.PartnerStore` is refreshed every
-    ``partner_refresh_every`` completed steps and faults recover from
-    it when possible, escalating to the global checkpoint rollback when
-    not ("auto" and "local" currently share this policy; "global" never
-    builds the partner tier).
+    With ``strategy="local"`` the machine's partner store
+    (:meth:`~repro.parallel.emulator.RankMachine.make_partner_store`) is
+    refreshed every ``partner_refresh_every`` completed steps and faults
+    recover from it when possible, escalating to the global checkpoint
+    rollback when not; ``"global"`` never builds the partner tier.
 
     With a ``recorder`` (:class:`repro.obs.recorder.RunRecorder`) every
     completed step and every recovery is emitted to the JSONL event
@@ -324,18 +316,13 @@ def run_with_recovery(
         )
     report = ResilienceReport()
     partner: Optional[PartnerStore] = None
-    if strategy in ("local", "auto"):
-        # Backends that place partner copies somewhere non-default (the
-        # process backend mirrors them in shared memory) expose a
-        # factory; everything else gets the in-process store.
-        make = getattr(machine, "make_partner_store", None)
-        partner = make() if callable(make) else PartnerStore(machine)
+    if strategy == "local":
+        partner = machine.make_partner_store()
         partner.refresh()
-        scrubber = getattr(machine, "scrubber", None)
-        if scrubber is not None:
+        if machine.scrubber is not None:
             # The scrub pass also verifies the partner mirrors, so a
             # corrupt mirror is caught before it could serve a repair.
-            scrubber.partner = partner
+            machine.scrubber.partner = partner
     checkpointer.save(snapshot_forest(machine), step=machine.step_index, time=machine.time)
     report.checkpoints_written += 1
     start = machine.step_index
@@ -386,7 +373,7 @@ def run_with_recovery(
                     ) from exc
                 forest, info = checkpointer.load_latest()
                 machine.restore(forest, time=info.time, step_index=info.step)
-                _machine_retag(machine)
+                machine.scrub_retag()
                 if partner is not None:
                     partner.refresh()
                 event = RecoveryEvent(

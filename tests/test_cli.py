@@ -183,6 +183,18 @@ class TestEmulate:
     def test_emulate_rejects_malformed_fault_spec(self, capsys):
         with pytest.raises(SystemExit):
             main(["emulate", "pulse", "--kill", "nonsense"])
+        # the supervision/retry tuning lives in ProcConfig and RetryPolicy
+        # only, and "auto" was the "local" policy under a second name
+        for argv in (
+            ["--phase-timeout", "2"], ["--hard-timeout", "30"],
+            ["--heartbeat-interval", "0.05"], ["--heartbeat-timeout", "1.5"],
+            ["--respawn-max", "2"], ["--retry-backoff", "1e-4"],
+            ["--partner-refresh-every", "1"], ["--recovery-strategy", "auto"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["emulate", "pulse", *argv])
+            assert exc.value.code == 2
+            assert argv[0] in capsys.readouterr().err
 
     def test_emulate_record_writes_valid_stream(self, tmp_path, capsys):
         from repro.obs import read_events, validate_events

@@ -6,9 +6,12 @@ ghost entries, one stage per barrier phase, and the tiled stage update
 over their pool rows — so the oracle is the serial driver, byte for
 byte: every padded array after an exchange, every interior after a step.
 Both sides start from *different* stale ghosts, so a transfer a rank
-fails to execute, or executes against the wrong state, shows up.
+fails to execute, or executes against the wrong state, shows up.  The
+two machines also share one step program, placement and adoption
+(``RankMachine``), pinned here against both.
 """
 
+import contextlib
 import copy
 import multiprocessing as mp
 import sys
@@ -122,7 +125,7 @@ def test_worker_phases_equal_serial_fill(seed, ndim, periodic, prolong_order, n_
         exchange_equals_serial(emu, emu.exchange)
     else:
         with ProcessMachine(forest, n_ranks, scheme, bc=bc, config=FAST) as m:
-            exchange_equals_serial(m, m._exchange)
+            exchange_equals_serial(m, m.exchange)
 
 
 @pytest.mark.parametrize("levels", [2, 3, 4])
@@ -257,6 +260,49 @@ def test_counts_on_the_benchmark_forest():
             assert 0.0 <= row["wait_s"] <= row["wall_s"]
             assert all(0.0 <= w <= row["wall_s"] for w in row["work_s"])
         assert breakdown["compute"]["wall_s"] > 0.0 < min(breakdown["compute"]["work_s"])
+
+
+def open_machine(kind, forest, n_ranks, scheme):
+    if kind == "emulated":
+        return contextlib.nullcontext(EmulatedMachine(forest, n_ranks, scheme))
+    return ProcessMachine(forest, n_ranks, scheme, config=FAST)
+
+
+@pytest.mark.parametrize("machine", ["emulated", "process"])
+def test_adopting_onto_the_owner_reuses_its_row(machine):
+    """Adoption frees the previous owner's row first, also when that is
+    the adopting rank: repeated adoptions neither grow the pool nor run
+    a fixed-capacity segment out of rows, and the run stays bitwise."""
+    sim = build_deep_pulse(2)
+    with open_machine(machine, copy.deepcopy(sim.forest), 2, sim.scheme) as m:
+        bid = next(b for b in m.topology.sorted_ids() if m.assignment[b] == 0)
+        rows = m._arena(0).n_active
+        for _ in range(m.topology.n_blocks + 2):
+            m.adopt_block(bid, 0, m.local_block(bid).interior.copy())
+        assert m._arena(0).n_active == rows
+        for _ in range(2):
+            sim.advance(DT)
+            m.advance(DT)
+        assert_interiors_equal(m, sim.forest)
+
+
+@pytest.mark.parametrize("machine", ["emulated", "process"])
+def test_unrecovered_rank_loss_refuses_to_step(machine):
+    """Blocks lost to a dead rank and never restored: the next step
+    refuses before any rank runs a phase, so the survivor lives on."""
+    sim = build_deep_pulse(2)
+    with open_machine(machine, copy.deepcopy(sim.forest), 2, sim.scheme) as m:
+        m.advance(DT)
+        m.kill_rank(1)
+        with pytest.raises(RuntimeError, match="cannot exchange"):
+            m.advance(DT)
+        assert m.alive == [True, False]
+        # a respawned process holds none of its blocks until they are put back
+        if m.try_respawn(1):
+            with pytest.raises(RuntimeError, match="cannot exchange"):
+                m.advance(DT)
+        if machine == "process":
+            assert [d.rank for d in m.deaths] == [1]
 
 
 def test_staged_flip_names_the_block_of_the_payload():

@@ -133,7 +133,7 @@ class CountingCheckpointer(Checkpointer):
 DT = 1e-3
 
 
-def drive_with_recovery(machine, tmp_path, *, n_steps=4, strategy="auto",
+def drive_with_recovery(machine, tmp_path, *, n_steps=4, strategy="local",
                         checkpointer=None):
     ckpt = checkpointer or Checkpointer(tmp_path)
     report = run_with_recovery(

@@ -360,7 +360,7 @@ class TestLocalizedRecovery:
             kills=[RankKill(step=3, rank=1), RankKill(step=3, rank=2)]
         )
         emu, report, ckpt, worst = self._run(plan, tmp_path,
-                                             strategy="auto")
+                                             strategy="local")
         assert worst == 0.0
         (event,) = report.events
         assert event.strategy == "global"
@@ -396,11 +396,12 @@ class TestLocalizedRecovery:
         forest = make_amr_forest()
         init_pulse(forest)
         emu = EmulatedMachine(forest, 4, scheme)
-        with pytest.raises(ValueError, match="strategy"):
-            run_with_recovery(
-                emu, n_steps=1, dt=self.DT,
-                checkpointer=Checkpointer(tmp_path), strategy="psychic",
-            )
+        for strategy in ("psychic", "auto"):
+            with pytest.raises(ValueError, match="strategy"):
+                run_with_recovery(
+                    emu, n_steps=1, dt=self.DT,
+                    checkpointer=Checkpointer(tmp_path), strategy=strategy,
+                )
 
     def test_recovery_events_carry_wall_time(self, tmp_path):
         plan = FaultPlan(kills=[RankKill(step=3, rank=1)])
@@ -608,7 +609,7 @@ class TestEmptyRanks:
                               fault_plan=plan)
         report = run_with_recovery(
             emu, n_steps=4, dt=1e-3,
-            checkpointer=Checkpointer(tmp_path), strategy="auto",
+            checkpointer=Checkpointer(tmp_path), strategy="local",
         )
         assert len(report.events) == 1
         reference = make_tiny_forest()

@@ -394,7 +394,7 @@ class TestEmulatorScrub:
         report = run_with_recovery(
             emu, n_steps=self.N_STEPS, dt=DT,
             checkpointer=Checkpointer(tmp_path),
-            checkpoint_every=1, strategy="auto",
+            checkpoint_every=1, strategy="local",
         )
         assert _gather_vs_reference(emu, scheme, self.N_STEPS) == 0.0
         assert [e.kind for e in report.events] == ["corruption", "corruption"]
@@ -423,7 +423,7 @@ class TestEmulatorScrub:
         report = run_with_recovery(
             emu, n_steps=6, dt=DT,
             checkpointer=Checkpointer(tmp_path / "a"),
-            checkpoint_every=1, strategy="auto",
+            checkpoint_every=1, strategy="local",
         )
         assert _gather_vs_reference(emu, scheme, 6) == 0.0
         (event,) = report.events
@@ -437,7 +437,7 @@ class TestEmulatorScrub:
         report2 = run_with_recovery(
             emu2, n_steps=6, dt=DT,
             checkpointer=Checkpointer(tmp_path / "b"),
-            checkpoint_every=1, strategy="auto",
+            checkpoint_every=1, strategy="local",
         )
         assert report2.events == []
         assert _gather_vs_reference(emu2, scheme, 6) > 0.0
