@@ -20,7 +20,9 @@ Two reproductions:
     curve shape (drop then plateau) is genuine, not modelled.  A second
     column times the same kernel over a *stack* of blocks holding 24^3
     cells in all, a tile of rows per call — how every driver calls it:
-    what is left of the drop there is not per-block dispatch.
+    what is left of the drop there is not per-block dispatch.  Both
+    columns reuse one kernel workspace across calls, as ``PoolSweep``
+    does.
 
 ``test_fig5_cache_model``
     The direct-mapped-cache cost model of the T3D node, reproducing the
@@ -33,6 +35,7 @@ import pytest
 from repro.machine import T3DCostParams, fig5_model_curve, stencil_misses, time_per_cell
 from repro.solvers import MHDScheme
 from repro.solvers.sweep import tile_rows
+from repro.solvers.workspace import Workspace
 from repro.util.timing import measure
 
 from _tables import emit_table
@@ -58,9 +61,10 @@ def _mhd_block(m: int, seed: int = 0):
 def _measure_time_per_cell(m: int, repeats: int = 3) -> float:
     scheme, u, dx, g = _mhd_block(m)
     dt = 1e-4
+    work = Workspace()
 
     def one_step():
-        scheme.step(u, dx, dt, g)
+        scheme.step(u, dx, dt, g, work=work)
 
     res = measure(one_step, repeats=repeats, warmup=1)
     return res.best / m**3
@@ -75,13 +79,14 @@ def _measure_batched_time_per_cell(m: int, repeats: int = 3):
     widths = [np.full((n, 1, 1, 1), w) for w in dx]
     tile = tile_rows(stack[:1].nbytes)
     rate = np.empty((min(tile, n), 8, m, m, m))
+    work = Workspace()
 
     def one_sweep():
         for s in range(0, n, tile):
             e = min(s + tile, n)
             scheme.step(
                 stack[s:e], [d[s:e] for d in widths], 1e-4, g, ndim=3,
-                rate_out=rate[: e - s],
+                rate_out=rate[: e - s], work=work,
             )
 
     res = measure(one_sweep, repeats=repeats, warmup=1)

@@ -32,6 +32,7 @@ from repro.obs.metrics import METRICS
 from repro.solvers.scheme import FVScheme
 from repro.solvers.sweep import PoolSweep, tile_rows
 from repro.solvers.timestep import stable_dt_batched
+from repro.solvers.workspace import Workspace
 from repro.util.timing import PhaseTimer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -287,7 +288,7 @@ class Simulation:
         )
         if scheme.n_stages == 1:
             with self.timer.phase("compute"):
-                self._capture_fluxes(register, blocks)
+                self._capture_fluxes(register, blocks, sweep.work)
                 sweep.forward(dt)
         else:
             with self.timer.phase("compute"):
@@ -295,21 +296,22 @@ class Simulation:
                 sweep.forward(0.5 * dt)
             self.fill_ghosts()
             with self.timer.phase("compute"):
-                self._capture_fluxes(register, blocks)
+                self._capture_fluxes(register, blocks, sweep.work)
                 sweep.correct(dt)
         self._finish_advance(dt, register)
 
     def _capture_fluxes(
-        self, register, blocks, weight: Optional[float] = None
+        self, register, blocks, work: Optional[Workspace], weight: Optional[float] = None
     ) -> None:
         """Feed ``register`` the boundary-face fluxes of the final stage.
 
         Blocks on coarse-fine interfaces rerun a per-block flux
         evaluation with face capture (the recomputed rate is identical
         to the swept one and discarded) — *before* the sweep's interior
-        update, so it sees the state the swept rate is computed from.
-        ``weight`` None records the fluxes (global stepping); a substep
-        length accumulates them time-weighted (subcycling).
+        update, so it sees the state the swept rate is computed from —
+        in the sweep's workspace ``work``.  ``weight`` None records the
+        fluxes (global stepping); a substep length accumulates them
+        time-weighted (subcycling).
         """
         if register is None:
             return
@@ -320,7 +322,7 @@ class Simulation:
                 capture: Dict[int, np.ndarray] = {}
                 scheme.flux_divergence(
                     block.data, block.dx, g,
-                    face_flux_out=capture, faces=faces,
+                    face_flux_out=capture, faces=faces, work=work,
                 )
                 if weight is None:
                     register.record(block.id, capture)

@@ -250,7 +250,7 @@ class _SubcycleSweep:
         self.interp_fill(t0, level)
         if self.scheme.n_stages == 1:
             with sim.timer.phase("compute"):
-                sim._capture_fluxes(self.register, mine, dt)
+                sim._capture_fluxes(self.register, mine, sweep.work, dt)
                 sweep.forward(dt, rows)
         else:
             with sim.timer.phase("compute"):
@@ -264,7 +264,7 @@ class _SubcycleSweep:
             for block in mine:
                 self.t_new[block.id] = t0 + dt
             with sim.timer.phase("compute"):
-                sim._capture_fluxes(self.register, mine, dt)
+                sim._capture_fluxes(self.register, mine, sweep.work, dt)
                 sweep.correct(dt, rows)
 
 

@@ -139,7 +139,7 @@ def _face_read_slices(
     """Padded-array slices of the ghost slab a stencil reads across
     ``face``: ``depth`` layers deep, interior extent transversally
     (corner/edge ghosts are never consumed by the dimension-wise
-    kernels — see :meth:`repro.solvers.scheme.FVScheme.face_states`)."""
+    kernels — see :meth:`repro.solvers.scheme.FVScheme.flux_divergence`)."""
     g = block.n_ghost
     axis, side = divmod(face, 2)
     sl = list(block.interior_slices)

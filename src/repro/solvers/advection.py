@@ -8,11 +8,12 @@ convergence and conservation oracle.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.solvers.scheme import FVScheme
+from repro.solvers.workspace import Workspace, scratch
 
 __all__ = ["AdvectionScheme"]
 
@@ -33,17 +34,21 @@ class AdvectionScheme(FVScheme):
             raise ValueError("velocity must have at least one component")
         self.nvar = 1
 
-    def cons_to_prim(self, u: np.ndarray) -> np.ndarray:
-        return u.copy()
+    def cons_to_prim(self, u: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return scratch(work).copy(u)
 
-    def prim_to_cons(self, w: np.ndarray) -> np.ndarray:
-        return w.copy()
+    def prim_to_cons(self, w: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return scratch(work).copy(w)
 
-    def flux(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return self.velocity[axis] * w
+    def flux(self, w: np.ndarray, axis: int, work: Optional[Workspace] = None) -> np.ndarray:
+        return np.multiply(self.velocity[axis], w, out=scratch(work).like(w))
 
-    def normal_velocity(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return np.full(w.shape[1:], self.velocity[axis])
+    def normal_velocity(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
+        return scratch(work).full(w.shape[1:], self.velocity[axis])
 
-    def char_speed(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return np.zeros(w.shape[1:])
+    def char_speed(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
+        return scratch(work).full(w.shape[1:], 0.0)

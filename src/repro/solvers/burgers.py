@@ -8,11 +8,12 @@ solutions (with known exact pre-shock solutions via characteristics).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.solvers.scheme import FVScheme
+from repro.solvers.workspace import Workspace, scratch
 
 __all__ = ["BurgersScheme"]
 
@@ -34,18 +35,25 @@ class BurgersScheme(FVScheme):
             raise ValueError("direction must have at least one component")
         self.nvar = 1
 
-    def cons_to_prim(self, u: np.ndarray) -> np.ndarray:
-        return u.copy()
+    def cons_to_prim(self, u: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return scratch(work).copy(u)
 
-    def prim_to_cons(self, w: np.ndarray) -> np.ndarray:
-        return w.copy()
+    def prim_to_cons(self, w: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return scratch(work).copy(w)
 
-    def flux(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return 0.5 * self.direction[axis] * w * w
+    def flux(self, w: np.ndarray, axis: int, work: Optional[Workspace] = None) -> np.ndarray:
+        # 0.5 * direction * q * q
+        f = np.multiply(0.5 * self.direction[axis], w, out=scratch(work).like(w))
+        f *= w
+        return f
 
-    def normal_velocity(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def normal_velocity(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
         # Characteristic speed: f'(q) = direction * q.
-        return self.direction[axis] * w[0]
+        return np.multiply(self.direction[axis], w[0], out=scratch(work).take(w.shape[1:]))
 
-    def char_speed(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return np.zeros(w.shape[1:])
+    def char_speed(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
+        return scratch(work).full(w.shape[1:], 0.0)

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.solvers.scheme import FVScheme
 from repro.solvers.state import DEFAULT_GAMMA, EulerLayout
+from repro.solvers.workspace import Workspace, scratch
 
 __all__ = ["EulerScheme"]
 
@@ -74,18 +75,23 @@ class EulerScheme(FVScheme):
         self.gravity = gravity
         self.nvar = self.layout.nvar
 
-    def source(self, u_interior, w, dx, g):
+    def source(self, u_interior, w, dx, g, work=None):
         # Elementwise in the conserved interior (var axis first, any
         # trailing layout — per-block or var-major batched stack).
         if self.gravity is None:
             return None
-        src = np.zeros_like(u_interior)
+        work = scratch(work)
+        src = work.take(u_interior.shape)
+        src[...] = 0.0
+        scope = work.mark()
+        term = work.take(u_interior.shape[1:])
         rho = u_interior[0]
         for a, grav in enumerate(self.gravity):
             if grav == 0.0:
                 continue
-            src[1 + a] += rho * grav
-            src[self.layout.i_energy] += u_interior[1 + a] * grav
+            src[1 + a] += np.multiply(rho, grav, out=term)
+            src[self.layout.i_energy] += np.multiply(u_interior[1 + a], grav, out=term)
+        work.release(scope)
         return src
 
     def apply_floors(self, u: np.ndarray) -> None:
@@ -109,17 +115,21 @@ class EulerScheme(FVScheme):
         # matching conserved slots (rho, E) must be positive too.
         return (0, self.nvar - 1)
 
-    def cons_to_prim(self, u: np.ndarray) -> np.ndarray:
-        return self.layout.cons_to_prim(u)
+    def cons_to_prim(self, u: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return self.layout.cons_to_prim(u, work)
 
-    def prim_to_cons(self, w: np.ndarray) -> np.ndarray:
-        return self.layout.prim_to_cons(w)
+    def prim_to_cons(self, w: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return self.layout.prim_to_cons(w, work)
 
-    def flux(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return self.layout.flux(w, axis)
+    def flux(self, w: np.ndarray, axis: int, work: Optional[Workspace] = None) -> np.ndarray:
+        return self.layout.flux(w, axis, work)
 
-    def normal_velocity(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def normal_velocity(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
         return w[1 + axis]
 
-    def char_speed(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return self.layout.sound_speed(w)
+    def char_speed(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
+        return self.layout.sound_speed(w, work)

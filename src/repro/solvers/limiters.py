@@ -6,48 +6,109 @@ limiters are total-variation-diminishing: they return zero at extrema
 (where the differences disagree in sign) so reconstruction introduces no
 new extrema — the van Leer higher-resolution framework the paper cites
 as reference [6].
+
+Each limiter writes its result and temporaries into ``work`` (see
+:mod:`repro.solvers.workspace`).  The formula in each docstring is
+evaluated one numpy operation at a time, in that order, and every
+``where`` becomes a masked ``np.copyto`` that picks the same values.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.solvers.workspace import Workspace, scratch
+
 __all__ = ["minmod", "van_leer", "mc", "superbee", "get_limiter", "LIMITERS"]
 
-Limiter = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Limiter = Callable[..., np.ndarray]
 
 
-def minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The most diffusive TVD limiter: smaller-magnitude difference."""
-    same = a * b > 0.0
-    return np.where(same, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+def _opposed(a: np.ndarray, b: np.ndarray, work: Workspace) -> np.ndarray:
+    """``not (a * b > 0.0)``: where every limiter returns zero."""
+    ab = np.multiply(a, b, out=work.take(a.shape))
+    mask = np.greater(ab, 0.0, out=work.take(a.shape, np.bool_))
+    return np.logical_not(mask, out=mask)
 
 
-def van_leer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Van Leer's harmonic-mean limiter (smooth, second order)."""
-    same = a * b > 0.0
-    denom = a + b
-    safe = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-    return np.where(same, 2.0 * a * b / safe, 0.0)
+def minmod(a: np.ndarray, b: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+    """The most diffusive TVD limiter: smaller-magnitude difference.
+
+    ``where(a * b > 0, where(|a| < |b|, a, b), 0)``."""
+    work = scratch(work)
+    opposed = _opposed(a, b, work)
+    abs_a = np.abs(a, out=work.take(a.shape))
+    abs_b = np.abs(b, out=work.take(a.shape))
+    smaller = np.less(abs_a, abs_b, out=work.take(a.shape, np.bool_))
+    out = work.take(a.shape)
+    np.copyto(out, b)
+    np.copyto(out, a, where=smaller)
+    np.copyto(out, 0.0, where=opposed)
+    return out
 
 
-def mc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Monotonized-central limiter: min(2|a|, 2|b|, |a+b|/2), signed."""
-    same = a * b > 0.0
-    central = 0.5 * (a + b)
-    lim = np.minimum(np.minimum(2.0 * np.abs(a), 2.0 * np.abs(b)), np.abs(central))
-    return np.where(same, np.sign(central) * lim, 0.0)
+def van_leer(a: np.ndarray, b: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+    """Van Leer's harmonic-mean limiter (smooth, second order).
+
+    ``where(a * b > 0, 2 a b / safe, 0)`` with ``safe = a + b``, or 1
+    where ``|a + b| <= 1e-300``."""
+    work = scratch(work)
+    opposed = _opposed(a, b, work)
+    safe = np.add(a, b, out=work.take(a.shape))
+    tiny = np.abs(safe, out=work.take(a.shape))
+    tiny_mask = np.greater(tiny, 1e-300, out=work.take(a.shape, np.bool_))
+    np.logical_not(tiny_mask, out=tiny_mask)
+    np.copyto(safe, 1.0, where=tiny_mask)
+    out = np.multiply(2.0, a, out=work.take(a.shape))
+    out *= b
+    out /= safe
+    np.copyto(out, 0.0, where=opposed)
+    return out
 
 
-def superbee(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Roe's superbee: the most compressive classic TVD limiter."""
-    same = a * b > 0.0
-    s1 = np.where(np.abs(a) < np.abs(2 * b), a, 2 * b)
-    s2 = np.where(np.abs(2 * a) < np.abs(b), 2 * a, b)
-    pick = np.where(np.abs(s1) > np.abs(s2), s1, s2)
-    return np.where(same, pick, 0.0)
+def mc(a: np.ndarray, b: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+    """Monotonized-central limiter: min(2|a|, 2|b|, |a+b|/2), signed.
+
+    ``where(a * b > 0, sign(c) * min(min(2|a|, 2|b|), |c|), 0)`` with
+    ``c = 0.5 (a + b)``."""
+    work = scratch(work)
+    opposed = _opposed(a, b, work)
+    central = np.add(a, b, out=work.take(a.shape))
+    central *= 0.5
+    lim = np.abs(a, out=work.take(a.shape))
+    lim *= 2.0
+    other = np.abs(b, out=work.take(a.shape))
+    other *= 2.0
+    np.minimum(lim, other, out=lim)
+    np.minimum(lim, np.abs(central, out=other), out=lim)
+    out = np.sign(central, out=central)
+    out *= lim
+    np.copyto(out, 0.0, where=opposed)
+    return out
+
+
+def superbee(a: np.ndarray, b: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+    """Roe's superbee: the most compressive classic TVD limiter.
+
+    ``where(a * b > 0, where(|s1| > |s2|, s1, s2), 0)`` with
+    ``s1 = where(|a| < |2b|, a, 2b)``, ``s2 = where(|2a| < |b|, 2a, b)``."""
+    work = scratch(work)
+    opposed = _opposed(a, b, work)
+    abs_x = work.take(a.shape)
+    abs_y = work.take(a.shape)
+    mask = work.take(a.shape, np.bool_)
+    s1 = np.multiply(2, b, out=work.take(a.shape))
+    np.less(np.abs(a, out=abs_x), np.abs(s1, out=abs_y), out=mask)
+    np.copyto(s1, a, where=mask)
+    s2 = np.multiply(2, a, out=work.take(a.shape))
+    np.less(np.abs(s2, out=abs_x), np.abs(b, out=abs_y), out=mask)
+    np.copyto(s2, b, where=np.logical_not(mask, out=mask))
+    np.greater(np.abs(s1, out=abs_x), np.abs(s2, out=abs_y), out=mask)
+    np.copyto(s2, s1, where=mask)  # the pick
+    np.copyto(s2, 0.0, where=opposed)
+    return s2
 
 
 LIMITERS: Dict[str, Limiter] = {

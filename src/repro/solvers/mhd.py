@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.solvers.scheme import FVScheme
-from repro.solvers.state import DEFAULT_GAMMA, MHDLayout
+from repro.solvers.state import DEFAULT_GAMMA, MHDLayout, sum_terms
+from repro.solvers.workspace import Workspace, scratch
 
 __all__ = ["MHDScheme"]
 
@@ -90,20 +91,24 @@ class MHDScheme(FVScheme):
         # matching conserved slots (rho, E) must be positive too.
         return (0, 4)
 
-    def cons_to_prim(self, u: np.ndarray) -> np.ndarray:
-        return self.layout.cons_to_prim(u)
+    def cons_to_prim(self, u: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return self.layout.cons_to_prim(u, work)
 
-    def prim_to_cons(self, w: np.ndarray) -> np.ndarray:
-        return self.layout.prim_to_cons(w)
+    def prim_to_cons(self, w: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        return self.layout.prim_to_cons(w, work)
 
-    def flux(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return self.layout.flux(w, axis)
+    def flux(self, w: np.ndarray, axis: int, work: Optional[Workspace] = None) -> np.ndarray:
+        return self.layout.flux(w, axis, work)
 
-    def normal_velocity(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def normal_velocity(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
         return w[1 + axis]
 
-    def char_speed(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return self.layout.fast_speed(w, axis)
+    def char_speed(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
+        return self.layout.fast_speed(w, axis, work)
 
     def source(
         self,
@@ -111,15 +116,17 @@ class MHDScheme(FVScheme):
         w: np.ndarray,
         dx: Sequence[float],
         g: int,
+        work: Optional[Workspace] = None,
     ) -> Optional[np.ndarray]:
-        """Powell 8-wave source: ``dU/dt -= (div B) (0, B, u·B, u)``.
+        """Powell 8-wave source: ``dU/dt = -(div B) (0, B, u·B, u)``.
 
-        ``div B`` is the central-difference cell divergence; the source
-        vector uses the cell's own velocity and field.  Evaluated on the
-        interior only.
+        ``div B`` is the central-difference cell divergence,
+        ``sum_a (B_a[+1] - B_a[-1]) / (2 dx_a)``; the source vector uses
+        the cell's own velocity and field.  Evaluated on the interior only.
         """
         if not self.powell_source:
             return None
+        work = scratch(work)
         # Spatial axes are the last ``self.ndim`` of ``w`` (the leading
         # axes are the variable axis plus, when batched, the block axis),
         # so per-block arrays and var-major stacks share this code.
@@ -128,20 +135,27 @@ class MHDScheme(FVScheme):
         shape = w.shape[lead:]
         interior = tuple(slice(g, s - g) for s in shape)
         batch = (slice(None),) * (lead - 1)
-        div = np.zeros(w.shape[1:lead] + tuple(s - 2 * g for s in shape))
+        wi = w[(slice(None),) + batch + interior]
+        src = work.take(u_interior.shape)
+        scope = work.mark()
+        div = work.take(wi.shape[1:])
+        div[...] = 0.0
+        term = work.take(wi.shape[1:])
         for a in range(ndim):
             plus = list(batch + interior)
             minus = list(batch + interior)
             plus[lead - 1 + a] = slice(g + 1, shape[a] - g + 1)
             minus[lead - 1 + a] = slice(g - 1, shape[a] - g - 1)
-            div += (w[5 + a][tuple(plus)] - w[5 + a][tuple(minus)]) / (2.0 * dx[a])
-        wi = w[(slice(None),) + batch + interior]
-        src = np.zeros_like(wi)
-        udotb = wi[1] * wi[5] + wi[2] * wi[6] + wi[3] * wi[7]
-        for c in range(3):
-            src[1 + c] = -div * wi[5 + c]   # momentum: -divB * B
-            src[5 + c] = -div * wi[1 + c]   # induction: -divB * u
-        src[4] = -div * udotb               # energy:   -divB * (u . B)
+            np.subtract(w[5 + a][tuple(plus)], w[5 + a][tuple(minus)], out=term)
+            term /= 2.0 * dx[a]
+            div += term
+        udotb = sum_terms(np.multiply(wi[1:4], wi[5:8], out=src[1:4]))
+        neg_div = np.negative(div, out=div)
+        np.multiply(neg_div, udotb, out=src[4])  # energy:   -divB * (u . B)
+        np.multiply(neg_div, wi[5:8], out=src[1:4])  # momentum: -divB * B
+        np.multiply(neg_div, wi[1:4], out=src[5:8])  # induction: -divB * u
+        src[0] = 0.0
+        work.release(scope)
         return src
 
     def div_b_interior(self, u: np.ndarray, dx: Sequence[float], g: int) -> np.ndarray:

@@ -1,21 +1,27 @@
 """Approximate Riemann solvers (numerical face fluxes).
 
-Both solvers operate on arrays of left/right *primitive* face states of
-shape ``(nvar, n_faces, ...)`` and delegate the physics (flux function,
+Every solver takes the left and right *primitive* face states stacked
+on axis 1 — ``w[:, 0]`` left, ``w[:, 1]`` right, shape
+``(nvar, 2, n_faces, ...)`` — and delegates the physics (flux function,
 characteristic speeds, variable conversion) to the scheme object, so the
-same code serves advection, Euler and MHD.
+same code serves advection, Euler and MHD.  The stacking lets each
+physics hook run once for both sides of every face.  Results and
+temporaries live in ``work`` (see :mod:`repro.solvers.workspace`).
 
 * :func:`rusanov` — local Lax–Friedrichs: maximally robust, the default
   for the MHD runs (matching the diffusive Riemann solvers the original
   BATS-R-US era codes used for production robustness);
-* :func:`hll` — two-wave HLL: sharper contact/shock resolution.
+* :func:`hll` — two-wave HLL: sharper contact/shock resolution;
+* :func:`hllc` — three-wave HLLC for the Euler family.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
+
+from repro.solvers.workspace import Workspace, scratch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.solvers.scheme import FVScheme
@@ -23,33 +29,65 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["rusanov", "hll", "get_riemann", "RIEMANN_SOLVERS"]
 
 
-def rusanov(scheme: "FVScheme", wl: np.ndarray, wr: np.ndarray, axis: int) -> np.ndarray:
-    """Local Lax–Friedrichs flux: central flux plus |lambda|max dissipation."""
-    fl = scheme.flux(wl, axis)
-    fr = scheme.flux(wr, axis)
-    ul = scheme.prim_to_cons(wl)
-    ur = scheme.prim_to_cons(wr)
-    smax = np.maximum(scheme.max_char_speed(wl, axis), scheme.max_char_speed(wr, axis))
-    return 0.5 * (fl + fr) - 0.5 * smax * (ur - ul)
+def rusanov(
+    scheme: "FVScheme", w: np.ndarray, axis: int, work: Optional[Workspace] = None
+) -> np.ndarray:
+    """Local Lax–Friedrichs flux: central flux plus |lambda|max dissipation,
+    ``0.5 (fl + fr) - 0.5 smax (ur - ul)``."""
+    work = scratch(work)
+    out = work.take(w[:, 0].shape)
+    scope = work.mark()
+    f = scheme.flux(w, axis, work)
+    u = scheme.prim_to_cons(w, work)
+    speed = scheme.max_char_speed(w, axis, work)
+    np.add(f[:, 0], f[:, 1], out=out)
+    out *= 0.5
+    smax = np.maximum(speed[0], speed[1], out=speed[0])
+    smax *= 0.5
+    jump = np.subtract(u[:, 1], u[:, 0], out=u[:, 0])
+    jump *= smax
+    out -= jump
+    work.release(scope)
+    return out
 
 
-def hll(scheme: "FVScheme", wl: np.ndarray, wr: np.ndarray, axis: int) -> np.ndarray:
-    """Harten–Lax–van Leer two-wave flux."""
-    fl = scheme.flux(wl, axis)
-    fr = scheme.flux(wr, axis)
-    ul = scheme.prim_to_cons(wl)
-    ur = scheme.prim_to_cons(wr)
-    unl = scheme.normal_velocity(wl, axis)
-    unr = scheme.normal_velocity(wr, axis)
-    cl = scheme.char_speed(wl, axis)
-    cr = scheme.char_speed(wr, axis)
-    sl = np.minimum(np.minimum(unl - cl, unr - cr), 0.0)
-    sr = np.maximum(np.maximum(unl + cl, unr + cr), 0.0)
-    width = np.where(sr - sl > 1e-300, sr - sl, 1.0)
-    return (sr * fl - sl * fr + sl * sr * (ur - ul)) / width
+def hll(
+    scheme: "FVScheme", w: np.ndarray, axis: int, work: Optional[Workspace] = None
+) -> np.ndarray:
+    """Harten–Lax–van Leer two-wave flux,
+    ``(sr fl - sl fr + sl sr (ur - ul)) / (sr - sl)``."""
+    work = scratch(work)
+    out = work.take(w[:, 0].shape)
+    scope = work.mark()
+    f = scheme.flux(w, axis, work)
+    u = scheme.prim_to_cons(w, work)
+    un = scheme.normal_velocity(w, axis, work)
+    c = scheme.char_speed(w, axis, work)
+    # sl = min(min(unl - cl, unr - cr), 0), sr = max(max(unl + cl, unr + cr), 0)
+    low = np.subtract(un, c, out=work.take(c.shape))
+    sl = np.minimum(low[0], low[1], out=low[0])
+    np.minimum(sl, 0.0, out=sl)
+    high = np.add(un, c, out=work.take(c.shape))
+    sr = np.maximum(high[0], high[1], out=high[0])
+    np.maximum(sr, 0.0, out=sr)
+    # sr - sl, or 1 where it is not above 1e-300
+    width = np.subtract(sr, sl, out=work.take(sr.shape))
+    narrow = np.greater(width, 1e-300, out=work.take(sr.shape, np.bool_))
+    np.copyto(width, 1.0, where=np.logical_not(narrow, out=narrow))
+    np.multiply(sr, f[:, 0], out=out)
+    term = np.multiply(sl, f[:, 1], out=work.take(out.shape))
+    out -= term
+    np.subtract(u[:, 1], u[:, 0], out=term)
+    term *= np.multiply(sl, sr, out=low[1])
+    out += term
+    out /= width
+    work.release(scope)
+    return out
 
 
-def hllc(scheme: "FVScheme", wl: np.ndarray, wr: np.ndarray, axis: int) -> np.ndarray:
+def hllc(
+    scheme: "FVScheme", w: np.ndarray, axis: int, work: Optional[Workspace] = None
+) -> np.ndarray:
     """HLLC three-wave flux (restores the contact wave; Euler-family only).
 
     Requires the scheme to expose a hydrodynamic layout: density in slot
@@ -59,15 +97,15 @@ def hllc(scheme: "FVScheme", wl: np.ndarray, wr: np.ndarray, axis: int) -> np.nd
     """
     layout = getattr(scheme, "layout", None)
     if layout is None or not hasattr(layout, "i_energy"):
-        return hll(scheme, wl, wr, axis)
+        return hll(scheme, w, axis, work)
+    work = scratch(work)
     ie = layout.i_energy
-    gamma = scheme.gamma
-
+    wl, wr = w[:, 0], w[:, 1]
     rho_l, rho_r = wl[0], wr[0]
     u_l, u_r = wl[1 + axis], wr[1 + axis]
     p_l, p_r = wl[ie], wr[ie]
-    c_l = scheme.char_speed(wl, axis)
-    c_r = scheme.char_speed(wr, axis)
+    c = scheme.char_speed(w, axis, work)
+    c_l, c_r = c[0], c[1]
     s_l = np.minimum(u_l - c_l, u_r - c_r)
     s_r = np.maximum(u_l + c_l, u_r + c_r)
     # Contact speed (Toro eq. 10.37).
@@ -75,10 +113,10 @@ def hllc(scheme: "FVScheme", wl: np.ndarray, wr: np.ndarray, axis: int) -> np.nd
     den = rho_l * (s_l - u_l) - rho_r * (s_r - u_r)
     s_star = num / np.where(np.abs(den) > 1e-300, den, 1e-300)
 
-    ul = scheme.prim_to_cons(wl)
-    ur = scheme.prim_to_cons(wr)
-    fl = scheme.flux(wl, axis)
-    fr = scheme.flux(wr, axis)
+    u = scheme.prim_to_cons(w, work)
+    f = scheme.flux(w, axis, work)
+    ul, ur = u[:, 0], u[:, 1]
+    fl, fr = f[:, 0], f[:, 1]
 
     def star_state(w, u_cons, s, un):
         rho = w[0]

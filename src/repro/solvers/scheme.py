@@ -29,7 +29,7 @@ axes *from the right*, so the same code serves two layouts:
   grid ``ndim`` explicitly and the leading axis is treated as a batch.
 
 Internally a batched stack is normalized to a *var-major*
-``(nvar, B, *spatial)`` view (``np.moveaxis`` — no copy), so the physics
+``(nvar, B, *spatial)`` view (``swapaxes`` — no copy), so the physics
 hooks, which index the variable axis first (``u[0]`` is density
 everywhere), operate on all blocks at once with the batch axis riding
 along.  Every kernel is an elementwise IEEE ufunc expression, so batched
@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.solvers.limiters import get_limiter
 from repro.solvers.riemann import get_riemann
+from repro.solvers.workspace import Workspace, scratch
 
 __all__ = ["FVScheme"]
 
@@ -119,33 +120,43 @@ class FVScheme(ABC):
         return ()
 
     # ------------------------------------------------------------------
-    # physics hooks implemented by subclasses
+    # physics hooks implemented by subclasses (the contract: see ``step``)
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def cons_to_prim(self, u: np.ndarray) -> np.ndarray:
+    def cons_to_prim(self, u: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
         """Conserved → primitive variables."""
 
     @abstractmethod
-    def prim_to_cons(self, w: np.ndarray) -> np.ndarray:
+    def prim_to_cons(self, w: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
         """Primitive → conserved variables."""
 
     @abstractmethod
-    def flux(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def flux(self, w: np.ndarray, axis: int, work: Optional[Workspace] = None) -> np.ndarray:
         """Physical flux along ``axis`` from primitives."""
 
     @abstractmethod
-    def normal_velocity(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def normal_velocity(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
         """Advective velocity component along ``axis``."""
 
     @abstractmethod
-    def char_speed(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def char_speed(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
         """Maximum characteristic speed relative to the flow (sound /
         fast magnetosonic / zero for advection)."""
 
-    def max_char_speed(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def max_char_speed(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
         """|u_n| + c — the Rusanov dissipation speed."""
-        return np.abs(self.normal_velocity(w, axis)) + self.char_speed(w, axis)
+        work = scratch(work)
+        c = self.char_speed(w, axis, work)
+        speed = np.abs(self.normal_velocity(w, axis, work), out=work.take(c.shape))
+        speed += c
+        return speed
 
     def source(
         self,
@@ -153,6 +164,7 @@ class FVScheme(ABC):
         w: np.ndarray,
         dx: Sequence[float],
         g: int,
+        work: Optional[Workspace] = None,
     ) -> Optional[np.ndarray]:
         """Optional source term evaluated on the interior (e.g. the
         Powell divergence source for MHD).  Returns dU/dt or None."""
@@ -164,10 +176,11 @@ class FVScheme(ABC):
 
     def max_signal_speed(self, u: np.ndarray, ndim: int) -> float:
         """Largest |u_n| + c over the array and all grid axes (for CFL)."""
-        w = self.cons_to_prim(u)
+        work = Workspace()
+        w = self.cons_to_prim(u, work)
         best = 0.0
         for a in range(ndim):
-            best = max(best, float(np.max(self.max_char_speed(w, a))))
+            best = max(best, float(np.max(self.max_char_speed(w, a, work))))
         return best
 
     def max_signal_speed_batched(
@@ -175,7 +188,7 @@ class FVScheme(ABC):
         u: np.ndarray,
         ndim: int,
         out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
+        work: Optional[Workspace] = None,
     ) -> np.ndarray:
         """Per-block largest |u_n| + c over a var-major ``(nvar, B, *sp)``
         stack — one ``(B,)`` reduction instead of a Python loop.
@@ -184,25 +197,20 @@ class FVScheme(ABC):
         comparison semantics (the masked fold matches Python ``max``,
         which keeps the current best on a non-greater — e.g. NaN —
         candidate).  ``out`` (the ``(B,)`` result buffer) and ``work``
-        (a ``(B,)`` reduction scratch) let tiled callers reuse
-        allocations across calls; both are optional."""
-        w = self.cons_to_prim(u)
+        (the workspace, reset here) let tiled callers reuse allocations
+        across calls; both are optional."""
+        work = scratch(work)
+        work.reset()
+        w = self.cons_to_prim(u, work)
         b = u.shape[1]
-        if out is None:
-            best = np.zeros(b)
-        else:
-            best = out
-            best[:] = 0.0
+        best = np.zeros(b) if out is None else out
+        best[...] = 0.0
+        m = work.take((b,))
+        greater = work.take((b,), np.bool_)
         for a in range(ndim):
-            speed = self.max_char_speed(w, a)
-            flat = speed.reshape(speed.shape[0], -1)
-            if work is not None and work.shape == (b,):
-                m = flat.max(axis=1, out=work)
-            else:
-                m = flat.max(axis=1)
-            # same values as ``best = np.where(m > best, m, best)``,
-            # without the fresh array per axis
-            np.copyto(best, m, where=m > best)
+            np.max(self.max_char_speed(w, a, work).reshape(b, -1), axis=1, out=m)
+            # same values as ``best = np.where(m > best, m, best)``
+            np.copyto(best, m, where=np.greater(m, best, out=greater))
         return best
 
     def stable_dt(self, u: np.ndarray, dx: Sequence[float], ndim: int) -> float:
@@ -213,47 +221,42 @@ class FVScheme(ABC):
         return self.cfl / sum(s / d for d in dx)
 
     def face_states(
-        self, w: np.ndarray, axis: int, g: int, ndim: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Left/right primitive states at the m+1 interior faces of an axis.
+        self, p: np.ndarray, g: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
+        """Left and right primitive states at the ``m + 1`` interior faces
+        along axis 1 of ``p``, stacked on axis 1: ``(nvar, 2, m + 1, ...)``.
 
-        Face ``f`` (0-based) sits between cells ``g-1+f`` and ``g+f`` of
-        the padded array.  Order 1 uses the adjacent cell values; order 2
-        adds limited half-slopes (requires g >= 2).
-
-        Spatial axes occupy the last ``ndim`` positions of ``w``
-        (default ``w.ndim - 1``), so per-block arrays and batched stacks
-        share this code — only spatial slicing and elementwise limiter
-        algebra happen here, never variable-axis indexing.
+        ``p`` holds primitives with the sweep axis at position 1,
+        ``(nvar, m + 2 g, ...)``; face ``f`` (0-based) sits between its
+        cells ``g - 1 + f`` and ``g + f``.  Order 1 uses the adjacent
+        cell values; order 2 adds limited half-slopes (requires g >= 2),
+        ``center + 0.5 slope`` on the left, ``center - 0.5 slope`` on the
+        right, each cell's slope limited from its one-sided differences,
+        and first copies a strided ``p`` into a contiguous *pencil* (it
+        reads it three times).
         """
-        nd = w.ndim - 1 if ndim is None else ndim
-        ax = w.ndim - nd + axis
-        n = w.shape[ax]
-        m = n - 2 * g
-
-        def ax_slice(lo: int, hi: int) -> Tuple[slice, ...]:
-            sl = [slice(None)] * w.ndim
-            sl[ax] = slice(lo, hi)
-            return tuple(sl)
-
+        work = scratch(work)
+        m = p.shape[1] - 2 * g
+        pair = work.take((p.shape[0], 2, m + 1) + p.shape[2:])
         if self.order == 1:
-            wl = w[ax_slice(g - 1, g + m)]
-            wr = w[ax_slice(g, g + m + 1)]
-            return wl, wr
-        # Limited slopes on cells [g-2+1, g+m+1) = [g-1, g+m+1).
-        center = w[ax_slice(g - 1, g + m + 1)]
-        left = w[ax_slice(g - 2, g + m)]
-        right = w[ax_slice(g, g + m + 2)]
-        slope = self.limiter(center - left, right - center)
-        # slope index i corresponds to padded cell g-1+i, i in [0, m+2).
-        sl_all = [slice(None)] * w.ndim
-        sl_lo = list(sl_all)
-        sl_hi = list(sl_all)
-        sl_lo[ax] = slice(0, m + 1)
-        sl_hi[ax] = slice(1, m + 2)
-        wl = center[tuple(sl_lo)] + 0.5 * slope[tuple(sl_lo)]
-        wr = center[tuple(sl_hi)] - 0.5 * slope[tuple(sl_hi)]
-        return wl, wr
+            np.copyto(pair[:, 0], p[:, g - 1:g + m])
+            np.copyto(pair[:, 1], p[:, g:g + m + 1])
+            return pair
+        scope = work.mark()
+        p = work.contiguous(p)
+        # Slopes on cells [g-1, g+m+1).  diff[i] = p[g-1+i] - p[g-2+i] is
+        # the left difference of slope cell i and the right one of i - 1.
+        diff = np.subtract(
+            p[:, g - 1:g + m + 2], p[:, g - 2:g + m + 1],
+            out=work.take((p.shape[0], m + 3) + p.shape[2:]),
+        )
+        half = self.limiter(diff[:, :m + 2], diff[:, 1:], work)
+        half *= 0.5
+        center = p[:, g - 1:g + m + 1]
+        np.add(center[:, :m + 1], half[:, :m + 1], out=pair[:, 0])
+        np.subtract(center[:, 1:], half[:, 1:], out=pair[:, 1])
+        work.release(scope)
+        return pair
 
     def flux_divergence(
         self,
@@ -265,6 +268,7 @@ class FVScheme(ABC):
         faces: Optional[Sequence[int]] = None,
         ndim: Optional[int] = None,
         out: Optional[np.ndarray] = None,
+        work: Optional[Workspace] = None,
     ) -> np.ndarray:
         """-div F over the interior cells (the conservative update rate).
 
@@ -282,61 +286,66 @@ class FVScheme(ABC):
         ``out`` is a result buffer in the *caller's* layout (interior
         shape) — a scratch hint that skips the per-call allocation.
         Callers must consume the returned array, which may or may not
-        alias ``out``.
+        alias ``out``.  ``work`` holds every intermediate (see
+        :mod:`repro.solvers.workspace`); without one they are allocated.
+
+        Per axis, the primitives — cropped to the interior on the other
+        axes — are copied into a *pencil* with that axis first
+        (:meth:`face_states`), so reconstruction, Riemann solver and flux
+        difference sweep contiguous memory whatever the axis (numpy
+        buffers every strided operand, at two to three times the cost of
+        a contiguous one).
         """
         nd = u.ndim - 1 if ndim is None else ndim
         if face_flux_out is None:
             self.kernels.dispatches += 1
+        work = scratch(work)
+        work.reset()
         batched = u.ndim == nd + 2
-        uv = np.moveaxis(u, 0, 1) if batched else u  # var-major view
+        uv = u.swapaxes(0, 1) if batched else u  # var-major view
         lead = uv.ndim - nd
         spatial = uv.shape[lead:]
-        w = self.cons_to_prim(uv)
-        interior_shape = tuple(s - 2 * g for s in spatial)
-        want = uv.shape[:lead] + interior_shape
+        w = self.cons_to_prim(uv, work)
+        interior = tuple(slice(g, s - g) for s in spatial)
+        want = uv.shape[:lead] + tuple(s - 2 * g for s in spatial)
         dudt = None
         if out is not None and out.dtype == np.float64:
-            cand = np.moveaxis(out, 0, 1) if batched else out
+            cand = out.swapaxes(0, 1) if batched else out
             if cand.shape == want:
                 dudt = cand
                 dudt[...] = 0.0
         if dudt is None:
             dudt = np.zeros(want)
         for axis in range(nd):
-            # Crop to interior extent on transverse axes *before*
-            # reconstruction: face_states only slices along ``axis``, so
-            # feeding it the cropped view yields bitwise-identical face
-            # states while skipping the limiter algebra on transverse
-            # ghost cells it would otherwise compute and discard.
-            trans = [slice(g, s - g) for s in spatial]
-            trans[axis] = slice(None)
-            sel = (slice(None),) * lead + tuple(trans)
-            wl, wr = self.face_states(w[sel], axis, g, ndim=nd)
-            f = self.riemann(self, wl, wr, axis)
-            ax = f.ndim - nd + axis
-            sl_hi = [slice(None)] * f.ndim
-            sl_lo = [slice(None)] * f.ndim
-            n_faces = f.shape[ax]
-            sl_hi[ax] = slice(1, n_faces)
-            sl_lo[ax] = slice(0, n_faces - 1)
-            dudt -= (f[tuple(sl_hi)] - f[tuple(sl_lo)]) / dx[axis]
+            scope = work.mark()
+            # Transverse axes are cropped to the interior *before*
+            # reconstruction (which only looks along ``axis``): the face
+            # states are the same, without limiter algebra on transverse
+            # ghost cells.
+            sel = list(interior)
+            sel[axis] = slice(None)
+            # the sweep axis right after the variables
+            ax = lead + axis
+            sweep_first = (0, ax) + tuple(i for i in range(1, w.ndim) if i != ax)
+            cropped = w[(slice(None),) * lead + tuple(sel)].transpose(sweep_first)
+            f = self.riemann(self, self.face_states(cropped, g, work), axis, work)
+            jump = np.subtract(f[:, 1:], f[:, :-1], out=work.take(f[:, 1:].shape))
+            d = dx[axis]
+            # a per-block width array (B, 1, ..., 1) loses the sweep axis's 1
+            d = np.reshape(d, np.shape(d)[:1] + (1,) * (nd - 1)) if np.ndim(d) else d
+            term = work.like(dudt)  # this axis's share of the rate
+            np.divide(jump, d, out=term.transpose(sweep_first))
+            dudt -= term
             if face_flux_out is not None:
-                for side, idx in ((0, 0), (1, n_faces - 1)):
+                for side, idx in ((0, 0), (1, f.shape[1] - 1)):
                     face = 2 * axis + side
-                    if faces is not None and face not in faces:
-                        continue
-                    take: list = [slice(None)] * f.ndim
-                    take[ax] = idx
-                    face_flux_out[face] = f[tuple(take)].copy()
-        src = self.source(
-            uv[(slice(None),) * lead + tuple(slice(g, s - g) for s in spatial)],
-            w,
-            dx,
-            g,
-        )
+                    if faces is None or face in faces:
+                        face_flux_out[face] = f[:, idx].copy()
+            work.release(scope)
+        src = self.source(uv[(slice(None),) * lead + interior], w, dx, g, work)
         if src is not None:
             dudt += src
-        return np.moveaxis(dudt, 0, 1) if batched else dudt
+        return dudt.swapaxes(0, 1) if batched else dudt
 
     @property
     def n_stages(self) -> int:
@@ -364,10 +373,12 @@ class FVScheme(ABC):
         g: int,
         ndim: Optional[int] = None,
         rate_out: Optional[np.ndarray] = None,
+        work: Optional[Workspace] = None,
     ) -> None:
         """Advance the interior of a padded block array by one forward-
         Euler *stage* of length ``dt``, in place.  ``rate_out`` is an
-        optional scratch buffer (interior shape) for the update rate.
+        optional scratch buffer (interior shape) for the update rate,
+        ``work`` the kernel's workspace (:meth:`flux_divergence`).
 
         This is a single stage: time integration across stages (midpoint
         for second order) is orchestrated by the driver, which must
@@ -380,17 +391,34 @@ class FVScheme(ABC):
         With an explicit ``ndim`` and a ``(B, nvar, *spatial)`` stack
         the whole batch advances in one sweep — which is how every
         driver calls it (:class:`repro.solvers.sweep.PoolSweep`).
-        Subclass contract: an override takes ``ndim=`` and ``rate_out=``
-        (forward ``**kw``), and it and every kernel it calls may receive
-        that leading batch axis (``dx`` entries are then ``(B, 1, ...)``
-        arrays); index from the right, or use ``ndim``, not ``u[0]``.
+
+        Subclass contract, for this method and the physics hooks:
+
+        * An override of ``step`` takes ``ndim=``, ``rate_out=`` and
+          ``work=`` (forward ``**kw``).  It and every hook may receive
+          the leading batch axis: ``dx`` entries are then
+          ``(B, 1, ...)`` arrays, and the hooks see var-major
+          ``(nvar, B, *cells)`` arrays — index variables from the left
+          (``w[0]``), cells from the right, never ``u[0]`` as a block.
+        * Every hook (``cons_to_prim``, ``prim_to_cons``, ``flux``,
+          ``normal_velocity``, ``char_speed``, ``max_char_speed``,
+          ``source``) takes a trailing ``work``, a
+          :class:`~repro.solvers.workspace.Workspace` or None.  It may
+          take its result and temporaries from it (``work.take(shape)``,
+          ``work.like(a)``) or ignore it and allocate.  A hook never
+          writes into its inputs, and its result is a new array the
+          caller may overwrite — except ``normal_velocity``'s, which may
+          be a view of ``w`` (``w[1 + axis]``) and is only read.
+        * ``flux``, ``prim_to_cons`` and the speeds receive the left and
+          right face states stacked on axis 1, ``(nvar, 2, ...)``: one
+          call serves both sides of every face.
         """
         nd = u.ndim - 1 if ndim is None else ndim
         lead = u.ndim - nd
         interior = (slice(None),) * lead + tuple(
             slice(g, s - g) for s in u.shape[lead:]
         )
-        rate = self.flux_divergence(u, dx, g, ndim=ndim, out=rate_out)
+        rate = self.flux_divergence(u, dx, g, ndim=ndim, out=rate_out, work=work)
         if rate_out is not None:
             # same two IEEE ops per element as ``u += dt * rate``,
             # without the broadcast temporary
@@ -400,7 +428,7 @@ class FVScheme(ABC):
             u[interior] += dt * rate
         ui = u[interior]
         # the floors hook wants the variable axis first
-        self.apply_floors(np.moveaxis(ui, 0, 1) if lead == 2 else ui)
+        self.apply_floors(ui.swapaxes(0, 1) if lead == 2 else ui)
 
     def step_midpoint(
         self,

@@ -9,10 +9,13 @@ second physical regime (dam breaks, gravity waves) for the AMR tests.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.solvers.scheme import FVScheme
 from repro.solvers.state import RHO_FLOOR
+from repro.solvers.workspace import Workspace, scratch
 
 __all__ = ["ShallowWaterScheme"]
 
@@ -61,34 +64,40 @@ class ShallowWaterScheme(FVScheme):
             return
         np.maximum(u[0], self.h_floor, out=u[0])
 
-    def cons_to_prim(self, u: np.ndarray) -> np.ndarray:
-        w = np.empty_like(u)
-        h = np.maximum(u[0], RHO_FLOOR)
-        w[0] = h
-        for a in range(self.ndim):
-            w[1 + a] = u[1 + a] / h
+    def cons_to_prim(self, u: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        w = scratch(work).like(u)
+        h = np.maximum(u[0], RHO_FLOOR, out=w[0])
+        np.divide(u[1:], h, out=w[1:])
         return w
 
-    def prim_to_cons(self, w: np.ndarray) -> np.ndarray:
-        u = np.empty_like(w)
-        h = np.maximum(w[0], RHO_FLOOR)
-        u[0] = h
-        for a in range(self.ndim):
-            u[1 + a] = h * w[1 + a]
+    def prim_to_cons(self, w: np.ndarray, work: Optional[Workspace] = None) -> np.ndarray:
+        u = scratch(work).like(w)
+        h = np.maximum(w[0], RHO_FLOOR, out=u[0])
+        np.multiply(h, w[1:], out=u[1:])
         return u
 
-    def flux(self, w: np.ndarray, axis: int) -> np.ndarray:
-        h = w[0]
-        un = w[1 + axis]
-        f = np.empty_like(w)
-        f[0] = h * un
-        for a in range(self.ndim):
-            f[1 + a] = h * un * w[1 + a]
-        f[1 + axis] += 0.5 * self.gravity * h * h
+    def flux(self, w: np.ndarray, axis: int, work: Optional[Workspace] = None) -> np.ndarray:
+        # h un, h un u_a (+ 0.5 g h h along ``axis``)
+        work = scratch(work)
+        h, un = w[0], w[1 + axis]
+        f = work.like(w)
+        scope = work.mark()
+        np.multiply(h, un, out=f[0])
+        np.multiply(f[0], w[1:], out=f[1:])
+        head = np.multiply(0.5 * self.gravity, h, out=work.take(h.shape))
+        head *= h
+        f[1 + axis] += head
+        work.release(scope)
         return f
 
-    def normal_velocity(self, w: np.ndarray, axis: int) -> np.ndarray:
+    def normal_velocity(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
         return w[1 + axis]
 
-    def char_speed(self, w: np.ndarray, axis: int) -> np.ndarray:
-        return np.sqrt(self.gravity * np.maximum(w[0], RHO_FLOOR))
+    def char_speed(
+        self, w: np.ndarray, axis: int, work: Optional[Workspace] = None
+    ) -> np.ndarray:
+        c = np.maximum(w[0], RHO_FLOOR, out=scratch(work).take(w.shape[1:]))
+        c *= self.gravity
+        return np.sqrt(c, out=c)

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.solvers.workspace import Workspace
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.block import Block
     from repro.solvers.scheme import FVScheme
@@ -34,16 +36,18 @@ Rows = Tuple[int, int]
 def tile_rows(row_bytes: int, tile_bytes: int = BATCH_TILE_BYTES) -> int:
     """Rows per kernel tile: ``tile_bytes`` worth, at least 8.
 
-    A kernel call allocates its intermediates — face states, fluxes,
-    the rate — afresh, each about the size of the tile it sweeps.  More
-    rows per call amortize numpy's dispatch, until one intermediate
-    reaches the allocator's mmap threshold (128 KiB in glibc): from
-    there on every temporary is mapped, page-faulted in and unmapped
-    again, which on 32² blocks costs 40 % of the sweep and 10 MB of
-    resident memory against a tile just below it.  So a tile holds the
-    threshold's worth of rows.  The floor of 8 keeps dispatch amortized
-    for rows that are large on their own (8³ MHD blocks are 110 KB, but
-    their kernels work a variable at a time).
+    More rows per call amortize numpy's dispatch; fewer keep the call's
+    working set — the sweep's workspace, a few dozen intermediates about
+    the size of the tile — in the core's cache.  The kernel allocates
+    nothing per call (:class:`~repro.solvers.workspace.Workspace`), so
+    the allocator's mmap threshold, which once made tiles past 128 KiB
+    of 32² rows 40 % slower, no longer bounds the tile.  Measured with
+    the workspace (EXPERIMENTS.md, "One sweep"): on 8³ MHD 8 and 12
+    rows tie, 4 and 18 are 3-9 % slower and 27 are 22 %; on 32²
+    advection 8 and 12 rows tie and 24 are 23 % slower; on 8² advection
+    113 rows are within 5 % of the whole pool.  So the rule stays:
+    128 KiB of rows, and the floor of 8 for rows that are large on their
+    own (an 8³ MHD row is 110 KB).
     """
     return max(8, tile_bytes // max(row_bytes, 1))
 
@@ -70,6 +74,13 @@ class PoolSweep:
         rate of the tile in flight.
     tile:
         Rows per kernel call (:func:`tile_rows`).
+
+    Every other intermediate of the kernel calls lives in the sweep's
+    :attr:`work`, sized by its first call of a shape and reused by every
+    tile after it.  A driver builds a sweep per step, so the workspace
+    is given back with it: kept from step to step it would sit in the
+    heap next to the ghost fill's gather, whose memory it now reuses
+    (measured: peak RSS of ``uniform_mhd3d`` +10 %).
     """
 
     def __init__(
@@ -90,6 +101,8 @@ class PoolSweep:
         self.save = save
         self.rate = rate
         self.tile = tile
+        #: every intermediate of the kernel calls, reused tile after tile
+        self.work = Workspace()
         self.interior = pool[
             (slice(None), slice(None))
             + tuple(slice(n_ghost, s - n_ghost) for s in pool.shape[2:])
@@ -133,7 +146,7 @@ class PoolSweep:
         for s, e in self._each_tile(rows):
             scheme.step(
                 pool[s:e], [d[s:e] for d in self.dx], dt, g, ndim=nd,
-                rate_out=self.rate[: e - s],
+                rate_out=self.rate[: e - s], work=self.work,
             )
 
     def correct(self, dt: float, rows: Optional[Rows] = None) -> None:
@@ -144,10 +157,10 @@ class PoolSweep:
         for s, e in self._each_tile(rows):
             rate = scheme.flux_divergence(
                 pool[s:e], [d[s:e] for d in self.dx], g, ndim=nd,
-                out=self.rate[: e - s],
+                out=self.rate[: e - s], work=self.work,
             )
             # same two IEEE ops per element as ``save + dt * rate``,
             # without the broadcast temporary
             rate *= dt
             np.add(save[s:e], rate, out=ui[s:e])
-            scheme.apply_floors(np.moveaxis(ui[s:e], 0, 1))
+            scheme.apply_floors(ui[s:e].swapaxes(0, 1))

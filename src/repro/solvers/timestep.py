@@ -12,6 +12,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.solvers.workspace import Workspace
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.forest import BlockForest
     from repro.solvers.scheme import FVScheme
@@ -72,14 +74,13 @@ def stable_dt_batched(
     ]
     step = n if tile is None else max(tile, 1)
     s = np.empty(n)
-    # one reduction scratch for every tile (not a fresh one per tile)
-    work = np.empty(min(step, n))
+    work = Workspace()  # one for every tile (not fresh buffers per tile)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         scheme.kernels.dispatches += 1
         scheme.max_signal_speed_batched(
-            np.moveaxis(interior[lo:hi], 0, 1),  # var-major (nvar, b, *m)
-            forest.ndim, out=s[lo:hi], work=work[: hi - lo],
+            interior[lo:hi].swapaxes(0, 1),  # var-major (nvar, b, *m)
+            forest.ndim, out=s[lo:hi], work=work,
         )
     dx = np.array([[b.dx[a] for a in range(forest.ndim)] for b in blocks])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -64,11 +64,8 @@ def tree_step(tree: CellTree, scheme: FVScheme, dt: float) -> None:
                 if other is None:
                     other = leaf.data
                 w_o = scheme.cons_to_prim(np.asarray(other)[:, np.newaxis])
-                if side == 1:
-                    wl, wr = w_c, w_o
-                else:
-                    wl, wr = w_o, w_c
-                f = scheme.riemann(scheme, wl, wr, axis)[:, 0]
+                sides = (w_c, w_o) if side == 1 else (w_o, w_c)
+                f = scheme.riemann(scheme, np.stack(sides, axis=1), axis)[:, 0]
                 sign = 1.0 if side == 1 else -1.0
                 du -= sign * f / dx[axis]
         updates.append((leaf, du))

@@ -15,6 +15,7 @@ class BlockOracle:
     def __init__(self, scheme, pool, placed, n_ghost, *, save, rate, tile):
         self.scheme, self.g, self.save = scheme, n_ghost, save
         self.placed = sorted(placed, key=lambda rb: rb[0])
+        self.work = None  # no workspace: every kernel call allocates
 
     def _each(self, rows):
         lo, hi = rows or (0, len(self.save))

@@ -11,15 +11,19 @@ the exchange race detector, rank-kill recovery, unit tests of the block
 arena, and the settings that no longer exist.
 """
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from oracle import BlockOracle
 from repro.amr import Simulation, advecting_pulse
 from repro.amr.config import SimulationConfig
 from repro.amr.problems import mhd_blast, sedov_blast
 from repro.core import BlockForest, BlockID
 from repro.core.arena import BlockArena
-from repro.solvers import AdvectionScheme
+from repro.solvers import AdvectionScheme, EulerScheme, MHDScheme
 from repro.solvers.sweep import BATCH_TILE_BYTES, PoolSweep, tile_rows
 from repro.util.geometry import Box
 
@@ -208,6 +212,112 @@ def test_batch_tile_invariance():
         if rows is not None:
             untouched = np.r_[0 : rows[0], rows[1] : n]
             assert np.array_equal(results[0][untouched], start[untouched])
+
+
+def _pool(scheme, n, m, g, seed):
+    """``(n, nvar, *padded)`` conserved rows from uniform primitives, and
+    stand-in blocks (``data``, ``interior``, ``dx``) viewing them."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-0.5, 0.5, (n, scheme.nvar) + tuple(k + 2 * g for k in m))
+    if scheme.nvar > 1:  # density and pressure
+        w[:, 0] = rng.uniform(0.6, 1.4, w[:, 0].shape)
+        w[:, -4 if scheme.nvar == 8 else -1] = rng.uniform(0.3, 1.2, w[:, 0].shape)
+    pool = np.stack([scheme.prim_to_cons(row) for row in w])
+    return pool, _blocks(pool, g, rng.uniform(0.05, 0.2, (n, len(m))))
+
+
+def _blocks(pool, g, widths):
+    inner = (slice(None),) + tuple(slice(g, s - g) for s in pool.shape[2:])
+    return [
+        SimpleNamespace(data=row, interior=row[inner], dx=tuple(map(float, dx)))
+        for row, dx in zip(pool, widths)
+    ]
+
+
+WORKSPACE_SCHEMES = {
+    "mhd": lambda: MHDScheme(3),
+    "mhd-mc-hll-floors": lambda: MHDScheme(
+        3, limiter="mc", riemann="hll", rho_floor=0.9, p_floor=0.6),
+    "mhd-o1-no-powell": lambda: MHDScheme(3, order=1, powell_source=False),
+    "euler-hllc-gravity": lambda: EulerScheme(
+        3, riemann="hllc", limiter="superbee", gravity=(0.0, 0.5, -1.0)),
+    "advection-minmod": lambda: AdvectionScheme((1.0, -0.5, 0.25), limiter="minmod"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKSPACE_SCHEMES))
+def test_workspace_is_written_before_read(name, monkeypatch):
+    """Every view of the sweep's workspace is written before it is read:
+    with the buffer poisoned (NaN) before every tile, a predictor-
+    corrector sweep of 10 rows at tile 4 (a ragged last tile) is byte-
+    equal to the per-block update, which has no workspace; so is a
+    per-block call with face capture in that workspace (reflux capture)."""
+    scheme = WORKSPACE_SCHEMES[name]()
+    n, m, g = 10, (4, 5, 3), 2
+    pool, blocks = _pool(scheme, n, m, g, seed=7)
+    start = pool.copy()
+    interior = (n, scheme.nvar) + m
+    sweep = PoolSweep(
+        scheme, pool, enumerate(blocks), g,
+        save=np.empty(interior), rate=np.empty((4,) + interior[1:]), tile=4,
+    )
+    ref_pool = start.copy()
+    ref = BlockOracle(
+        scheme, ref_pool, enumerate(_blocks(ref_pool, g, [b.dx for b in blocks])), g,
+        save=np.empty(interior), rate=None, tile=None,
+    )
+    sweep.forward(1e-3)  # sizes the workspace
+    pool[...] = start
+    assert sweep.work.buffer.size > 0
+    kernel = scheme.flux_divergence
+
+    def poisoned(*args, work=None, **kw):
+        if work is not None:  # NaN in every float64 view, True in every mask
+            work.buffer[...] = 0xFF
+        return kernel(*args, work=work, **kw)
+
+    monkeypatch.setattr(scheme, "flux_divergence", poisoned)
+    for run in (sweep, ref):
+        run.snapshot()
+        run.forward(1e-3)
+        run.correct(2e-3)
+    assert not np.array_equal(pool, start)
+    assert pool.tobytes() == ref_pool.tobytes()
+    got, want = {}, {}
+    block = blocks[3]
+    rate = scheme.flux_divergence(block.data, block.dx, g, face_flux_out=got, work=sweep.work)
+    assert rate.tobytes() == kernel(block.data, block.dx, g, face_flux_out=want).tobytes()
+    assert sorted(got) == sorted(want) == list(range(6))
+    assert all(got[f].tobytes() == want[f].tobytes() for f in want)
+
+
+def test_sweep_allocates_less_than_a_rate_slab():
+    """After warm-up, a predictor-corrector sweep of an 8^3 MHD pool
+    allocates less than one tile's interior rate slab: the kernel's
+    intermediates all live in the sweep's workspace."""
+    scheme = MHDScheme(3)
+    pool, blocks = _pool(scheme, 12, (8, 8, 8), 2, seed=3)
+    tile = tile_rows(pool[:1].nbytes)
+    interior = pool.shape[:2] + (8, 8, 8)
+    sweep = PoolSweep(
+        scheme, pool, enumerate(blocks), 2,
+        save=np.empty(interior), rate=np.empty((tile,) + interior[1:]), tile=tile,
+    )
+
+    def sweep_once():
+        sweep.snapshot()
+        sweep.forward(1e-4)
+        sweep.correct(2e-4)
+
+    sweep_once()
+    tracemalloc.start()
+    try:
+        sweep_once()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep._tiles) == 2  # a full tile and a ragged one
+    assert peak < sweep.rate.nbytes, f"{peak} bytes allocated"
 
 
 def test_equivalence_3d():

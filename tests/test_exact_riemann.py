@@ -101,13 +101,13 @@ class TestHLLCFlux:
     def test_consistency_with_physical_flux(self):
         # Identical left/right states: the numerical flux is the flux.
         w = np.array([[1.0], [0.5], [2.0]])
-        f = hllc(self.scheme, w, w, 0)
+        f = hllc(self.scheme, np.stack((w, w), axis=1), 0)
         np.testing.assert_allclose(f, self.scheme.flux(w, 0), rtol=1e-12)
 
     def test_supersonic_upwinding(self):
         wl = np.array([[1.0], [10.0], [1.0]])   # fast rightward flow
         wr = np.array([[0.5], [10.0], [0.5]])
-        f = hllc(self.scheme, wl, wr, 0)
+        f = hllc(self.scheme, np.stack((wl, wr), axis=1), 0)
         np.testing.assert_allclose(f, self.scheme.flux(wl, 0), rtol=1e-12)
 
     def test_resolves_stationary_contact_exactly(self):
@@ -116,8 +116,8 @@ class TestHLLCFlux:
         wr = np.array([[0.25], [0.0], [1.0]])
         from repro.solvers.riemann import hll
 
-        f_hllc = hllc(self.scheme, wl, wr, 0)
-        f_hll = hll(self.scheme, wl, wr, 0)
+        f_hllc = hllc(self.scheme, np.stack((wl, wr), axis=1), 0)
+        f_hll = hll(self.scheme, np.stack((wl, wr), axis=1), 0)
         assert abs(f_hllc[0, 0]) < 1e-12            # no mass flux
         assert abs(f_hll[0, 0]) > 1e-3              # HLL leaks mass
 
@@ -162,5 +162,6 @@ class TestHLLCFlux:
         wl, wr = w.copy(), w.copy()
         wr[0] = 0.5
         np.testing.assert_allclose(
-            hllc(mhd, wl, wr, 0), hll(mhd, wl, wr, 0), rtol=1e-12
+            hllc(mhd, np.stack((wl, wr), axis=1), 0),
+            hll(mhd, np.stack((wl, wr), axis=1), 0), rtol=1e-12
         )
