@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.solvers.scheme import FVScheme
 from repro.util.geometry import Box
 
 __all__ = [
+    "PROBLEMS",
     "Problem",
     "advecting_pulse",
     "alfven_wave",
@@ -826,3 +827,17 @@ def comet(
         bc=bc,
         hook=hook,
     )
+
+
+#: The bundled problems by name (the ``repro`` CLI's ``problem``
+#: argument).  Each factory takes ``ndim``; ``orszag_tang`` is 2-D for
+#: any ``ndim``, so a caller that needs the dimension checks
+#: ``problem.config.ndim``.
+PROBLEMS: Dict[str, Callable[[int], Problem]] = {
+    "pulse": advecting_pulse,
+    "sedov": sedov_blast,
+    "mhd_blast": mhd_blast,
+    "orszag_tang": lambda ndim: orszag_tang(),
+    "solar_wind": solar_wind,
+    "comet": comet,
+}

@@ -5,21 +5,22 @@ Commands
 
 ``run``
     Run one of the bundled problems (pulse, blasts, solar wind, comet)
-    with live progress and optional checkpointing.
+    with live progress and optional checkpointing; ``--sanitize`` runs
+    it under the ghost-poison sanitizer.
+``bench``
+    Tiled-vs-one-row sweep speedup on the Fig-5-style workload, gated on
+    bitwise equivalence.
 ``info``
     Summarize a checkpoint written by ``run --save`` /
-    :func:`repro.amr.save_forest`.
+    :func:`repro.amr.save_forest`, or audit a checkpoint directory.
 ``scaling``
     Simulated-T3D scaled-efficiency sweep (the Figure-6 series).
 ``fig5``
     Measured time-per-cell vs block size (the Figure-5 series).
 ``emulate``
     Run a problem on the emulated distributed machine and verify the
-    result against the serial driver (bit-exact check).
-``sanitize``
-    Debug run of a problem under the correctness tooling: the
-    ghost-poison sanitizer on the serial driver, plus the sanitizer and
-    the exchange race detector on the emulated machine (see
+    result against the serial driver (bit-exact check); ``--sanitize``
+    adds the ghost-poison sanitizer and the exchange race detector (see
     :mod:`repro.analysis`).
 ``lint``
     Run the repo's AMR-specific AST lint (rules REPRO101-107) over
@@ -43,13 +44,98 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.amr.problems import PROBLEMS
+
+if TYPE_CHECKING:
+    from repro.resilience.faults import BitFlip
+
 __all__ = ["main", "build_parser"]
 
-PROBLEMS = ("pulse", "sedov", "mhd_blast", "orszag_tang", "solar_wind", "comet")
+
+def _int_from(lo: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer ``>= lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_from(1)
+_non_negative = _int_from(0)
+
+
+def _step_pair(text: str) -> Tuple[int, int]:
+    """``STEP:N`` -> ``(step, n)``, both non-negative."""
+    try:
+        step, n = (_non_negative(p) for p in text.split(":"))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"expected STEP:N with STEP, N >= 0, got {text!r}"
+        ) from None
+    return step, n
+
+
+def _bit_flip(text: str) -> "BitFlip":
+    """``STEP:TARGET[:BLOCK[:BYTE[:BIT]]]`` -> a BitFlip record."""
+    from repro.resilience.faults import BitFlip
+
+    parts = text.split(":")
+    try:
+        if not 2 <= len(parts) <= 5:
+            raise ValueError(text)
+        step, block, byte, bit = (
+            _non_negative(p) for p in [parts[0], *parts[2:], "0", "0", "0"][:4]
+        )
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"expected STEP:TARGET[:BLOCK[:BYTE[:BIT]]] with numbers >= 0, "
+            f"got {text!r}"
+        ) from None
+    try:
+        return BitFlip(step=step, target=parts[1], block=block, byte=byte, bit=bit)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _size_list(text: str) -> List[int]:
+    """Comma-separated positive block sizes."""
+    return [_positive(s) for s in text.split(",")]
+
+
+def _engine_list(text: str) -> List[str]:
+    """Comma-separated rows-per-kernel-call modes."""
+    engines = [e.strip() for e in text.split(",") if e.strip()]
+    if not engines or any(e not in ("blocked", "batched") for e in engines):
+        raise argparse.ArgumentTypeError(
+            f"must name blocked and/or batched, got {text!r}"
+        )
+    return engines
+
+
+def _rule_codes(text: str) -> FrozenSet[str]:
+    """Comma-separated lint rule codes, each one the catalogue knows."""
+    from repro.analysis.lint import RULES
+
+    codes = frozenset(c.strip().upper() for c in text.split(",") if c.strip())
+    unknown = codes - {r.code for r in RULES}
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown rule code(s): {', '.join(sorted(unknown))}"
+        )
+    return codes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,50 +145,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a bundled AMR problem")
-    run.add_argument("problem", choices=PROBLEMS)
-    run.add_argument("--ndim", type=int, default=2, choices=(1, 2, 3))
-    run.add_argument("--steps", type=int, default=None, help="step count")
+    # Flags several verbs share, each defined once.
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("problem", choices=PROBLEMS)
+    problem.add_argument("--ndim", type=int, default=2, choices=(1, 2, 3))
+    stepping = argparse.ArgumentParser(add_help=False)
+    stepping.add_argument("--no-adapt", action="store_true", help="static grid")
+    stepping.add_argument("--subcycle", action="store_true",
+                          help="level-local time stepping: each refinement "
+                               "level advances with its own CFL dt (2^delta "
+                               "substeps per coarse step, time-interpolated "
+                               "ghosts, time-weighted reflux) instead of one "
+                               "global finest-level dt")
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--sanitize", action="store_true",
+                        help="run under the ghost-poison sanitizer (debug; "
+                             "raises on any consumed unfilled ghost cell); "
+                             "emulate adds the exchange race detector")
+    checks.add_argument("--scrub-every", type=_positive, metavar="N",
+                        default=None,
+                        help="verify per-block (and partner-mirror) CRC "
+                             "integrity tags every N steps; silent data "
+                             "corruption is caught with a per-block "
+                             "diagnosis instead of propagating (bit-for-bit "
+                             "transparent; emulate defaults to 1 when "
+                             "--flip-bits is given, else off)")
+
+    run = sub.add_parser("run", help="run a bundled AMR problem",
+                         parents=[problem, stepping, checks])
+    run.set_defaults(handler=cmd_run)
+    run.add_argument("--steps", type=_non_negative, default=None,
+                     help="step count")
     run.add_argument("--t-end", type=float, default=None, help="end time")
-    run.add_argument("--no-adapt", action="store_true", help="static grid")
     run.add_argument("--reflux", action="store_true",
                      help="enable coarse-fine flux correction")
     run.add_argument("--save", metavar="FILE.npz", default=None,
                      help="write a checkpoint at the end")
-    run.add_argument("--report-every", type=int, default=10)
-    run.add_argument("--checkpoint-every", type=int, metavar="N", default=None,
+    run.add_argument("--report-every", type=_positive, default=10)
+    run.add_argument("--checkpoint-every", type=_positive, metavar="N",
+                     default=None,
                      help="write a rotating checkpoint every N steps")
     run.add_argument("--checkpoint-dir", default="checkpoints",
                      help="directory for --checkpoint-every files")
-    run.add_argument("--checkpoint-keep", type=int, default=3,
+    run.add_argument("--checkpoint-keep", type=_positive, default=3,
                      help="rotating checkpoints to retain")
     run.add_argument("--resume", metavar="FILE.npz", default=None,
                      help="restart from a checkpoint instead of t=0")
     run.add_argument("--safe-mode", action="store_true",
                      help="health-check each step; roll back and halve "
                           "dt on NaN/Inf or negative density/pressure")
-    run.add_argument("--sanitize", action="store_true",
-                     help="run under the ghost-poison sanitizer (debug; "
-                          "raises on any consumed unfilled ghost cell)")
-    run.add_argument("--subcycle", action="store_true",
-                     help="level-local time stepping: each refinement "
-                          "level advances with its own CFL dt (2^delta "
-                          "substeps per coarse step, time-interpolated "
-                          "ghosts, time-weighted reflux) instead of one "
-                          "global finest-level dt")
-    run.add_argument("--scrub-every", type=int, metavar="N", default=None,
-                     help="verify per-block CRC integrity tags every N "
-                          "steps; silent data corruption aborts loudly "
-                          "with a per-block diagnosis instead of "
-                          "propagating (bit-for-bit transparent)")
 
     bench = sub.add_parser(
         "bench",
         help="tiled-vs-one-row sweep speedup (Fig-5-style workload)",
     )
+    bench.set_defaults(handler=cmd_bench)
     bench.add_argument("--quick", action="store_true",
                        help="reduced sweep for smoke runs")
-    bench.add_argument("--steps", type=int, default=None,
+    bench.add_argument("--steps", type=_positive, default=None,
                        help="override timed steps per case")
     bench.add_argument("--no-json", action="store_true",
                        help="skip writing BENCH_batched_engine.json")
@@ -114,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "and for blocked/batched bitwise equivalence")
 
     info = sub.add_parser("info", help="summarize or audit checkpoints")
+    info.set_defaults(handler=cmd_info)
     info.add_argument("checkpoint",
                       help="a checkpoint file, or (with --checksums) a "
                            "checkpoint directory to audit")
@@ -128,36 +229,39 @@ def build_parser() -> argparse.ArgumentParser:
                            "directory audits (default: ckpt)")
 
     scaling = sub.add_parser("scaling", help="simulated-T3D efficiency sweep")
-    scaling.add_argument("--steps", type=int, default=10)
+    scaling.set_defaults(handler=cmd_scaling)
+    scaling.add_argument("--steps", type=_positive, default=10)
 
     fig5 = sub.add_parser("fig5", help="measured time/cell vs block size")
+    fig5.set_defaults(handler=cmd_fig5)
     fig5.add_argument(
-        "--sizes", default="2,4,8,16",
+        "--sizes", type=_size_list, default="2,4,8,16",
         help="comma-separated block sizes (default 2,4,8,16)",
     )
 
     emulate = sub.add_parser(
         "emulate",
         help="distributed-emulation run, verified against serial",
+        parents=[problem, checks],
     )
-    emulate.add_argument("problem", choices=PROBLEMS)
-    emulate.add_argument("--ndim", type=int, default=2, choices=(1, 2, 3))
-    emulate.add_argument("--ranks", type=int, default=4)
-    emulate.add_argument("--steps", type=int, default=5)
+    emulate.set_defaults(handler=cmd_emulate)
+    emulate.add_argument("--ranks", type=_positive, default=4)
+    emulate.add_argument("--steps", type=_positive, default=5)
     emulate.add_argument("--kill", action="append", default=[],
-                         metavar="STEP:RANK",
+                         type=_step_pair, metavar="STEP:RANK",
                          help="kill RANK at the start of STEP (repeatable)")
     emulate.add_argument("--drop-message", action="append", default=[],
-                         metavar="STEP:INDEX",
+                         type=_step_pair, metavar="STEP:INDEX",
                          help="drop wire message INDEX during STEP")
     emulate.add_argument("--corrupt-message", action="append", default=[],
-                         metavar="STEP:INDEX",
+                         type=_step_pair, metavar="STEP:INDEX",
                          help="corrupt wire message INDEX during STEP")
     emulate.add_argument("--transient-message", action="append", default=[],
-                         metavar="STEP:INDEX",
+                         type=_step_pair, metavar="STEP:INDEX",
                          help="transiently drop wire message INDEX during "
                               "STEP (retried with backoff, see --retry-max)")
     emulate.add_argument("--flip-bits", action="append", default=[],
+                         type=_bit_flip,
                          metavar="STEP:TARGET[:BLOCK[:BYTE[:BIT]]]",
                          help="flip one bit of live state before STEP "
                               "(repeatable); TARGET is interior, ghost, "
@@ -165,19 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "SFC block order (wire-message order for "
                               "staging); detected by the scrubber and "
                               "repaired through the self-healing ladder")
-    emulate.add_argument("--scrub-every", type=int, default=None,
-                         metavar="N",
-                         help="verify block and mirror CRC integrity "
-                              "tags every N steps (defaults to 1 when "
-                              "--flip-bits is given, else off)")
-    emulate.add_argument("--refine-levels", type=int, default=0,
+    emulate.add_argument("--refine-levels", type=_non_negative, default=0,
                          metavar="L",
                          help="statically refine L levels around the "
                               "domain center before the run (exercises "
                               "cross-level exchange; staging bitflips "
                               "ride the coarse-to-fine payloads this "
                               "creates)")
-    emulate.add_argument("--checkpoint-every", type=int, default=1,
+    emulate.add_argument("--checkpoint-every", type=_positive, default=1,
                          metavar="N",
                          help="recovery checkpoint cadence (fault runs)")
     emulate.add_argument("--checkpoint-dir", default=None,
@@ -189,12 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "partner-copy recovery, escalating to "
                               "global on double faults (default), or "
                               "always-global checkpoint rollback")
-    emulate.add_argument("--retry-max", type=int, default=2, metavar="N",
+    emulate.add_argument("--retry-max", type=_non_negative, default=2,
+                         metavar="N",
                          help="retransmissions before a transient message "
                               "fault escalates to a failure")
-    emulate.add_argument("--sanitize", action="store_true",
-                         help="run the emulation under the ghost-poison "
-                              "sanitizer and the exchange race detector")
     emulate.add_argument("--record", metavar="FILE.jsonl", default=None,
                          help="write a structured JSONL event stream "
                               "(steps, recoveries, wire traffic; see "
@@ -213,38 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
                               "kill, mute/garble/stale -> transient message "
                               "drop) and the final-state digest is printed")
 
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="debug-run a problem under the full correctness tooling",
-    )
-    sanitize.add_argument("problem", choices=PROBLEMS)
-    sanitize.add_argument("--ndim", type=int, default=2, choices=(1, 2, 3))
-    sanitize.add_argument("--steps", type=int, default=5)
-    sanitize.add_argument("--ranks", type=int, default=4)
-    sanitize.add_argument("--no-adapt", action="store_true",
-                          help="static grid for the serial phase")
-
     profile = sub.add_parser(
         "profile",
         help="run a problem under the observability layer and report "
              "phase breakdown, hottest blocks, and engine comparison",
+        parents=[problem, stepping],
     )
-    profile.add_argument("problem", choices=PROBLEMS)
-    profile.add_argument("--ndim", type=int, default=2, choices=(1, 2, 3))
-    profile.add_argument("--steps", type=int, default=10)
-    profile.add_argument("--engines", default="blocked,batched",
+    profile.set_defaults(handler=cmd_profile)
+    profile.add_argument("--steps", type=_positive, default=10)
+    profile.add_argument("--engines", type=_engine_list,
+                         default="blocked,batched",
                          help="comma-separated rows-per-kernel-call "
                               "modes to profile: blocked (one row), "
                               "batched (a tile); default: both")
-    profile.add_argument("--subcycle", action="store_true",
-                         help="profile under level-local (subcycled) time "
-                              "stepping instead of one global dt")
-    profile.add_argument("--no-adapt", action="store_true",
-                         help="static grid")
     profile.add_argument("--out", metavar="FILE.jsonl", default=None,
                          help="event-stream path (default: "
                               "profile_<problem>.jsonl)")
-    profile.add_argument("--top-k", type=int, default=5,
+    profile.add_argument("--top-k", type=_non_negative, default=5,
                          help="hottest blocks to show (default 5)")
     profile.add_argument("--compare-bench", action="store_true",
                          help="diff the profiled numbers against the "
@@ -254,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="validate and render a recorded run.jsonl event stream",
     )
+    report.set_defaults(handler=cmd_report)
     report.add_argument("run", metavar="RUN.jsonl")
-    report.add_argument("--top-k", type=int, default=5)
+    report.add_argument("--top-k", type=_non_negative, default=5)
     report.add_argument("--compare-bench", metavar="NAME", nargs="?",
                         const="batched_engine", default=None,
                         help="diff profiled numbers against the committed "
@@ -268,9 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="run the AMR-specific AST lint (REPRO101-107)"
     )
+    lint.set_defaults(handler=cmd_lint)
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories (default: src/repro)")
-    lint.add_argument("--select", default=None, metavar="CODES",
+    lint.add_argument("--select", type=_rule_codes, default=None,
+                      metavar="CODES",
                       help="comma-separated rule codes to enable "
                            "(default: all)")
     lint.add_argument("--list-rules", action="store_true",
@@ -286,11 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="static protocol verification: spec conformance, "
              "phase-effect contracts, bounded model check",
     )
-    check.add_argument("--ranks", type=int, default=2,
-                       help="model-check world size (2-4, default 2)")
-    check.add_argument("--steps", type=int, default=1,
+    check.set_defaults(handler=cmd_check)
+    check.add_argument("--ranks", type=int, default=2, choices=range(2, 5),
+                       help="model-check world size (small-world bound, "
+                            "default 2)")
+    check.add_argument("--steps", type=int, default=1, choices=range(1, 4),
                        help="bounded step count (default 1)")
     check.add_argument("--max-faults", type=int, default=1,
+                       choices=range(0, 4),
                        help="fault-injection budget (default 1)")
     check.add_argument("--scheme", choices=("single", "double"),
                        default="single",
@@ -316,25 +404,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_problem(name: str, ndim: int):
-    from repro.amr import (
-        advecting_pulse,
-        comet,
-        mhd_blast,
-        orszag_tang,
-        sedov_blast,
-        solar_wind,
-    )
+def _check_rules(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The rules that span flags; a violation is a usage error (exit 2).
 
-    factories = {
-        "pulse": advecting_pulse,
-        "sedov": sedov_blast,
-        "mhd_blast": mhd_blast,
-        "orszag_tang": lambda _ndim: orszag_tang(),
-        "solar_wind": solar_wind,
-        "comet": comet,
-    }
-    return factories[name](ndim)
+    Builds the named problem into ``args.setup`` for the handler.
+    """
+    if args.command == "run" and args.steps is None and args.t_end is None:
+        parser.error("run: give --steps and/or --t-end")
+    if args.command == "emulate":
+        for _, rank in args.kill:
+            if rank >= args.ranks:
+                parser.error(
+                    f"--kill rank {rank} out of range for {args.ranks} ranks"
+                )
+        if args.refine_levels < 1 and any(
+            f.target == "staging" for f in args.flip_bits
+        ):
+            parser.error(
+                "staging bitflips need --refine-levels >= 1 (staging "
+                "buffers only exist for coarse-to-fine exchange)"
+            )
+    if "problem" in args:
+        args.setup = PROBLEMS[args.problem](args.ndim)
+        if args.setup.config.ndim != args.ndim:
+            parser.error(
+                f"{args.problem} is {args.setup.config.ndim}-D only, "
+                f"got --ndim {args.ndim}"
+            )
+        if args.command == "emulate" and args.setup.hook is not None:
+            # The hook edits serial state between steps and no machine
+            # runs it, so the bit-for-bit check could only fail.
+            parser.error(
+                f"emulate cannot verify {args.problem}: its step hook "
+                "runs on the serial driver only"
+            )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -346,18 +449,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         load_forest,
         save_forest,
     )
-    from repro.resilience import UnrecoverableStep
+    from repro.resilience import (
+        Checkpointer,
+        CorruptionError,
+        Scrubber,
+        UnrecoverableStep,
+    )
 
-    if args.steps is None and args.t_end is None:
-        print("error: give --steps and/or --t-end", file=sys.stderr)
-        return 2
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        print("error: --checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
-    if args.scrub_every is not None and args.scrub_every < 1:
-        print("error: --scrub-every must be >= 1", file=sys.stderr)
-        return 2
-    problem = _make_problem(args.problem, args.ndim)
+    problem = args.setup
     if args.resume:
         try:
             forest = load_forest(args.resume)
@@ -392,90 +491,70 @@ def cmd_run(args: argparse.Namespace) -> int:
         sim.safe_mode = args.safe_mode
     sim.reflux = args.reflux
     if args.scrub_every is not None:
-        from repro.resilience import Scrubber
-
         sim.attach_scrubber(Scrubber(every=args.scrub_every))
-    with sim:
-        return _drive_run(args, problem, sim)
-
-
-def _drive_run(args: argparse.Namespace, problem, sim) -> int:
-    """The run loop of :func:`cmd_run` (sim closed by the caller)."""
-    from repro.amr import grid_report, save_forest
-    from repro.resilience import CorruptionError, UnrecoverableStep
-
     checkpointer = None
     if args.checkpoint_every is not None:
-        from repro.resilience import Checkpointer
-
-        checkpointer = Checkpointer(
-            args.checkpoint_dir, keep=args.checkpoint_keep
-        )
-    print(f"== {problem.name} ==")
-    print(grid_report(sim.forest))
-    print(f"{'step':>6} {'time':>10} {'dt':>10} {'blocks':>7} {'cells':>9}")
+        checkpointer = Checkpointer(args.checkpoint_dir, keep=args.checkpoint_keep)
     target_steps = args.steps if args.steps is not None else 10**9
-    while True:
-        if sim.step_count >= target_steps:
-            break
-        if args.t_end is not None and sim.time >= args.t_end - 1e-14:
-            break
-        dt = sim.stable_dt()
-        if args.t_end is not None:
-            dt = min(dt, args.t_end - sim.time)
-        try:
-            rec = sim.step(dt)
-        except CorruptionError as exc:
-            # The serial driver has no partner/checkpoint tier to heal
-            # from; the scrubber's job here is the loud, early abort.
-            print(f"error: {exc}", file=sys.stderr)
-            for entry in exc.entries:
-                print(f"  corrupt: {entry.describe()}", file=sys.stderr)
-            return 1
-        except UnrecoverableStep as exc:
-            f = exc.failure
+    t_end = args.t_end if args.t_end is not None else float("inf")
+    with sim:
+        print(f"== {problem.name} ==")
+        print(grid_report(sim.forest))
+        print(f"{'step':>6} {'time':>10} {'dt':>10} {'blocks':>7} {'cells':>9}")
+        while sim.step_count < target_steps and sim.time < t_end - 1e-14:
+            try:
+                rec = sim.step(min(sim.stable_dt(), t_end - sim.time))
+            except CorruptionError as exc:
+                # The serial driver has no partner/checkpoint tier to heal
+                # from; the scrubber's job here is the loud, early abort.
+                print(f"error: {exc}", file=sys.stderr)
+                for entry in exc.entries:
+                    print(f"  corrupt: {entry.describe()}", file=sys.stderr)
+                return 1
+            except UnrecoverableStep as exc:
+                f = exc.failure
+                print(
+                    f"error: step {f.step} unrecoverable at t={f.time:.5f}: "
+                    f"{f.issue.reason} in block {f.issue.block} "
+                    f"(variable {f.issue.variable}, {f.issue.n_bad} bad cells) "
+                    f"after dt attempts "
+                    + ", ".join(f"{d:.3e}" for d in f.dt_attempts),
+                    file=sys.stderr,
+                )
+                return 1
+            if (
+                checkpointer is not None
+                and sim.step_count % args.checkpoint_every == 0
+            ):
+                info = checkpointer.save(
+                    sim.forest, step=sim.step_count, time=sim.time
+                )
+                print(f"  checkpoint -> {info.path}")
+            if sim.step_count % args.report_every == 0:
+                print(
+                    f"{sim.step_count:6d} {sim.time:10.5f} {rec.dt:10.3e} "
+                    f"{sim.forest.n_blocks:7d} {sim.forest.n_cells:9d}"
+                )
+        print("\nfinal grid:")
+        print(grid_report(sim.forest))
+        print("\nphase timings:")
+        print(sim.timer.report())
+        if sim.sanitizer is not None:
             print(
-                f"error: step {f.step} unrecoverable at t={f.time:.5f}: "
-                f"{f.issue.reason} in block {f.issue.block} "
-                f"(variable {f.issue.variable}, {f.issue.n_bad} bad cells) "
-                f"after dt attempts "
-                + ", ".join(f"{d:.3e}" for d in f.dt_attempts),
-                file=sys.stderr,
+                f"\nghost sanitizer: {sim.sanitizer.n_exchanges_checked} "
+                f"exchanges verified, {sim.sanitizer.n_cells_poisoned} "
+                f"ghost values poisoned, 0 violations"
             )
-            return 1
-        if (
-            checkpointer is not None
-            and sim.step_count % args.checkpoint_every == 0
-        ):
-            info = checkpointer.save(
-                sim.forest, step=sim.step_count, time=sim.time
-            )
-            print(f"  checkpoint -> {info.path}")
-        if sim.step_count % args.report_every == 0:
+        if sim.scrubber is not None:
+            s = sim.scrubber
             print(
-                f"{sim.step_count:6d} {sim.time:10.5f} {rec.dt:10.3e} "
-                f"{sim.forest.n_blocks:7d} {sim.forest.n_cells:9d}"
+                f"\nscrubber: {s.scrubs} scrubs, {s.blocks_verified} block "
+                f"verifications, {s.mismatches} mismatches"
             )
-    print("\nfinal grid:")
-    print(grid_report(sim.forest))
-    print("\nphase timings:")
-    print(sim.timer.report())
-    if sim.sanitizer is not None:
-        print(
-            f"\nghost sanitizer: {sim.sanitizer.n_exchanges_checked} "
-            f"exchanges verified, {sim.sanitizer.n_cells_poisoned} "
-            f"ghost values poisoned, 0 violations"
-        )
-    if sim.scrubber is not None:
-        s = sim.scrubber
-        print(
-            f"\nscrubber: {s.scrubs} scrubs, {s.blocks_verified} block "
-            f"verifications, {s.mismatches} mismatches"
-        )
-    if args.save:
-        save_forest(sim.forest, args.save, time=sim.time, step=sim.step_count)
-        print(f"\ncheckpoint written to {args.save}")
-    return 0
+        if args.save:
+            save_forest(sim.forest, args.save, time=sim.time, step=sim.step_count)
+            print(f"\ncheckpoint written to {args.save}")
+        return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -493,9 +572,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     cases = list(QUICK_CASES if args.quick else DEFAULT_CASES)
     if args.steps is not None:
-        if args.steps < 1:
-            print("error: --steps must be >= 1", file=sys.stderr)
-            return 2
         cases = [replace(c, steps=args.steps) for c in cases]
 
     print("tiled (batched) vs one-row (blocked) sweep speedup "
@@ -577,6 +653,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         CheckpointError,
         checkpoint_metadata,
         grid_report,
+        integrate,
         load_forest,
         verify_checkpoint,
     )
@@ -614,12 +691,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         rec = verify_checkpoint(args.checkpoint)
         print(f"content crc32: {rec['stored_crc']:#010x} (verified)")
     print(grid_report(forest))
-    totals = []
-    for block in forest:
-        cell_vol = float(np.prod(block.dx))
-        totals.append(block.interior.reshape(forest.nvar, -1).sum(axis=1) * cell_vol)
-    total = np.sum(totals, axis=0)
-    print("conserved totals:", "  ".join(f"{v:.6g}" for v in total))
+    print("conserved totals:", "  ".join(f"{v:.6g}" for v in integrate(forest)))
     if args.validate:
         from repro.resilience import validate_forest
 
@@ -724,10 +796,9 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     from repro.solvers import MHDScheme
     from repro.util.timing import measure
 
-    sizes = [int(s) for s in args.sizes.split(",")]
     rng = np.random.default_rng(0)
     print(f"{'block':>7} {'cells':>7} {'us/cell':>9}")
-    for m in sizes:
+    for m in args.sizes:
         g = 2
         scheme = MHDScheme(3, order=2)
         w = np.empty((8,) + (m + 2 * g,) * 3)
@@ -739,47 +810,6 @@ def cmd_fig5(args: argparse.Namespace) -> int:
         t = measure(lambda: scheme.step(u, (1.0 / m,) * 3, 1e-4, g), repeats=3).best
         print(f"{m:>5d}^3 {m**3:7d} {t / m**3 * 1e6:9.2f}")
     return 0
-
-
-def _parse_fault_pairs(specs, flag):
-    pairs = []
-    for spec in specs:
-        try:
-            a, b = spec.split(":")
-            pairs.append((int(a), int(b)))
-        except ValueError:
-            raise SystemExit(f"error: {flag} expects STEP:N, got {spec!r}")
-    return pairs
-
-
-def _parse_flip_specs(specs):
-    """``STEP:TARGET[:BLOCK[:BYTE[:BIT]]]`` specs -> BitFlip records."""
-    from repro.resilience.faults import _FLIP_TARGETS, BitFlip
-
-    usage = "STEP:TARGET[:BLOCK[:BYTE[:BIT]]]"
-    flips = []
-    for spec in specs:
-        parts = spec.split(":")
-        try:
-            if not 2 <= len(parts) <= 5:
-                raise ValueError(spec)
-            step = int(parts[0])
-            nums = [int(p) for p in parts[2:]]
-        except ValueError:
-            raise SystemExit(
-                f"error: --flip-bits expects {usage}, got {spec!r}"
-            )
-        target = parts[1]
-        if target not in _FLIP_TARGETS:
-            raise SystemExit(
-                f"error: --flip-bits target must be one of "
-                f"{', '.join(_FLIP_TARGETS)}, got {target!r}"
-            )
-        block, byte, bit = (nums + [0, 0, 0])[:3]
-        flips.append(
-            BitFlip(step=step, target=target, block=block, byte=byte, bit=bit)
-        )
-    return flips
 
 
 def _refine_center(forest, levels: int) -> None:
@@ -839,15 +869,13 @@ def _merge_schedule(args: argparse.Namespace) -> int:
         rank = int(f["rank"]) % args.ranks
         # Model step s happens after s full steps committed; the
         # emulator's fault plan indexes injection points the same way.
-        step = int(f["step"])
-        if step >= args.steps:
-            step = args.steps - 1
+        step = min(int(f["step"]), args.steps - 1)
         action = str(f["action"])
         if action in _SCHEDULE_KILL_ACTIONS:
-            args.kill.append(f"{step}:{rank}")
+            args.kill.append((step, rank))
             mapped = f"kill rank {rank} at step {step}"
         elif action in _SCHEDULE_MESSAGE_ACTIONS:
-            args.transient_message.append(f"{step}:{rank}")
+            args.transient_message.append((step, rank))
             mapped = f"transiently drop message {rank} of step {step}"
         else:
             print(f"note: fault action {action!r} has no emulator "
@@ -858,358 +886,227 @@ def _merge_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_emulate(args: argparse.Namespace) -> int:
+    """Run the problem on a rank machine and the serial driver side by
+    side, then compare the final states bit for bit."""
+    import contextlib
+    import dataclasses
+    import tempfile
+
+    from repro.core.integrity import content_crc
+    from repro.obs import RunRecorder
+    from repro.parallel import EmulatedMachine, ProcessMachine, redundancy_overhead
+    from repro.resilience import (
+        Checkpointer,
+        CorruptionError,
+        FaultPlan,
+        MessageFault,
+        RankKill,
+        RetryPolicy,
+        Scrubber,
+        run_with_recovery,
+    )
+
     if args.schedule is not None:
         rc = _merge_schedule(args)
         if rc:
             return rc
-    kills = _parse_fault_pairs(args.kill, "--kill")
-    for step, rank in kills:
-        if not 0 <= rank < args.ranks:
-            print(
-                f"error: --kill rank {rank} out of range for "
-                f"{args.ranks} ranks",
-                file=sys.stderr,
-            )
-            return 2
-    drops = _parse_fault_pairs(args.drop_message, "--drop-message")
-    corrupts = _parse_fault_pairs(args.corrupt_message, "--corrupt-message")
-    transients = _parse_fault_pairs(args.transient_message,
-                                    "--transient-message")
-    flips = _parse_flip_specs(args.flip_bits)
-    if args.refine_levels < 0:
-        print("error: --refine-levels must be >= 0", file=sys.stderr)
-        return 2
-    if any(f.target == "staging" for f in flips) and args.refine_levels < 1:
-        print(
-            "error: staging bitflips need --refine-levels >= 1 "
-            "(staging buffers only exist for coarse-to-fine exchange)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scrub_every is None and flips:
+    if args.flip_bits and args.scrub_every is None:
         # An injected flip without a scrubber is exactly the silent
         # corruption this subsystem exists to prevent; default to the
         # tightest detection window.
         args.scrub_every = 1
-    if args.scrub_every is not None and args.scrub_every < 1:
-        print("error: --scrub-every must be >= 1", file=sys.stderr)
-        return 2
-    if args.retry_max < 0:
-        print("error: --retry-max must be >= 0", file=sys.stderr)
-        return 2
-
-    problem = _make_problem(args.problem, args.ndim)
-    with problem.build(adaptive=False) as sim:
-        if args.record is not None:
-            from repro.obs import RunRecorder
-
-            with RunRecorder(args.record) as recorder:
-                rc = _drive_emulate(
-                    args, problem, sim, kills, drops, corrupts, transients,
-                    flips, recorder,
-                )
-            print(f"event stream written to {args.record}")
-            return rc
-        return _drive_emulate(
-            args, problem, sim, kills, drops, corrupts, transients, flips,
-            None,
-        )
-
-
-def _drive_emulate(
-    args: argparse.Namespace, problem, sim, kills, drops, corrupts,
-    transients, flips, recorder,
-) -> int:
-    """The emulation loop of :func:`cmd_emulate` (sim closed by caller)."""
-    import contextlib
-    import tempfile
-
-    from repro.parallel import EmulatedMachine
-
-    if args.refine_levels:
-        _refine_center(sim.forest, args.refine_levels)
-        problem.init_forest(sim.forest)
-    forest_emu = problem.config.make_forest(problem.scheme.nvar)
-    if args.refine_levels:
-        _refine_center(forest_emu, args.refine_levels)
-    problem.init_forest(forest_emu)
-
     fault_plan = None
-    if kills or drops or corrupts or transients or flips:
-        from repro.resilience import FaultPlan, MessageFault, RankKill
-
+    if (args.kill or args.drop_message or args.corrupt_message
+            or args.transient_message or args.flip_bits):
         fault_plan = FaultPlan(
-            kills=[RankKill(step=s, rank=r) for s, r in kills],
+            kills=[RankKill(step=s, rank=r) for s, r in args.kill],
             message_faults=(
-                [MessageFault(step=s, index=i, mode="drop") for s, i in drops]
+                [MessageFault(step=s, index=i, mode="drop")
+                 for s, i in args.drop_message]
                 + [MessageFault(step=s, index=i, mode="corrupt")
-                   for s, i in corrupts]
+                   for s, i in args.corrupt_message]
                 + [MessageFault(step=s, index=i, mode="drop", transient=True)
-                   for s, i in transients]
+                   for s, i in args.transient_message]
             ),
-            bitflips=flips,
+            bitflips=args.flip_bits,
         )
 
-    from repro.resilience import RetryPolicy
-
-    retry_policy = RetryPolicy(max_retries=args.retry_max)
-    # The process backend owns real child processes and /dev/shm segments;
-    # the exit stack guarantees teardown on every path, including raises.
+    problem = args.setup
+    # One exit stack closes everything on every path, raises included:
+    # the process backend's child processes and /dev/shm segments, the
+    # checkpoint directory, the event stream and the serial reference.
     with contextlib.ExitStack() as stack:
-        if args.backend == "process":
-            from repro.parallel import ProcessMachine
-
-            emu = stack.enter_context(ProcessMachine(
-                forest_emu, args.ranks, problem.scheme, bc=problem.bc,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-                sanitize=args.sanitize,
-            ))
+        sim = stack.enter_context(problem.build(adaptive=False))
+        recorder = None
+        if args.record is not None:
+            stack.callback(print, f"event stream written to {args.record}")
+            recorder = stack.enter_context(RunRecorder(args.record))
+        forest_emu = problem.config.make_forest(problem.scheme.nvar)
+        for forest in (sim.forest, forest_emu):
+            _refine_center(forest, args.refine_levels)
+            problem.init_forest(forest)
+        emu = (ProcessMachine if args.backend == "process" else EmulatedMachine)(
+            forest_emu, args.ranks, problem.scheme, bc=problem.bc,
+            fault_plan=fault_plan,
+            retry_policy=RetryPolicy(max_retries=args.retry_max),
+            sanitize=args.sanitize,
+        )
+        if isinstance(emu, ProcessMachine):
+            stack.enter_context(emu)
             emu.recorder = recorder
-        else:
-            emu = EmulatedMachine(
-                forest_emu, args.ranks, problem.scheme, bc=problem.bc,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-                sanitize=args.sanitize,
-            )
         if args.sanitize:
             emu.attach_race_detector()
-        return _emulate_loop(args, problem, sim, emu, fault_plan, recorder)
+        scrubber = None
+        if args.scrub_every is not None:
+            # Attached before the run so the recovery driver can hand the
+            # scrubber the partner store (mirror verification) when the
+            # localized tier comes up.  Verification only reads state, so
+            # the bit-for-bit comparison below still holds.
+            scrubber = emu.attach_scrubber(Scrubber(every=args.scrub_every))
 
-
-def _emulate_loop(
-    args: argparse.Namespace, problem, sim, emu, fault_plan, recorder,
-) -> int:
-    """Drive ``emu`` against the serial reference and compare."""
-    import tempfile
-
-    scrubber = None
-    if args.scrub_every is not None:
-        from repro.resilience import Scrubber
-
-        # Attached before the run so the recovery driver can hand the
-        # scrubber the partner store (mirror verification) when the
-        # localized tier comes up.  Verification only reads state, so
-        # the bit-for-bit comparison below still holds.
-        scrubber = emu.attach_scrubber(Scrubber(every=args.scrub_every))
-    dt = 0.5 * sim.stable_dt()
-    backend_note = (
-        " (real processes)" if args.backend == "process" else ""
-    )
-    print(
-        f"== emulating {problem.name} on {args.ranks} ranks{backend_note}, "
-        f"{args.steps} steps of dt={dt:.3e} =="
-    )
-    if recorder is not None:
-        recorder.emit(
-            "meta",
-            source="emulate",
-            problem=args.problem,
-            ndim=args.ndim,
-            ranks=args.ranks,
-            steps=args.steps,
-            strategy=args.recovery_strategy,
-            backend=args.backend,
-        )
-    for _ in range(args.steps):
-        sim.advance(dt)
-        if sim.hook is not None:
-            sim.hook(sim, dt)
-    if fault_plan is not None:
-        from repro.resilience import (
-            Checkpointer,
-            CorruptionError,
-            run_with_recovery,
-        )
-
-        tmpdir = None
-        if args.checkpoint_dir is None:
-            tmpdir = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-            ckpt_dir = tmpdir.name
-        else:
-            ckpt_dir = args.checkpoint_dir
-        try:
-            report = run_with_recovery(
-                emu,
-                n_steps=args.steps,
-                dt=dt,
-                checkpointer=Checkpointer(ckpt_dir),
-                checkpoint_every=args.checkpoint_every,
-                strategy=args.recovery_strategy,
-                recorder=recorder,
-            )
-        except CorruptionError as exc:
-            print(f"error: unrecoverable corruption: {exc}", file=sys.stderr)
-            for entry in exc.entries:
-                print(f"  corrupt: {entry.describe()}", file=sys.stderr)
-            return 1
-        finally:
-            if tmpdir is not None:
-                tmpdir.cleanup()
-        for ev in report.events:
-            if ev.strategy == "local":
-                how = (
-                    f"restored {ev.blocks_restored} block(s) "
-                    f"({ev.bytes_restored / 1024:.0f} KB) from partner "
-                    f"copies of step {ev.restored_from_step}"
-                )
-            else:
-                how = f"restored checkpoint of step {ev.restored_from_step}"
-                if ev.escalated:
-                    how += " (escalated: partner copies unusable)"
-            print(
-                f"recovered from {ev.kind} at step {ev.step}: "
-                f"[{ev.strategy}] {how}, "
-                f"replayed {ev.replayed_steps} step(s)  [{ev.detail}]"
-            )
-        print(
-            f"survivors: ranks {emu.alive_ranks} "
-            f"({report.checkpoints_written} checkpoints written, "
-            f"{report.n_local_recoveries} local recoveries, "
-            f"{report.n_escalations} escalations)"
-        )
-    else:
-        for _ in range(args.steps):
-            emu.advance(dt)
-            if recorder is not None:
-                recorder.emit(
-                    "step",
-                    step=emu.step_index,
-                    t_sim=emu.time,
-                    dt=dt,
-                    n_blocks=emu.topology.n_blocks,
-                    n_cells=emu.topology.n_cells,
-                )
-    if recorder is not None:
-        recorder.emit(
-            "exchange",
-            n_messages=emu.stats.n_messages,
-            n_bytes=emu.stats.n_bytes,
-            n_local=emu.stats.n_local,
-            n_retries=emu.stats.n_retries,
-            retry_wait=emu.stats.retry_wait,
-            n_partner_messages=emu.stats.n_partner_messages,
-            n_partner_bytes=emu.stats.n_partner_bytes,
-        )
-    gathered = emu.gather()
-    worst = 0.0
-    for bid, block in sim.forest.blocks.items():
-        worst = max(worst, float(np.abs(gathered[bid] - block.interior).max()))
-    cells = emu.rank_cells()
-    print(f"cells/rank: min {min(cells)}, max {max(cells)}")
-    print(
-        f"wire messages: {emu.stats.n_messages}  "
-        f"({emu.stats.n_bytes / 1024:.0f} KB);  "
-        f"local transfers: {emu.stats.n_local}"
-    )
-    if emu.stats.n_retries:
-        print(
-            f"retransmissions: {emu.stats.n_retries}  "
-            f"(backoff {emu.stats.retry_wait * 1e3:.2f} ms)"
-        )
-    if emu.stats.n_partner_bytes:
-        from repro.parallel import redundancy_overhead
-
-        print(
-            f"partner redundancy: {emu.stats.n_partner_messages} "
-            f"snapshot copies ({emu.stats.n_partner_bytes / 1024:.0f} KB, "
-            f"{100 * redundancy_overhead(emu.stats):.1f}% of traffic)"
-        )
-    if args.backend == "process":
-        deaths = emu.deaths
-        if deaths:
-            print(
-                "rank deaths: "
-                + ", ".join(
-                    f"rank {d.rank} at step {d.step} ({d.kind})"
-                    for d in deaths
-                )
-            )
-        total = sum(emu.phase_seconds.values())
-        if total > 0:
-            print(
-                f"phase time: exchange {emu.phase_seconds['exchange']:.3f}s, "
-                f"compute {emu.phase_seconds['compute']:.3f}s, "
-                f"control {emu.phase_seconds['control']:.3f}s "
-                f"(exchange fraction "
-                f"{emu.phase_seconds['exchange'] / total:.1%})"
-            )
-    if emu.sanitizer is not None:
-        print(
-            f"ghost sanitizer: {emu.sanitizer.n_exchanges_checked} "
-            f"exchanges verified; race detector: "
-            f"{emu.race_detector.epoch} epochs, 0 violations"
-        )
-    if scrubber is not None:
-        print(
-            f"scrubber: {scrubber.scrubs} scrubs, "
-            f"{scrubber.blocks_verified} block verifications, "
-            f"{scrubber.mirrors_verified} mirror verifications, "
-            f"{scrubber.mismatches} mismatches"
-        )
-    if getattr(args, "schedule", None) is not None:
-        from repro.core.integrity import content_crc
-
-        digest = 0
-        for bid in sorted(gathered):
-            digest = (digest * 1000003 + content_crc(gathered[bid])) & 0xFFFFFFFF
-        print(f"schedule replay digest: {digest:#010x}")
-    hook_note = " (driver hook runs serial-side only)" if problem.hook else ""
-    print(f"max |emulated - serial| = {worst:.3e}{hook_note}")
-    if problem.hook is None and worst != 0.0:
-        print("MISMATCH: emulated run diverged from serial", file=sys.stderr)
-        return 1
-    print("OK: distributed emulation matches the serial driver" if worst == 0.0
-          else "note: differences stem from the serial-only driver hook")
-    return 0
-
-
-def cmd_sanitize(args: argparse.Namespace) -> int:
-    """Debug-run one problem under the full correctness tooling."""
-    from repro.analysis import ExchangeRaceError, PoisonError
-    from repro.parallel import EmulatedMachine
-
-    problem = _make_problem(args.problem, args.ndim)
-    print(f"== sanitizing {problem.name} ==")
-
-    # Phase 1: serial driver under the ghost-poison sanitizer.
-    with problem.build(adaptive=not args.no_adapt, sanitize=True) as sim:
         dt = 0.5 * sim.stable_dt()
-        try:
-            for _ in range(args.steps):
-                sim.step(dt)
-        except PoisonError as exc:
-            print(f"FAIL (serial): {exc}", file=sys.stderr)
-            return 1
-        assert sim.sanitizer is not None
-        print(
-            f"serial: {args.steps} steps, "
-            f"{sim.sanitizer.n_exchanges_checked} exchanges verified, "
-            f"{sim.sanitizer.n_cells_poisoned} ghost values poisoned: clean"
+        backend_note = (
+            " (real processes)" if args.backend == "process" else ""
         )
-
-    # Phase 2: emulated machine under the sanitizer + race detector.
-    forest = problem.config.make_forest(problem.scheme.nvar)
-    problem.init_forest(forest)
-    emu = EmulatedMachine(
-        forest, args.ranks, problem.scheme, bc=problem.bc, sanitize=True
-    )
-    detector = emu.attach_race_detector()
-    try:
+        print(
+            f"== emulating {problem.name} on {args.ranks} ranks{backend_note}, "
+            f"{args.steps} steps of dt={dt:.3e} =="
+        )
+        if recorder is not None:
+            recorder.emit(
+                "meta",
+                source="emulate",
+                problem=args.problem,
+                ndim=args.ndim,
+                ranks=args.ranks,
+                steps=args.steps,
+                strategy=args.recovery_strategy,
+                backend=args.backend,
+            )
         for _ in range(args.steps):
-            emu.advance(dt)
-    except (PoisonError, ExchangeRaceError) as exc:
-        print(f"FAIL (emulated): {exc}", file=sys.stderr)
-        return 1
-    assert emu.sanitizer is not None
-    print(
-        f"emulated ({args.ranks} ranks): {args.steps} steps, "
-        f"{emu.sanitizer.n_exchanges_checked} exchanges verified, "
-        f"{detector.epoch} epochs race-checked: clean"
-    )
-    print("OK: no unfilled ghost reads, no exchange ordering violations")
-    return 0
+            sim.advance(dt)
+        if fault_plan is not None:
+            ckpt_dir = args.checkpoint_dir
+            if ckpt_dir is None:
+                ckpt_dir = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-ckpt-")
+                )
+            try:
+                report = run_with_recovery(
+                    emu,
+                    n_steps=args.steps,
+                    dt=dt,
+                    checkpointer=Checkpointer(ckpt_dir),
+                    checkpoint_every=args.checkpoint_every,
+                    strategy=args.recovery_strategy,
+                    recorder=recorder,
+                )
+            except CorruptionError as exc:
+                print(f"error: unrecoverable corruption: {exc}", file=sys.stderr)
+                for entry in exc.entries:
+                    print(f"  corrupt: {entry.describe()}", file=sys.stderr)
+                return 1
+            for ev in report.events:
+                if ev.strategy == "local":
+                    how = (
+                        f"restored {ev.blocks_restored} block(s) "
+                        f"({ev.bytes_restored / 1024:.0f} KB) from partner "
+                        f"copies of step {ev.restored_from_step}"
+                    )
+                else:
+                    how = f"restored checkpoint of step {ev.restored_from_step}"
+                    if ev.escalated:
+                        how += " (escalated: partner copies unusable)"
+                print(
+                    f"recovered from {ev.kind} at step {ev.step}: "
+                    f"[{ev.strategy}] {how}, "
+                    f"replayed {ev.replayed_steps} step(s)  [{ev.detail}]"
+                )
+            print(
+                f"survivors: ranks {emu.alive_ranks} "
+                f"({report.checkpoints_written} checkpoints written, "
+                f"{report.n_local_recoveries} local recoveries, "
+                f"{report.n_escalations} escalations)"
+            )
+        else:
+            for _ in range(args.steps):
+                emu.advance(dt)
+                if recorder is not None:
+                    recorder.emit(
+                        "step",
+                        step=emu.step_index,
+                        t_sim=emu.time,
+                        dt=dt,
+                        n_blocks=emu.topology.n_blocks,
+                        n_cells=emu.topology.n_cells,
+                    )
+        stats = emu.stats
+        if recorder is not None:
+            recorder.emit("exchange", **dataclasses.asdict(stats))
+        gathered = emu.gather()
+        worst = 0.0
+        for bid, block in sim.forest.blocks.items():
+            worst = max(worst, float(np.abs(gathered[bid] - block.interior).max()))
+        cells = emu.rank_cells()
+        print(f"cells/rank: min {min(cells)}, max {max(cells)}")
+        print(
+            f"wire messages: {stats.n_messages}  "
+            f"({stats.n_bytes / 1024:.0f} KB);  "
+            f"local transfers: {stats.n_local}"
+        )
+        if stats.n_retries:
+            print(
+                f"retransmissions: {stats.n_retries}  "
+                f"(backoff {stats.retry_wait * 1e3:.2f} ms)"
+            )
+        if stats.n_partner_bytes:
+            print(
+                f"partner redundancy: {stats.n_partner_messages} "
+                f"snapshot copies ({stats.n_partner_bytes / 1024:.0f} KB, "
+                f"{100 * redundancy_overhead(stats):.1f}% of traffic)"
+            )
+        if isinstance(emu, ProcessMachine):
+            if emu.deaths:
+                print(
+                    "rank deaths: "
+                    + ", ".join(
+                        f"rank {d.rank} at step {d.step} ({d.kind})"
+                        for d in emu.deaths
+                    )
+                )
+            phase = emu.phase_seconds
+            total = sum(phase.values())
+            if total > 0:
+                print(
+                    f"phase time: exchange {phase['exchange']:.3f}s, "
+                    f"compute {phase['compute']:.3f}s, "
+                    f"control {phase['control']:.3f}s "
+                    f"(exchange fraction {phase['exchange'] / total:.1%})"
+                )
+        if emu.sanitizer is not None:
+            print(
+                f"ghost sanitizer: {emu.sanitizer.n_exchanges_checked} "
+                f"exchanges verified; race detector: "
+                f"{emu.race_detector.epoch} epochs, 0 violations"
+            )
+        if scrubber is not None:
+            print(
+                f"scrubber: {scrubber.scrubs} scrubs, "
+                f"{scrubber.blocks_verified} block verifications, "
+                f"{scrubber.mirrors_verified} mirror verifications, "
+                f"{scrubber.mismatches} mismatches"
+            )
+        if args.schedule is not None:
+            digest = 0
+            for bid in sorted(gathered):
+                digest = (digest * 1000003 + content_crc(gathered[bid])) & 0xFFFFFFFF
+            print(f"schedule replay digest: {digest:#010x}")
+        print(f"max |emulated - serial| = {worst:.3e}")
+        if worst != 0.0:
+            print("MISMATCH: emulated run diverged from serial", file=sys.stderr)
+            return 1
+        print("OK: distributed emulation matches the serial driver")
+        return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -1225,19 +1122,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.solvers.flops import flops_for_scheme
     from repro.util.timing import wall_clock
 
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    bad = [e for e in engines if e not in ("blocked", "batched")]
-    if bad or not engines:
-        print(
-            f"error: --engines must name blocked and/or batched, got "
-            f"{args.engines!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        return 2
-    problem = _make_problem(args.problem, args.ndim)
+    problem = args.setup
     out = Path(args.out) if args.out else Path(f"profile_{args.problem}.jsonl")
     profiles = []
     with RunRecorder(out) as recorder:
@@ -1247,11 +1132,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
             problem=args.problem,
             ndim=args.ndim,
             steps=args.steps,
-            engines=engines,
+            engines=args.engines,
             adaptive=not args.no_adapt,
             subcycle=args.subcycle,
         )
-        for engine in engines:
+        for engine in args.engines:
             METRICS.reset()
             with METRICS.enabled_scope():
                 with problem.build(
@@ -1358,18 +1243,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for rule in RULES:
             print(f"{rule.code}  {rule.summary}")
         return 0
-    select = None
-    if args.select is not None:
-        select = frozenset(
-            c.strip().upper() for c in args.select.split(",") if c.strip()
-        )
-        unknown = select - {r.code for r in RULES}
-        if unknown:
-            print(
-                f"error: unknown rule code(s): {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         print(
@@ -1377,7 +1250,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    violations = lint_paths(args.paths, select=select)
+    violations = lint_paths(args.paths, select=args.select)
     if args.format == "json":
         import json
 
@@ -1433,18 +1306,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     from repro.analysis.protocol import check_conformance
 
-    if not 2 <= args.ranks <= 4:
-        print("error: --ranks must be in 2..4 (small-world bound)",
-              file=sys.stderr)
-        return 2
-    if not 1 <= args.steps <= 3:
-        print("error: --steps must be in 1..3 (small-world bound)",
-              file=sys.stderr)
-        return 2
-    if not 0 <= args.max_faults <= 3:
-        print("error: --max-faults must be in 0..3 (small-world bound)",
-              file=sys.stderr)
-        return 2
     trace_dir: Optional[Path] = None
     if args.trace_dir is not None:
         trace_dir = Path(args.trace_dir)
@@ -1571,21 +1432,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "run": cmd_run,
-        "bench": cmd_bench,
-        "info": cmd_info,
-        "scaling": cmd_scaling,
-        "fig5": cmd_fig5,
-        "emulate": cmd_emulate,
-        "sanitize": cmd_sanitize,
-        "lint": cmd_lint,
-        "check": cmd_check,
-        "profile": cmd_profile,
-        "report": cmd_report,
-    }
-    return handlers[args.command](args)
+    """Run one verb and return its exit status: 0 ok, 1 run or
+    verification failure, 2 usage error (from argparse or a rule)."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        _check_rules(parser, args)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return int(exc.code or 0)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -633,11 +633,16 @@ class TestLintOnRepo:
 
 class TestSanitizeCLI:
     def test_sanitize_subcommand_clean(self, capsys):
+        # the serial half of the old `sanitize` verb is `run --sanitize`
+        # (the emulated half: test_emulate_with_sanitize_flag)
         from repro.cli import main
 
-        assert main(["sanitize", "pulse", "--steps", "2", "--ranks", "2"]) == 0
+        assert main(["run", "pulse", "--steps", "2", "--sanitize"]) == 0
         out = capsys.readouterr().out
-        assert "race-checked: clean" in out
+        assert "ghost sanitizer:" in out and "0 violations" in out
+        assert main(["sanitize", "pulse", "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "sanitize" in err
 
     def test_emulate_with_sanitize_flag(self, capsys):
         from repro.cli import main

@@ -465,8 +465,7 @@ def test_cli_engine_flag(capsys):
     # `run` always sweeps in tiles; only `profile`/`bench` compare modes
     from repro.cli import main
 
-    with pytest.raises(SystemExit):
-        main(["run", "pulse", "--steps", "2", "--engine", "batched"])
+    assert main(["run", "pulse", "--steps", "2", "--engine", "batched"]) == 2
     assert "--engine" in capsys.readouterr().err
 
 
@@ -483,8 +482,7 @@ def test_tile_bytes_param():
         Simulation(forest, problem.scheme, batch_tile_bytes=8192)
     from repro.cli import main
 
-    with pytest.raises(SystemExit):
-        main(["bench", "--quick", "--tile-bytes", "8192"])
+    assert main(["bench", "--quick", "--tile-bytes", "8192"]) == 2
 
 
 def test_tile_bytes_env_var(monkeypatch, capsys):
@@ -530,9 +528,7 @@ def test_cli_kernel_backend_flag_removed(capsys):
     from repro.cli import main
 
     for argv in (["run", "pulse"], ["emulate", "pulse"], ["profile", "pulse"], ["bench"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--kernel-backend", "numpy"])
-        assert exc.value.code == 2
+        assert main(argv + ["--kernel-backend", "numpy"]) == 2
         assert "--kernel-backend" in capsys.readouterr().err
 
 
