@@ -79,9 +79,9 @@ class Simulation:
     criterion:
         Refinement criterion; None disables adaptation.
     adapt_interval:
-        Steps between criterion checks.
+        Steps between criterion checks (>= 1).
     buffer_band:
-        Neighbor rings added around refine flags.
+        Neighbor rings added around refine flags (>= 0).
     hook:
         Optional per-step source hook (see :data:`StepHook`).
     safe_mode:
@@ -159,6 +159,10 @@ class Simulation:
         self.hook = hook
         self.reflux = reflux
         self._register = None
+        if adapt_interval < 1:
+            raise ValueError("adapt_interval must be >= 1")
+        if buffer_band < 0:
+            raise ValueError("buffer_band must be >= 0")
         if max_step_retries < 0:
             raise ValueError("max_step_retries must be >= 0")
         self.safe_mode = safe_mode

@@ -17,7 +17,6 @@ from repro.core.forest import AdaptSummary, BlockForest, ForestError
 from repro.core.ghost import (
     Transfer,
     all_offsets,
-    apply_physical_bc,
     fill_ghosts,
     iter_transfers,
     region_owners,
@@ -46,7 +45,6 @@ __all__ = [
     "ForestError",
     "Transfer",
     "all_offsets",
-    "apply_physical_bc",
     "fill_ghosts",
     "iter_transfers",
     "region_owners",

@@ -21,7 +21,7 @@ as one row of a single contiguous ``(capacity, nvar, *padded)`` pool.
 Growth and compaction move rows, which invalidates outstanding views;
 the arena re-binds every registered block's ``data`` attribute and bumps
 :attr:`layout_epoch` so consumers caching raw views (the compiled ghost
-plan, the batched gather/scatter index arrays) can key on it.
+plan) can key on it.
 """
 
 from __future__ import annotations

@@ -39,16 +39,13 @@ that fills those, dependencies included (:func:`ghost_plan`).
 The same geometry is exposed as :class:`Transfer` records
 (:func:`exchange_regions`, :func:`iter_transfers`) so the simulated
 parallel machines can account messages (:func:`payload_values`) without
-touching any arrays.  The ranks of the emulated and of the process
-machine run their compiled entries themselves — ranks read each other
-only through their compiled entries, one phase per barrier — through
-the same executors :func:`fill_ghosts` is made of
-(:func:`run_restrictions`, :func:`run_boundaries`,
-:func:`gather_prolong`, and :func:`write_prolongs` — batched, since a
-rank has every source in hand before it writes any), plus
-:func:`run_copies`, the slab-per-transfer form of the same-level copies
-that :func:`fill_ghosts` runs as one flat gather/scatter over the arena
-pool.
+touching any arrays.  There is one executor, made of stage functions:
+:func:`run_copies`, :func:`run_restrictions` and :func:`run_boundaries`
+for stage 1, then :func:`gather_prolong` for every prolongation before
+:func:`write_prolongs` writes any.  :func:`fill_ghosts` calls them in
+that order on the forest's plan; the ranks of the emulated and of the
+process machine call them one per barrier phase on the part of the plan
+they own — the same code whether a neighbour is local or remote.
 """
 
 from __future__ import annotations
@@ -473,14 +470,13 @@ class FillCounts(NamedTuple):
 
 
 class _Copy(NamedTuple):
-    """Same-level transfer.  Only geometry: the blocked executor turns
-    it into a view pair and the batched one into flat pool indices, each
-    on first use, so a plan holds only what its engine reads."""
+    """Same-level transfer: ``dst_view[...] = src_view``."""
 
+    dst_view: np.ndarray
+    src_view: np.ndarray
     dst: Block
     dst_box: IndexBox
     src: Block
-    src_box: IndexBox
 
 
 class _RestrictSource(NamedTuple):
@@ -527,11 +523,10 @@ class _Prolong(NamedTuple):
     src: Block
     #: cells of ``src`` (interior and ghost) the transfer reads
     need: IndexBox
-    #: earlier prolongations that write cells of ``need``, each with
-    #: where its result lands in ``src_view`` and the part of its
-    #: destination box that lands there.  Only a staged plan has them
-    #: (see :func:`compile_plan`); running in plan order honours them
-    #: by itself.
+    #: prolongations ahead of this one in plan order that write cells of
+    #: ``need``, each with where its result lands in ``src_view`` and the
+    #: part of its destination box that lands there; :func:`gather_prolong`
+    #: replays them (see :func:`compile_plan`)
     deps: Tuple[Tuple["_Prolong", Slices, Slices], ...] = ()
 
 
@@ -563,12 +558,6 @@ class GhostPlan:
     restricts: List[_Restrict]
     prolongs: List[_Prolong]
     bc_faces: List[_Boundary]
-    #: same-level copies as view pairs (:func:`run_copies`) / flat pool
-    #: gather-scatter indices (:func:`fill_ghosts`), built on first use
-    #: by the executor that reads them
-    copy_views: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-    flat_dst: Optional[np.ndarray] = None
-    flat_src: Optional[np.ndarray] = None
     subplans: Dict[FrozenSet[BlockID], "GhostPlan"] = field(default_factory=dict)
 
     @cached_property
@@ -709,7 +698,6 @@ def compile_plan(
     regions: Optional[Iterable[Region]] = None,
     blocks: Optional[Mapping[BlockID, Block]] = None,
     dest: Optional[FrozenSet[BlockID]] = None,
-    staged: bool = False,
 ) -> GhostPlan:
     """Compile the exchange of ``forest`` (see :class:`GhostPlan`).
 
@@ -722,14 +710,13 @@ def compile_plan(
     whose destination it names (no dependency closure, unlike
     :func:`ghost_plan`: whoever owns the other blocks fills those).
 
-    ``staged`` is for an executor that gathers the source of *every*
-    prolongation before it writes any (the two-phase stage 2 of the
-    rank phases both executing machines run).  Run in plan order, a prolongation whose slope border
-    reaches ghost cells an earlier prolongation writes reads them
-    prolonged; gathered up front it would read them stale.  A staged
-    plan records those earlier entries in :attr:`_Prolong.deps` — of
-    whatever destination, recursively — and :func:`gather_prolong`
-    replays them on the private copy.
+    Stage 2 gathers the source of every prolongation before it writes
+    any.  The exchange it reproduces runs them in plan order, where a
+    prolongation whose slope border reaches ghost cells an earlier one
+    writes reads them prolonged; gathered up front it would read them
+    stale.  So each entry records those earlier entries in
+    :attr:`_Prolong.deps` — of whatever destination, recursively — and
+    :func:`gather_prolong` replays them on its private copy.
     """
     if regions is None:
         # streamed: a region's transfers are garbage once compiled
@@ -740,7 +727,7 @@ def compile_plan(
     copies: List[_Copy] = []
     restricts: List[_Restrict] = []
     prolongs: List[_Prolong] = []
-    #: staged only: the prolongation transfers seen so far, by destination
+    #: the prolongation transfers seen so far, by destination
     inbound: Dict[BlockID, List[Transfer]] = {}
     compiled: Dict[Any, _Prolong] = {}
 
@@ -753,14 +740,14 @@ def compile_plan(
                     prolongs.append(
                         _prolong_entry(t, blocks, order, inbound, compiled)
                     )
-                if staged:
-                    inbound.setdefault(bid, []).append(t)
+                inbound.setdefault(bid, []).append(t)
             elif not mine:
                 continue
             elif t.delta == 0:
-                copies.append(
-                    _Copy(blocks[bid], t.dst_box, blocks[t.src_id], t.src_box)
-                )
+                dst, src = blocks[bid], blocks[t.src_id]
+                copies.append(_Copy(
+                    dst.view(t.dst_box), src.view(t.src_box), dst, t.dst_box, src,
+                ))
             else:
                 fine.append(t)
         if fine:
@@ -882,59 +869,10 @@ def _select(plan: GhostPlan, dest: FrozenSet[BlockID]) -> GhostPlan:
     return GhostPlan(copies, restricts, prolongs, bc_faces)
 
 
-def _copy_views(plan: GhostPlan) -> List[Tuple[np.ndarray, np.ndarray]]:
-    if plan.copy_views is None:
-        plan.copy_views = [
-            (c.dst.view(c.dst_box), c.src.view(c.src_box)) for c in plan.copies
-        ]
-    return plan.copy_views
-
-
-def _flat_copy_indices(
-    forest: BlockForest, plan: GhostPlan
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat pool indices executing every same-level copy at once.
-
-    Element ``k`` of the pool's flat view at index ``flat_dst[k]`` takes
-    the value at ``flat_src[k]``.  Valid because stage-1 copies read
-    interiors only and write disjoint ghost regions only, so the single
-    gather/scatter is order-independent and equals the sequential loop
-    bit for bit.  Cached on the plan (which is itself keyed on revision
-    + layout epoch, so the indices can never outlive the row layout).
-    """
-    if plan.flat_dst is not None and plan.flat_src is not None:
-        return plan.flat_dst, plan.flat_src
-    arena = forest.arena
-    row_size = arena.row_size
-    # int32 indices halve the gather/scatter's index traffic; the pool
-    # would need > 2**31 elements (17 GB of float64) to overflow them.
-    idx_dtype = np.intp if arena.pool.size > np.iinfo(np.int32).max else np.int32
-    template = np.arange(row_size, dtype=idx_dtype).reshape(
-        (arena.nvar,) + arena.padded
-    )
-    dst_parts: List[np.ndarray] = []
-    src_parts: List[np.ndarray] = []
-    for dst_blk, dst_box, src_blk, src_box in plan.copies:
-        if dst_blk.arena_row is None or src_blk.arena_row is None:
-            raise ForestError("ghost copies need arena-bound blocks")
-        dst_sl = (slice(None),) + dst_box.slices(dst_blk.index_origin)
-        src_sl = (slice(None),) + src_box.slices(src_blk.index_origin)
-        dst_parts.append(
-            template[dst_sl].ravel() + dst_blk.arena_row * row_size
-        )
-        src_parts.append(
-            template[src_sl].ravel() + src_blk.arena_row * row_size
-        )
-    empty = np.empty(0, dtype=np.intp)
-    plan.flat_dst = np.concatenate(dst_parts) if dst_parts else empty
-    plan.flat_src = np.concatenate(src_parts) if src_parts else empty
-    return plan.flat_dst, plan.flat_src
-
-
 def run_copies(plan: GhostPlan) -> None:
     """Stage 1a: the plan's same-level copies, one slab assignment each."""
-    for dst_view, src_view in _copy_views(plan):
-        dst_view[...] = src_view
+    for c in plan.copies:
+        c.dst_view[...] = c.src_view
 
 
 def run_restrictions(plan: GhostPlan, ndim: int) -> None:
@@ -1038,26 +976,23 @@ def fill_ghosts(
     stale, and must not be read before a fill that names them.  The
     ``dest`` blocks end up bit-identical to a full fill.
 
-    The stage-1 same-level copies run as one flat gather/scatter on the
-    arena pool (:func:`_flat_copy_indices`) — the same cells and values
-    as :func:`run_copies`' slab assignment per transfer, in one numpy
-    call.
+    The stages are the ones the ranks of the executing machines run,
+    one per barrier phase (:class:`repro.parallel.procworker.RankPhases`),
+    here back to back on the whole plan.
     """
     plan = ghost_plan(forest, dest, fill_corners=fill_corners)
     ndim = forest.ndim
+    order = forest.prolong_order
     # Stage 1: same-level copies + restrictions (read interiors only).
-    flat_dst, flat_src = _flat_copy_indices(forest, plan)
-    flat = forest.arena.pool.reshape(-1)
-    flat[flat_dst] = flat[flat_src]
+    run_copies(plan)
     run_restrictions(plan, ndim)
     # Applying the BC after stage 1 gives stage-2 prolongations valid
     # slope borders next to physical boundaries.
     run_boundaries(plan, bc, forest)
     # Stage 2: prolongations (may read the sources' now-valid ghosts).
-    order = forest.prolong_order
-    for p in plan.prolongs:
-        data = p.src_view if p.pad is None else np.pad(p.src_view, p.pad, mode="edge")
-        p.dst_view[...] = _prolonged(p, data, order, ndim)
+    write_prolongs(
+        plan, [gather_prolong(p, order, ndim) for p in plan.prolongs], order, ndim
+    )
     # Re-apply so boundary slabs adjacent to prolonged ghosts are
     # consistent with the final data.
     run_boundaries(plan, bc, forest)
@@ -1070,9 +1005,3 @@ def fill_ghosts(
             METRICS.inc("ghost.scoped_fills")
     return counts
 
-
-def apply_physical_bc(forest: BlockForest, bc: BoundaryHandler) -> None:
-    """Apply physical boundary conditions to all domain-boundary ghosts
-    (slab geometry: :func:`_bc_scan_faces`)."""
-    for block, face, region in _bc_scan_faces(list(forest), forest.ndim):
-        bc(block, face, region, forest)

@@ -26,13 +26,10 @@ which the emulated machine runs in-process as well:
     own ghost regions, then BCs.  Splitting stage 2 around a barrier
     makes every gather see exactly the post-stage-1 state whatever the
     cross-rank timing — the two-stage data dependency contract checked
-    by the race detector.  That alone is *not* the serial exchange,
-    which runs its prolongations one after another: a slope border that
-    reaches ghost cells an earlier prolongation writes reads them
-    prolonged there and would read them stale here.  The staged plan
-    knows those entries (:attr:`repro.core.ghost._Prolong.deps`) and the
-    gather replays them on its private copy, which restores bit-for-bit
-    equality with the serial driver without another phase.
+    by the race detector.  A slope border that reaches ghost cells an
+    earlier prolongation writes is served by the entry's
+    :attr:`repro.core.ghost._Prolong.deps`, which the gather replays on
+    its private copy — the serial fill runs the same two halves.
 ``step``, ``predictor``, ``corrector``
     Rank-local compute on own blocks (reads own ghosts, writes own
     interiors): the driver's tiled stage update
@@ -159,8 +156,8 @@ class _Heartbeat:
 
 class RankPhases:
     """One rank's share of a step, compiled once per configuration: the
-    ghost-exchange entries whose destination the rank owns (staged, see
-    :func:`repro.core.ghost.compile_plan`), their wire counts, and the
+    ghost-exchange entries whose destination the rank owns
+    (:func:`repro.core.ghost.compile_plan`), their wire counts, and the
     tiled sweep over its pool rows.
 
     Both executing machines run it, one method per barrier phase: a rank
@@ -186,9 +183,7 @@ class RankPhases:
         self.topology = topology
         self.bc = bc
         own = frozenset(rows)
-        self.plan = compile_plan(
-            topology, regions=regions, blocks=blocks, dest=own, staged=True,
-        )
+        self.plan = compile_plan(topology, regions=regions, blocks=blocks, dest=own)
         keys = ("n_messages", "n_values", "n_local")
         #: reply counts of stage 1 and stage 2
         self.counts = (dict.fromkeys(keys, 0), dict.fromkeys(keys, 0))

@@ -21,6 +21,20 @@ class TestStepping:
         with pytest.raises(ValueError):
             Simulation(f, AdvectionScheme((1.0,), order=2))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"adapt_interval": 0}, "adapt_interval"),
+            ({"adapt_interval": -3}, "adapt_interval"),
+            ({"buffer_band": -1}, "buffer_band"),
+        ],
+    )
+    def test_bad_adaptation_settings_rejected(self, kwargs, message):
+        p = advecting_pulse(2)
+        forest = p.config.make_forest(p.scheme.nvar)
+        with pytest.raises(ValueError, match=message):
+            Simulation(forest, p.scheme, criterion=p.make_criterion(), **kwargs)
+
     def test_run_requires_target(self):
         f = BlockForest(Box((0.0,), (1.0,)), (2,), (4,), 1, n_ghost=2,
                         periodic=(True,))

@@ -137,7 +137,7 @@ def test_deep_forest_matches_serial_and_emulated(levels, n_ranks):
     sim = build_deep_pulse(levels)
     forest = copy.deepcopy(sim.forest)
     emu = EmulatedMachine(copy.deepcopy(sim.forest), n_ranks, sim.scheme)
-    plan = compile_plan(forest, staged=True)
+    plan = compile_plan(forest)
     assert any(p.deps for p in plan.prolongs), "forest has no dependent entry"
     with ProcessMachine(forest, n_ranks, sim.scheme, config=FAST) as m:
         for _ in range(3):
@@ -318,7 +318,7 @@ def test_staged_flip_names_the_block_of_the_payload():
         for rank in range(2):
             own = frozenset(b for b, r in m.assignment.items() if r == rank)
             entries = compile_plan(
-                m.topology, regions=m._plan, dest=own, staged=True
+                m.topology, regions=m._plan, dest=own
             ).prolongs
             assert [p.dst.id for p in entries] == [
                 m._payload_block(rank, i) for i in range(len(entries))
