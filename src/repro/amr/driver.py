@@ -32,7 +32,6 @@ from repro.obs.metrics import METRICS
 from repro.solvers.scheme import FVScheme
 from repro.solvers.sweep import PoolSweep, tile_rows
 from repro.solvers.timestep import stable_dt_batched
-from repro.solvers.workspace import Workspace
 from repro.util.timing import PhaseTimer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,6 +83,9 @@ class Simulation:
         Neighbor rings added around refine flags (>= 0).
     hook:
         Optional per-step source hook (see :data:`StepHook`).
+    reflux:
+        Correct coarse–fine fluxes after every step
+        (:mod:`repro.core.reflux`); needs ``max_level_jump == 1``.
     safe_mode:
         When True, every step is health-checked (NaN/Inf, negative
         density/pressure) and rolled back + retried with a halved dt on
@@ -159,6 +161,8 @@ class Simulation:
         self.hook = hook
         self.reflux = reflux
         self._register = None
+        if reflux:
+            self._flux_register()  # rejects a forest it cannot correct
         if adapt_interval < 1:
             raise ValueError("adapt_interval must be >= 1")
         if buffer_band < 0:
@@ -290,48 +294,18 @@ class Simulation:
             save=forest.arena.save_pool(), rate=forest.arena.rate_pool(),
             tile=self.sweep_tile(),
         )
+        # The final stage feeds the register its coarse–fine face fluxes.
         if scheme.n_stages == 1:
             with self.timer.phase("compute"):
-                self._capture_fluxes(register, blocks, sweep.work)
-                sweep.forward(dt)
+                sweep.forward(dt, register=register)
         else:
             with self.timer.phase("compute"):
                 sweep.snapshot()
                 sweep.forward(0.5 * dt)
             self.fill_ghosts()
             with self.timer.phase("compute"):
-                self._capture_fluxes(register, blocks, sweep.work)
-                sweep.correct(dt)
+                sweep.correct(dt, register=register)
         self._finish_advance(dt, register)
-
-    def _capture_fluxes(
-        self, register, blocks, work: Optional[Workspace], weight: Optional[float] = None
-    ) -> None:
-        """Feed ``register`` the boundary-face fluxes of the final stage.
-
-        Blocks on coarse-fine interfaces rerun a per-block flux
-        evaluation with face capture (the recomputed rate is identical
-        to the swept one and discarded) — *before* the sweep's interior
-        update, so it sees the state the swept rate is computed from —
-        in the sweep's workspace ``work``.  ``weight`` None records the
-        fluxes (global stepping); a substep length accumulates them
-        time-weighted (subcycling).
-        """
-        if register is None:
-            return
-        scheme, g = self.scheme, self.forest.n_ghost
-        for block in blocks:
-            faces = register.needed_faces.get(block.id)
-            if faces:
-                capture: Dict[int, np.ndarray] = {}
-                scheme.flux_divergence(
-                    block.data, block.dx, g,
-                    face_flux_out=capture, faces=faces, work=work,
-                )
-                if weight is None:
-                    register.record(block.id, capture)
-                else:
-                    register.accumulate(block.id, capture, weight)
 
     def updates_per_step(self) -> int:
         """Block updates one ``advance`` performs: every block once

@@ -250,8 +250,7 @@ class _SubcycleSweep:
         self.interp_fill(t0, level)
         if self.scheme.n_stages == 1:
             with sim.timer.phase("compute"):
-                sim._capture_fluxes(self.register, mine, sweep.work, dt)
-                sweep.forward(dt, rows)
+                sweep.forward(dt, rows, register=self.register, accumulate=True)
         else:
             with sim.timer.phase("compute"):
                 sweep.forward(0.5 * dt, rows)
@@ -264,8 +263,7 @@ class _SubcycleSweep:
             for block in mine:
                 self.t_new[block.id] = t0 + dt
             with sim.timer.phase("compute"):
-                sim._capture_fluxes(self.register, mine, sweep.work, dt)
-                sweep.correct(dt, rows)
+                sweep.correct(dt, rows, register=self.register, accumulate=True)
 
 
 def advance_subcycled(sim: Simulation, dt: float) -> None:

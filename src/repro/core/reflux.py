@@ -19,11 +19,17 @@ The paper's code accepted the (small) unsynchronized-flux error; its
 descendants (BATS-R-US "conservative flux fix", PARAMESH, AMReX) all
 grew this correction, so it belongs in a faithful production library.
 Limited to ``max_level_jump == 1`` (the paper's standard constraint).
+
+The face fluxes come out of the final stage's tiled kernel calls
+(:class:`~repro.solvers.sweep.PoolSweep` hands them over), and the
+index geometry of every correction is compiled once per topology, on
+the register's first :meth:`FluxRegister.apply`: later steps only do
+the array arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,13 +57,18 @@ def _restrict_transverse(flux: np.ndarray) -> np.ndarray:
 
 
 class FluxRegister:
-    """Bookkeeping for one refluxing pass over a forest.
+    """Bookkeeping for refluxing one forest topology.
 
     Build it after the forest topology settles (it reads the explicit
     face-neighbor pointers); ask :attr:`needed_faces` which block faces
     must have their fluxes captured during the final update stage; feed
-    the captured slabs to :meth:`record`; then :meth:`apply` the
-    corrections.
+    the captured slabs to :meth:`record` (or :meth:`accumulate`); then
+    :meth:`apply` the corrections.  The first :meth:`apply` compiles
+    one entry per (coarse face, fine neighbour) — where in the coarse
+    block's array the correction lands (indices, not views: arena rows
+    move between steps), which part of the coarse slab it reads, its
+    sign and width — and every later step reuses them; a topology
+    change needs a new register.
     """
 
     def __init__(self, forest: BlockForest) -> None:
@@ -81,6 +92,8 @@ class FluxRegister:
                     for nid in fn.ids:
                         self.needed_faces.setdefault(nid, set()).add(opp)
         self._fluxes: Dict[Tuple[BlockID, int], np.ndarray] = {}
+        #: the compiled corrections (:meth:`_compile`), on first apply
+        self._program: Optional[List[tuple]] = None
 
     @property
     def n_interfaces(self) -> int:
@@ -117,90 +130,81 @@ class FluxRegister:
             else:
                 cur += weight * slab
 
-    def apply(self, dt: float) -> float:
+    def apply(self, dt: float) -> None:
         """Correct the coarse cells adjacent to every coarse–fine face.
 
-        Returns the largest absolute correction applied (diagnostic).
         ``dt`` must be the step length of the update whose fluxes were
-        recorded.
+        recorded (1 for fluxes accumulated with their own weights).
         """
         if self.forest.revision != self.revision:
             raise RuntimeError(
                 "forest topology changed since this FluxRegister was built"
             )
-        worst = 0.0
-        for (cid, face), fine_ids in self.interfaces.items():
-            coarse = self.forest.blocks[cid]
-            axis, side = face_axis(face), face_side(face)
-            f_coarse = self._fluxes.get((cid, face))
+        if self._program is None:
+            self._program = self._compile()
+        blocks, fluxes = self.forest.blocks, self._fluxes
+        for cid, dst_sl, coarse_key, fine_key, src_c_sl, sign, dx in self._program:
+            f_coarse = fluxes.get(coarse_key)
             if f_coarse is None:
                 raise RuntimeError(
-                    f"no recorded flux for {cid} face {face}; was the "
-                    "final stage run with face capture?"
+                    f"no recorded flux for {cid} face {coarse_key[1]}; was "
+                    "the final stage run with face capture?"
                 )
+            f_fine = fluxes.get(fine_key)
+            if f_fine is None:
+                raise RuntimeError(
+                    f"no recorded flux for fine block {fine_key[0]} face "
+                    f"{fine_key[1]}"
+                )
+            fc = f_coarse[src_c_sl]
+            dst = blocks[cid].data[dst_sl]
+            # dU = -(F_hi - F_lo)/dx: replacing F at the high face by the
+            # fine average changes U by -(F_fine - F_coarse)/dx * dt, and
+            # by +(...) at the low face.
+            delta = sign * dt / dx * (
+                _restrict_transverse(f_fine).reshape(fc.shape) - fc
+            )
+            dst += delta.reshape(dst.shape)
+
+    def _compile(self) -> List[tuple]:
+        """``(coarse id, data index, coarse key, fine key, coarse-slab
+        index, sign, dx)`` per (coarse face, fine neighbour), in
+        interface order: the corrections of a corner cell's two faces
+        land in the order they always did."""
+        forest = self.forest
+        program: List[tuple] = []
+        for (cid, face), fine_ids in self.interfaces.items():
+            coarse = forest.blocks[cid]
+            axis, side = face_axis(face), face_side(face)
             # Layer of coarse interior cells adjacent to the face.
-            ib = coarse.cell_box
-            lo = list(ib.lo)
-            hi = list(ib.hi)
+            lo, hi = list(coarse.cell_box.lo), list(coarse.cell_box.hi)
             if side == 0:
                 hi[axis] = lo[axis] + 1
             else:
                 lo[axis] = hi[axis] - 1
             layer = IndexBox(tuple(lo), tuple(hi))
-            layer_view = coarse.view(layer)
-            # Transverse index frame of the slab: the layer minus its axis.
-            t_axes = [a for a in range(coarse.ndim) if a != axis]
-            t_lo = [layer.lo[a] for a in t_axes]
-            opp = opposite_face(face)
             fn = coarse.face_neighbors[face]
             shift = tuple(
-                s * (n << coarse.level) * m
-                for s, n, m in zip(fn.shift, self.forest.n_root, self.forest.m)
+                -s * (n << coarse.level) * m
+                for s, n, m in zip(fn.shift, forest.n_root, forest.m)
             )
-            sign = -1.0 if side == 1 else 1.0
-            # dU = -(F_hi - F_lo)/dx: replacing F at the high face by the
-            # fine average changes U by -(F_fine - F_coarse)/dx * dt, and
-            # by +(...) at the low face.
             for nid in fine_ids:
-                f_fine = self._fluxes.get((nid, opp))
-                if f_fine is None:
-                    raise RuntimeError(
-                        f"no recorded flux for fine block {nid} face {opp}"
-                    )
-                f_avg = _restrict_transverse(f_fine)
                 # Where this fine block sits within the coarse face.
-                nb_box = self.forest.blocks[nid].cell_box.coarsened(1).shift(
-                    tuple(-s for s in shift)
-                )
-                overlap = layer.intersect(
-                    IndexBox(
-                        tuple(
-                            nb_box.lo[a] if a != axis else layer.lo[a]
-                            for a in range(coarse.ndim)
-                        ),
-                        tuple(
-                            nb_box.hi[a] if a != axis else layer.hi[a]
-                            for a in range(coarse.ndim)
-                        ),
-                    )
-                )
+                nb_box = forest.blocks[nid].cell_box.coarsened(1).shift(shift)
+                overlap = layer.intersect(IndexBox(
+                    nb_box.lo[:axis] + (lo[axis],) + nb_box.lo[axis + 1:],
+                    nb_box.hi[:axis] + (hi[axis],) + nb_box.hi[axis + 1:],
+                ))
                 if overlap.empty:
                     continue
-                # Slices into the layer view (transverse axes only).
-                dst_sl: List[slice] = [slice(None)]
-                src_c_sl: List[slice] = [slice(None)]
-                for a in range(coarse.ndim):
-                    s0 = overlap.lo[a] - layer.lo[a]
-                    s1 = overlap.hi[a] - layer.lo[a]
-                    dst_sl.append(slice(s0, s1))
-                    if a != axis:
-                        src_c_sl.append(slice(s0, s1))
-                fc = self._fluxes[(cid, face)][tuple(src_c_sl)]
-                # The averaged fine slab covers exactly the overlap.
-                dst = layer_view[tuple(dst_sl)]
-                delta = sign * dt / coarse.dx[axis] * (
-                    f_avg.reshape(fc.shape) - fc
+                # The coarse slab's frame is the layer minus its axis.
+                src_c_sl = (slice(None),) + tuple(
+                    slice(overlap.lo[a] - lo[a], overlap.hi[a] - lo[a])
+                    for a in range(coarse.ndim) if a != axis
                 )
-                dst += delta.reshape(dst.shape)
-                worst = max(worst, float(np.abs(delta).max()))
-        return worst
+                program.append((
+                    cid, (slice(None),) + overlap.slices(coarse.index_origin),
+                    (cid, face), (nid, opposite_face(face)), src_c_sl,
+                    -1.0 if side == 1 else 1.0, float(coarse.dx[axis]),
+                ))
+        return program

@@ -265,7 +265,6 @@ class FVScheme(ABC):
         g: int,
         *,
         face_flux_out: Optional[dict] = None,
-        faces: Optional[Sequence[int]] = None,
         ndim: Optional[int] = None,
         out: Optional[np.ndarray] = None,
         work: Optional[Workspace] = None,
@@ -275,13 +274,15 @@ class FVScheme(ABC):
         With ``face_flux_out`` (a dict) the numerical fluxes on the
         block's outer faces are captured per face index — shape
         ``(nvar, *transverse_interior)`` — for the flux-correction
-        (refluxing) machinery.  ``faces`` limits capture to the listed
-        faces (the coarse–fine interfaces the register needs).
+        (refluxing) machinery.  Each is a copy, never a view of
+        ``work``.
 
         With an explicit ``ndim`` and a ``(B, nvar, *spatial)`` stack
         (``u.ndim == ndim + 2``) every block is processed in one sweep;
         the result has shape ``(B, nvar, *interior)``.  ``dx`` then
-        holds per-axis ``(B, 1, ..., 1)`` cell-width arrays.
+        holds per-axis ``(B, 1, ..., 1)`` cell-width arrays, and a
+        captured face is ``(nvar, B, *transverse_interior)``: block
+        ``b``'s slab is ``[:, b]``, the same bits as its own call's.
 
         ``out`` is a result buffer in the *caller's* layout (interior
         shape) — a scratch hint that skips the per-call allocation.
@@ -338,9 +339,7 @@ class FVScheme(ABC):
             dudt -= term
             if face_flux_out is not None:
                 for side, idx in ((0, 0), (1, f.shape[1] - 1)):
-                    face = 2 * axis + side
-                    if faces is None or face in faces:
-                        face_flux_out[face] = f[:, idx].copy()
+                    face_flux_out[2 * axis + side] = f[:, idx].copy()
             work.release(scope)
         src = self.source(uv[(slice(None),) * lead + interior], w, dx, g, work)
         if src is not None:
@@ -374,11 +373,13 @@ class FVScheme(ABC):
         ndim: Optional[int] = None,
         rate_out: Optional[np.ndarray] = None,
         work: Optional[Workspace] = None,
+        face_flux_out: Optional[dict] = None,
     ) -> None:
         """Advance the interior of a padded block array by one forward-
         Euler *stage* of length ``dt``, in place.  ``rate_out`` is an
         optional scratch buffer (interior shape) for the update rate,
-        ``work`` the kernel's workspace (:meth:`flux_divergence`).
+        ``work`` the kernel's workspace and ``face_flux_out`` the
+        pre-update face-flux capture (:meth:`flux_divergence`).
 
         This is a single stage: time integration across stages (midpoint
         for second order) is orchestrated by the driver, which must
@@ -394,8 +395,8 @@ class FVScheme(ABC):
 
         Subclass contract, for this method and the physics hooks:
 
-        * An override of ``step`` takes ``ndim=``, ``rate_out=`` and
-          ``work=`` (forward ``**kw``).  It and every hook may receive
+        * An override of ``step`` takes ``ndim=``, ``rate_out=``,
+          ``work=`` and ``face_flux_out=`` (forward ``**kw``).  It and every hook may receive
           the leading batch axis: ``dx`` entries are then
           ``(B, 1, ...)`` arrays, and the hooks see var-major
           ``(nvar, B, *cells)`` arrays — index variables from the left
@@ -418,7 +419,10 @@ class FVScheme(ABC):
         interior = (slice(None),) * lead + tuple(
             slice(g, s - g) for s in u.shape[lead:]
         )
-        rate = self.flux_divergence(u, dx, g, ndim=ndim, out=rate_out, work=work)
+        rate = self.flux_divergence(
+            u, dx, g, ndim=ndim, out=rate_out, work=work,
+            face_flux_out=face_flux_out,
+        )
         if rate_out is not None:
             # same two IEEE ops per element as ``u += dt * rate``,
             # without the broadcast temporary

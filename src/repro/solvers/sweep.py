@@ -11,11 +11,15 @@ it owns in its shared segment — the same code whether a block's
 neighbours are local or remote.  Results are bit-for-bit independent of
 the tile size and equal to the per-block update: same IEEE operations
 per element, only the loop structure differs.
+
+A final stage given a :class:`~repro.core.reflux.FluxRegister` also
+hands it the coarse–fine face fluxes the tile's kernel call computed on
+the way, so refluxing costs no second pass over the blocks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from repro.solvers.workspace import Workspace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.block import Block
+    from repro.core.reflux import FluxRegister
     from repro.solvers.scheme import FVScheme
 
 __all__ = ["BATCH_TILE_BYTES", "PoolSweep", "tile_rows"]
@@ -81,6 +86,14 @@ class PoolSweep:
     is given back with it: kept from step to step it would sit in the
     heap next to the ghost fill's gather, whose memory it now reuses
     (measured: peak RSS of ``uniform_mhd3d`` +10 %).
+
+    :meth:`forward` and :meth:`correct` take an optional ``register``:
+    every tile holding a block in its
+    :attr:`~repro.core.reflux.FluxRegister.needed_faces` captures its
+    outer-face fluxes in the same kernel call, and each such block's
+    needed slabs (copies, never workspace views) are recorded — or,
+    with ``accumulate``, added weighted by the stage's ``dt``
+    (subcycling).  Pass it to the final stage of a step only.
     """
 
     def __init__(
@@ -109,6 +122,7 @@ class PoolSweep:
         ]
         placed = sorted(placed, key=lambda rb: rb[0])
         rows = [row for row, _ in placed]
+        self._block_at = dict(placed)
         #: per-axis cell widths, ``(rows, 1, ..., 1)`` (1 on unused rows)
         self.dx = []
         for a in range(self.ndim):
@@ -140,27 +154,65 @@ class PoolSweep:
         for s, e in self.runs if rows is None else [rows]:
             self.save[s:e] = self.interior[s:e]
 
-    def forward(self, dt: float, rows: Optional[Rows] = None) -> None:
-        """One forward-Euler stage in place: ``u += dt * L(u)``, floors."""
+    def forward(
+        self, dt: float, rows: Optional[Rows] = None, *,
+        register: Optional["FluxRegister"] = None, accumulate: bool = False,
+    ) -> None:
+        """One forward-Euler stage in place: ``u += dt * L(u)``, floors
+        (``register``/``accumulate``: face-flux capture, see the class)."""
         scheme, pool, g, nd = self.scheme, self.pool, self.g, self.ndim
         for s, e in self._each_tile(rows):
+            needs = self._needs(register, s, e)
+            captured: Optional[Dict] = {} if needs else None
             scheme.step(
                 pool[s:e], [d[s:e] for d in self.dx], dt, g, ndim=nd,
                 rate_out=self.rate[: e - s], work=self.work,
+                face_flux_out=captured,
             )
+            if needs:
+                _hand_over(register, needs, captured, dt if accumulate else None)
 
-    def correct(self, dt: float, rows: Optional[Rows] = None) -> None:
+    def correct(
+        self, dt: float, rows: Optional[Rows] = None, *,
+        register: Optional["FluxRegister"] = None, accumulate: bool = False,
+    ) -> None:
         """The midpoint corrector: ``u = saved + dt * L(u)``, floors —
-        ``u`` holding the half-step state, ghosts refreshed."""
+        ``u`` holding the half-step state, ghosts refreshed
+        (``register``/``accumulate``: face-flux capture, see the class)."""
         scheme, pool, g, nd = self.scheme, self.pool, self.g, self.ndim
         ui, save = self.interior, self.save
         for s, e in self._each_tile(rows):
+            needs = self._needs(register, s, e)
+            captured: Optional[Dict] = {} if needs else None
             rate = scheme.flux_divergence(
                 pool[s:e], [d[s:e] for d in self.dx], g, ndim=nd,
-                out=self.rate[: e - s], work=self.work,
+                out=self.rate[: e - s], work=self.work, face_flux_out=captured,
             )
+            if needs:
+                _hand_over(register, needs, captured, dt if accumulate else None)
             # same two IEEE ops per element as ``save + dt * rate``,
             # without the broadcast temporary
             rate *= dt
             np.add(save[s:e], rate, out=ui[s:e])
             scheme.apply_floors(ui[s:e].swapaxes(0, 1))
+
+    def _needs(self, register: Optional["FluxRegister"], s: int, e: int) -> list:
+        """``(tile row, block id, faces)`` of every block in rows
+        ``[s, e)`` whose faces ``register`` needs."""
+        if register is None:
+            return []
+        wanted = register.needed_faces
+        ids = [self._block_at[r].id for r in range(s, e)]
+        return [(b, bid, wanted[bid]) for b, bid in enumerate(ids) if bid in wanted]
+
+
+def _hand_over(register, needs, captured, weight: Optional[float]) -> None:
+    """Give ``register`` each block's needed slabs of a tile's captured
+    ``(nvar, rows, *transverse)`` face fluxes: recorded, or accumulated
+    ``weight``-scaled."""
+    for b, bid, faces in needs:
+        slabs = {face: captured[face][:, b] for face in faces}
+        if weight is None:
+            register.record(bid, slabs)
+        else:
+            register.accumulate(bid, slabs, weight)

@@ -35,6 +35,15 @@ class TestStepping:
         with pytest.raises(ValueError, match=message):
             Simulation(forest, p.scheme, criterion=p.make_criterion(), **kwargs)
 
+    def test_reflux_on_unbalanced_forest_rejected(self):
+        # refluxing corrects 2:1 faces only: refuse at construction, not
+        # inside the first step
+        f = BlockForest(Box((0.0, 0.0), (1.0, 1.0)), (2, 2), (8, 8), 1,
+                        n_ghost=2, periodic=(True, True), max_level_jump=2)
+        with pytest.raises(ValueError, match="max_level_jump=2"):
+            Simulation(f, AdvectionScheme((1.0, 0.5)), reflux=True)
+        Simulation(f, AdvectionScheme((1.0, 0.5)))  # fine without reflux
+
     def test_run_requires_target(self):
         f = BlockForest(Box((0.0,), (1.0,)), (2,), (4,), 1, n_ghost=2,
                         periodic=(True,))

@@ -13,6 +13,7 @@ CRCs of ``flux_divergence`` and ``step`` outputs on seeded states.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.solvers import AdvectionScheme, BurgersScheme, stable_dt
 from repro.solvers.euler import EulerScheme
 from repro.solvers.mhd import MHDScheme
 from repro.solvers.shallow_water import ShallowWaterScheme
+from repro.solvers.sweep import PoolSweep
 from repro.util.geometry import Box
 
 FLOOR = 1.1  # inside the initial density range [1.0, 1.2]: it fires
@@ -319,3 +321,65 @@ def test_golden_bits(name):
     make, dims, g = GOLDEN[name]
     got = {d: golden_crc(make(d), d, g, seed=d) for d in dims}
     assert got == GOLDEN_CRC[name]
+
+
+class Capture:
+    """A flux register's capture side: what the sweep hands over."""
+
+    def __init__(self, needed_faces):
+        self.needed_faces = needed_faces
+        self.slabs = {}
+
+    def record(self, bid, slabs):
+        self.slabs.update(((bid, face), slab) for face, slab in slabs.items())
+
+    def accumulate(self, bid, slabs, weight):
+        self.record(bid, {face: weight * slab for face, slab in slabs.items()})
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_tiled_capture_matches_block_capture(name, monkeypatch):
+    """A sweep's face-flux capture ≡ per-block ``face_flux_out``, byte
+    for byte, at tile 1, a ragged tile and the whole stack, in both
+    stages and both register modes (each tile in both stages, each
+    stage in both modes), with the workspace poisoned before
+    every tile: the handed-over slabs are copies, not workspace views."""
+    make, dims, g = GOLDEN[name]
+    for ndim in dims:
+        scheme = make(ndim)
+        rng = np.random.default_rng(ndim)
+        u = golden_state(scheme, ndim, g, rng, n_blocks=5)
+        n, dt = len(u), 0.01
+        blocks = [SimpleNamespace(id=b, dx=tuple(rng.uniform(0.05, 0.2, ndim)))
+                  for b in range(n)]
+        needed = {b: {f for f in range(2 * ndim) if (b + f) % 3} for b in range(n) if b != 2}
+        want = {}
+        for b in needed:
+            captured = {}
+            scheme.flux_divergence(u[b].copy(), blocks[b].dx, g, face_flux_out=captured)
+            want.update(((b, f), captured[f]) for f in needed[b])
+        kernel = scheme.flux_divergence
+
+        def poisoned(*args, work=None, **kw):
+            if work is not None:
+                work.buffer[...] = 0xFF
+            return kernel(*args, work=work, **kw)
+
+        monkeypatch.setattr(scheme, "flux_divergence", poisoned)
+        for tile, stage, accumulate in (
+            (1, "forward", False), (1, "correct", True), (2, "forward", True),
+            (2, "correct", False), (n, "forward", False), (n, "correct", True),
+        ):
+            interior = (n, scheme.nvar) + tuple(s - 2 * g for s in u.shape[2:])
+            sweep = PoolSweep(scheme, u.copy(), enumerate(blocks), g,
+                              save=np.empty(interior), rate=np.empty(interior), tile=tile)
+            sweep.forward(dt)  # sizes the workspace
+            sweep.pool[...] = u
+            sweep.snapshot()
+            register = Capture(needed)
+            getattr(sweep, stage)(dt, register=register, accumulate=accumulate)
+            assert sorted(register.slabs) == sorted(want)
+            for key, slab in register.slabs.items():
+                assert not np.shares_memory(slab, sweep.work.buffer)
+                expect = dt * want[key] if accumulate else want[key]
+                assert slab.tobytes() == expect.tobytes(), (ndim, tile, stage, key)
