@@ -7,10 +7,12 @@ parallel messages), and the compiled-plan cache removes the owner-search
 cost from steady-state stepping.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.core import BlockForest, fill_ghosts
+from repro.core import BlockForest, BlockID, fill_ghosts
 from repro.core.ghost import compile_plan
 from repro.util.geometry import Box
 from repro.util.timing import measure
@@ -62,22 +64,43 @@ def test_exchange_amortization(benchmark):
 
 
 def test_plan_cache_effectiveness(benchmark):
+    # A fresh forest computes every block-pair template on its first
+    # compile; a recompile after a topology change only searches owners
+    # and binds the templates it already has.
+    firsts = []
+    for _ in range(3):
+        fresh = forest_of(8)
+        t0 = time.perf_counter()
+        compile_plan(fresh)
+        firsts.append(time.perf_counter() - t0)
     f = forest_of(8)
-    t_build = measure(lambda: compile_plan(f), repeats=3).best
+    compile_plan(f)
+    bid = BlockID(0, (3, 3))
+    recompiles = []
+    for _ in range(3):
+        f.adapt([bid])
+        f.adapt([], bid.children())  # back to 64 blocks, a new revision
+        t0 = time.perf_counter()
+        compile_plan(f)
+        recompiles.append(time.perf_counter() - t0)
+    t_first, t_build = min(firsts), min(recompiles)
     fill_ghosts(f)  # warm the cache
     t_fill = measure(lambda: fill_ghosts(f), repeats=5).best
     emit_table(
         "exchange_plan_cache",
         "Exchange-plan compilation vs cached execution (8x8 blocks, "
-        "64 blocks)",
+        "64 blocks, best of 3)",
         ("operation", "ms"),
         [
-            ("compile plan (per topology change)", f"{t_build * 1e3:.2f}"),
+            ("first compile on a fresh forest", f"{t_first * 1e3:.2f}"),
+            ("recompile after a topology change", f"{t_build * 1e3:.2f}"),
             ("cached fill (per step)", f"{t_fill * 1e3:.2f}"),
-            ("ratio", f"{t_build / t_fill:.1f}x"),
+            ("ratio (recompile / fill)", f"{t_build / t_fill:.1f}x"),
         ],
         notes="mirrors the paper's design: neighbor information is "
-        "rebuilt only when the mesh adapts, not every step",
+        "rebuilt only when the mesh adapts, not every step; on this "
+        "uniform forest a first compile computes only 8 block-pair "
+        "templates more than a recompile does",
     )
     # Building costs several cached fills — caching on the topology
     # revision is what makes frequent exchanges cheap.

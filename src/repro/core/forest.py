@@ -138,6 +138,10 @@ class BlockForest:
         #: (ghost-exchange plans, partitions) key their caches on it.
         self.revision = 0
         self._sorted_cache: Optional[List[BlockID]] = None
+        #: ghost-exchange geometry computed once per block-pair key
+        #: (:mod:`repro.core.ghost`); it holds no views, so it outlives
+        #: every topology revision and arena layout epoch
+        self._ghost_templates: Dict[Any, Any] = {}
         #: pooled storage: every block's padded array is a row of one
         #: contiguous pool; all allocation/release routes through it.
         n_roots = 1
@@ -178,7 +182,9 @@ class BlockForest:
         array, which would detach every block's ``data`` from the copied
         pool.  Re-bind them to their rows (the pool itself is copied with
         identical contents) and drop cached ghost plans, which hold raw
-        views into the original pool.
+        views into the original pool.  The ghost templates hold none and
+        depend only on what the copy keeps (``m``, ``n_ghost``, ``nvar``,
+        ``prolong_order``), so the copy shares them.
         """
         cls = self.__class__
         clone = cls.__new__(cls)
@@ -186,7 +192,9 @@ class BlockForest:
         state = dict(self.__dict__)
         state.pop("_ghost_plan", None)
         state.pop("_ghost_plan_key", None)
+        templates = state.pop("_ghost_templates")
         clone.__dict__.update(copy.deepcopy(state, memo))
+        clone._ghost_templates = templates
         for blk in clone.blocks.values():
             if blk.arena_row is not None:
                 blk.data = clone.arena.pool[blk.arena_row]

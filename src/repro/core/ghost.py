@@ -30,11 +30,14 @@ a region, so ghost cells straddling several fine blocks — or blocks at
 different levels, which occur across edges/corners even under 2:1 face
 balance — are filled exactly.
 
-All of that geometry is worked out once per topology and row layout
-and compiled into a :class:`GhostPlan` of array views, slices and
-weights; a fill only executes it.  A caller that reads the ghosts of
-some blocks only names them (``dest=``) and gets the part of the plan
-that fills those, dependencies included (:func:`ghost_plan`).
+All of that geometry is worked out once per forest for each distinct
+block pair — blocks share one shape, so a transfer's boxes in the
+padded frames of its two blocks depend only on the pair's relative
+position (:class:`_Template`) — and bound to the blocks' arrays once per
+topology and row layout, compiling a :class:`GhostPlan` of array views,
+slices and weights; a fill only executes it.  A caller that reads the
+ghosts of some blocks only names them (``dest=``) and gets the part of
+the plan that fills those, dependencies included (:func:`ghost_plan`).
 
 The same geometry is exposed as :class:`Transfer` records
 (:func:`exchange_regions`, :func:`iter_transfers`) so the simulated
@@ -75,6 +78,7 @@ from repro.core.block_id import BlockID, IndexBox
 from repro.core.forest import BlockForest, ForestError
 from repro.core.prolong import prolong_inject, prolong_linear
 from repro.obs.metrics import METRICS
+from repro.util.geometry import child_offsets
 
 __all__ = [
     "Transfer",
@@ -122,6 +126,8 @@ class Transfer:
     ``shift`` maps destination-frame indices (at the destination level)
     into the source frame — non-zero only across periodic boundaries.
     ``offset`` is the direction vector of the ghost region being filled.
+    ``template`` is the geometry every transfer of its key shares
+    (:class:`_Template`), which :func:`compile_plan` binds to arrays.
     """
 
     dst_id: BlockID
@@ -130,6 +136,7 @@ class Transfer:
     src_box: IndexBox
     dst_box: IndexBox
     shift: Tuple[int, ...]
+    template: Optional["_Template"] = field(default=None, compare=False, repr=False)
 
     @property
     def delta(self) -> int:
@@ -192,6 +199,20 @@ def ghost_region_for_offset(block: Block, offset: Sequence[int]) -> IndexBox:
     return IndexBox(tuple(lo), tuple(hi))
 
 
+#: A leaf found for a ghost region: its level minus the region's, its
+#: coordinates relative to the neighbour slot at the finer of the two
+#: levels (the slot's relative to the leaf's when the leaf is coarser),
+#: and its id.
+_Owner = Tuple[int, Tuple[int, ...], BlockID]
+
+#: ``(level, coords)`` of every leaf -> its id (:func:`_leaf_index`)
+_LeafIndex = Dict[Tuple[int, Tuple[int, ...]], BlockID]
+
+
+def _leaf_index(forest: BlockForest) -> _LeafIndex:
+    return {(bid.level, bid.coords): bid for bid in forest.blocks}
+
+
 def region_owners(
     forest: BlockForest, bid: BlockID, offset: Sequence[int]
 ) -> Optional[Tuple[Tuple[int, ...], List[BlockID]]]:
@@ -205,55 +226,76 @@ def region_owners(
     ``n_ghost`` cells deep, so with deep refinement it can intersect
     several layers of fine leaves, not only those touching the shared
     face/edge/corner).
+
+    Raises ValueError for an offset outside ``{-1, 0, 1}^d \\ {0}`` and
+    ForestError for an id that is not a leaf.
     """
-    coords: List[int] = []
+    direction = tuple(offset)
+    if len(direction) != forest.ndim or not any(direction) or not set(direction) <= {-1, 0, 1}:
+        raise ValueError(f"offset {direction} is not a ghost-region direction in {forest.ndim}-D")
+    if bid not in forest.blocks:
+        raise ForestError(f"{bid} is not a leaf")
+    found = _owners(forest, _leaf_index(forest), bid.level, bid.coords, direction)
+    if found is None:
+        return None
+    wrap, owners = found
+    return wrap, [nid for _delta, _rel, nid in owners]
+
+
+def _owners(
+    forest: BlockForest, index: _LeafIndex, level: int, coords: Tuple[int, ...],
+    offset: Tuple[int, ...],
+) -> Optional[Tuple[Tuple[int, ...], List[_Owner]]]:
+    """:func:`region_owners` without its checks, on integer tuples: no
+    BlockID or IndexBox is built for a slot that holds no leaf."""
+    slot: List[int] = []
     wrap: List[int] = []
-    for axis in range(forest.ndim):
-        c = bid.coords[axis] + offset[axis]
-        c_wrapped, w = forest._wrap_coord(bid.level, axis, c)
-        if c_wrapped is None:
+    for axis, (c, o) in enumerate(zip(coords, offset)):
+        wrapped, w = forest._wrap_coord(level, axis, c + o)
+        if wrapped is None:
             return None
-        coords.append(c_wrapped)
+        slot.append(wrapped)
         wrap.append(w)
-    cand = BlockID(bid.level, tuple(coords))
-    if cand in forest.blocks:
-        return tuple(wrap), [cand]
-    anc = cand
-    while anc.level > 0:
-        anc = anc.parent
-        if anc in forest.blocks:
-            return tuple(wrap), [anc]
-    # Finer: descend through the candidate slot collecting every leaf
-    # whose cells intersect the (wrapped) ghost region.
+    cand = tuple(slot)
+    nid = index.get((level, cand))
+    if nid is not None:
+        return tuple(wrap), [(0, (0,) * len(cand), nid)]
+    for up in range(1, level + 1):
+        nid = index.get((level - up, tuple(c >> up for c in cand)))
+        if nid is not None:
+            low = (1 << up) - 1
+            return tuple(wrap), [(-up, tuple(c & low for c in cand), nid)]
+    # Finer: descend through the slot collecting every leaf whose cells
+    # intersect the ghost region, ``[lo, hi)`` per axis relative to the slot.
     g = forest.n_ghost
-    region = IndexBox(
-        tuple(
-            bid.coords[a] * forest.m[a] + (forest.m[a] if o > 0 else (-g if o < 0 else 0))
-            for a, o in enumerate(offset)
-        ),
-        tuple(
-            bid.coords[a] * forest.m[a]
-            + (forest.m[a] + g if o > 0 else (0 if o < 0 else forest.m[a]))
-            for a, o in enumerate(offset)
-        ),
-    ).shift(_cell_shift(forest, wrap, bid.level))
-    owners: List[BlockID] = []
-    stack = [cand]
+    region = [
+        (0, g) if o > 0 else (mi - g, mi) if o < 0 else (0, mi)
+        for o, mi in zip(offset, forest.m)
+    ]
+    owners: List[_Owner] = []
+    stack: List[Tuple[int, Tuple[int, ...]]] = [(0, (0,) * len(cand))]
     while stack:
-        cur = stack.pop()
-        if cur.level > forest.max_level:
+        depth, parent = stack.pop()
+        depth += 1
+        if level + depth > forest.max_level:
             continue
-        for child in cur.children():
-            delta = child.level - bid.level
-            if region.refined(delta).intersect(child.cell_box(forest.m)).empty:
+        for child_off in child_offsets(len(cand)):
+            rel = tuple(2 * p + b for p, b in zip(parent, child_off))
+            if any(
+                k * mi >= hi << depth or (k + 1) * mi <= lo << depth
+                for k, mi, (lo, hi) in zip(rel, forest.m, region)
+            ):
                 continue
-            if child in forest.blocks:
-                owners.append(child)
+            nid = index.get(
+                (level + depth, tuple((c << depth) + k for c, k in zip(cand, rel)))
+            )
+            if nid is not None:
+                owners.append((depth, rel, nid))
             else:
-                stack.append(child)
+                stack.append((depth, rel))
     if not owners:
         raise ForestError(
-            f"no leaf covers offset {tuple(offset)} of {bid}; forest inconsistent"
+            f"no leaf covers offset {offset} of L{level}{coords}; forest inconsistent"
         )
     return tuple(wrap), sorted(owners)
 
@@ -338,44 +380,109 @@ def _prolonged_slices(region: IndexBox, up: int, border: int) -> Slices:
     return region.refined(up).slices(covered.lo)
 
 
+#: What fixes a transfer's geometry in the padded frames of its two
+#: blocks: the region's offset, the level delta, and the owner's
+#: position relative to the neighbour slot (see :class:`_Template`).
+_TemplateKey = Tuple[Tuple[int, ...], int, Tuple[int, ...]]
+
+
+class _Template(NamedTuple):
+    """The geometry every transfer with one :data:`_TemplateKey` shares.
+
+    Boxes are relative to each block's padded origin and slices index
+    its padded array, so the template holds no view and outlives every
+    topology revision and layout epoch: a translation by whole blocks
+    at the coarser level moves every box by a multiple of ``2^delta``
+    cells at the finer one, which commutes with ``coarsened``/``refined``
+    (docs/internals.md, "Compiled entries").
+    """
+
+    key: _TemplateKey
+    src_box: IndexBox
+    dst_box: IndexBox
+    src: Slices
+    dst: Slices
+    #: a prolongation's read of its source (``delta < 0`` only): ``need``
+    #: relative to the source's padded origin, its slices, and the
+    #: ``pad`` (a tuple: entries get their own list) and ``crop`` of
+    #: :class:`_Prolong`
+    prolong: Optional[
+        Tuple[IndexBox, Slices, Optional[Tuple[Tuple[int, int], ...]], Slices]
+    ] = None
+
+
+def _framed(block: Block, box: IndexBox) -> Tuple[IndexBox, Slices]:
+    """``box`` relative to the padded origin of ``block`` and its slices
+    there, bounds-checked by :meth:`Block.view`."""
+    block.view(box)
+    origin = block.index_origin
+    return box.shift(_neg(origin)), (slice(None),) + box.slices(origin)
+
+
+def _transfer_template(
+    forest: BlockForest, key: _TemplateKey, block: Block, nb: Block,
+    shift: Tuple[int, ...],
+) -> Optional[_Template]:
+    """The template of ``key`` from its instance ``nb`` → ``block``, by
+    box algebra (None: the owner's cells miss the region)."""
+    offset, delta, _rel = key
+    region_src = ghost_region_for_offset(block, offset).shift(shift)
+    if delta == 0:
+        src = covered = region_src.intersect(nb.cell_box)
+    elif delta < 0:
+        src = region_src.coarsened(-delta).intersect(nb.cell_box)
+        covered = src.refined(-delta).intersect(region_src)
+    else:
+        src = region_src.refined(delta).intersect(nb.cell_box)
+        covered = src.coarsened(delta).intersect(region_src)
+    if src.empty:
+        return None
+    dst = covered.shift(_neg(shift))
+    src_box, src_sl = _framed(nb, src)
+    dst_box, dst_sl = _framed(block, dst)
+    tpl = _Template(key, src_box, dst_box, src_sl, dst_sl)
+    if delta >= 0:
+        return tpl
+    up = -delta
+    border = prolongation_border(up, forest.prolong_order)
+    need, pad = _bordered_read(nb, src, border)
+    # Two crops in one: the prolonged region inside the prolonged
+    # bordered array, then the destination box inside that region.
+    outer = _prolonged_slices(src, up, border)
+    cover = src.refined(up).shift(_neg(shift))
+    crop = (slice(None),) + tuple(
+        slice(o.start + s.start, o.start + s.stop)
+        for o, s in zip(outer, dst.slices(cover.lo))
+    )
+    return tpl._replace(prolong=(*_framed(nb, need), None if pad is None else tuple(pad), crop))
+
+
 def _region_transfers(
-    forest: BlockForest,
-    block: Block,
-    offset: Tuple[int, ...],
-) -> Iterator[Transfer]:
-    """Geometry of the transfers filling one ghost region of one block."""
-    found = region_owners(forest, block.id, offset)
+    forest: BlockForest, index: _LeafIndex, origins: Mapping[BlockID, Tuple[int, ...]],
+    block: Block, offset: Tuple[int, ...],
+) -> List[Transfer]:
+    """The transfers filling one ghost region of one block, each bound
+    to its template (computed on first sight of its key); ``origins``
+    holds every leaf's padded origin."""
+    bid = block.id
+    found = _owners(forest, index, bid.level, bid.coords, offset)
     if found is None:
-        return
+        return []
     wrap, owners = found
-    level = block.level
-    region = ghost_region_for_offset(block, offset)
-    shift = _cell_shift(forest, wrap, level)
-    region_src = region.shift(shift)
-    for nid in owners:
-        nb = forest.blocks[nid]
-        delta = nid.level - level
-        if delta == 0:
-            r = region_src.intersect(nb.cell_box)
-            if r.empty:
-                continue
-            yield Transfer(block.id, nid, offset, r, r.shift(_neg(shift)), shift)
-        elif delta < 0:
-            up = -delta
-            rc = region_src.coarsened(up).intersect(nb.cell_box)
-            if rc.empty:
-                continue
-            covered = rc.refined(up).intersect(region_src)
-            yield Transfer(
-                block.id, nid, offset, rc, covered.shift(_neg(shift)), shift
-            )
-        else:
-            down = delta
-            rf = region_src.refined(down).intersect(nb.cell_box)
-            if rf.empty:
-                continue
-            dst = rf.coarsened(down).intersect(region_src).shift(_neg(shift))
-            yield Transfer(block.id, nid, offset, rf, dst, shift)
+    shift = _cell_shift(forest, wrap, bid.level)
+    table = forest._ghost_templates
+    out = []
+    for delta, rel, nid in owners:
+        key = (offset, delta, rel)
+        if key not in table:
+            table[key] = _transfer_template(forest, key, block, forest.blocks[nid], shift)
+        tpl: Optional[_Template] = table[key]
+        if tpl is not None:
+            out.append(Transfer(
+                bid, nid, offset, tpl.src_box.shift(origins[nid]),
+                tpl.dst_box.shift(origins[bid]), shift, tpl,
+            ))
+    return out
 
 
 def _restriction_geometry(
@@ -422,10 +529,12 @@ def payload_values(t: Transfer, nvar: int, ndim: int, order: int) -> int:
 
 def _iter_regions(forest: BlockForest, fill_corners: bool) -> Iterator[Region]:
     offsets = all_offsets(forest.ndim, faces_only=not fill_corners)
+    index = _leaf_index(forest)
+    origins = {bid: block.index_origin for bid, block in forest.blocks.items()}
     for bid in forest.sorted_ids():
         block = forest.blocks[bid]
         for offset in offsets:
-            transfers = list(_region_transfers(forest, block, offset))
+            transfers = _region_transfers(forest, index, origins, block, offset)
             if transfers:
                 yield bid, offset, transfers
 
@@ -543,8 +652,8 @@ class GhostPlan:
     """A ghost exchange compiled down to array views and slice tuples.
 
     Built once per forest topology revision and arena layout epoch
-    (owner searches and box intersections are the expensive part) and
-    executed many times — mirroring how the paper's code rebuilds its
+    (owner searches, and binding each transfer's template to the
+    blocks' arrays) and executed many times — mirroring how the paper's code rebuilds its
     neighbor pointers only on refinement/coarsening.  A fill does no box
     arithmetic: every entry carries the views, slices and weights it
     needs.
@@ -602,70 +711,91 @@ class GhostPlan:
         return [(p.src, p.need) for p in self.prolongs]
 
 
-def _compile_restrict(
-    block: Block,
-    transfers: List[Transfer],
-    blocks: Mapping[BlockID, Block],
-    ndim: int,
-) -> _Restrict:
+class _RestrictTemplate(NamedTuple):
+    """The geometry of a restriction group, keyed by the ordered
+    :data:`_TemplateKey` of its sources: the union of their destination
+    boxes (destination padded frame) with its slices, and every
+    :class:`_Restrict` field that holds no view.  The shared ``filled``
+    and ``safe_vol`` are read-only."""
+
+    dst_box: IndexBox
+    dst: Slices
+    acc_shape: Tuple[int, ...]
+    #: per source, the fields of :class:`_RestrictSource` after its view
+    sources: Tuple[
+        Tuple[Optional[Tuple[int, ...]], Slices, int, float, Slices, Slices], ...
+    ]
+    filled: np.ndarray
+    safe_vol: np.ndarray
+
+
+def _template(t: Transfer) -> _Template:
+    if t.template is None:
+        raise ValueError(f"{t} has no template: take transfers from exchange_regions")
+    return t.template
+
+
+def _restrict_template(
+    block: Block, transfers: List[Transfer], ndim: int
+) -> _RestrictTemplate:
     nvar = block.nvar
     union = _hull([t.dst_box for t in transfers])
     vol = np.zeros(union.shape)
     sources = []
     for t in transfers:
-        src = blocks[t.src_id]
         aligned, inner, frac, coarse_box = _restriction_geometry(t, ndim)
         tgt = coarse_box.intersect(union)
         src_sl = tgt.slices(coarse_box.lo)
         dst_sl = tgt.slices(union.lo)
         vol[dst_sl] += _restriction_weights(aligned, inner, t.delta, frac, ndim)[src_sl]
-        sources.append(
-            _RestrictSource(
-                src.view(t.src_box),
-                None if aligned == t.src_box else (nvar,) + aligned.shape,
-                (slice(None),) + inner,
-                t.delta,
-                frac,
-                (slice(None),) + dst_sl,
-                (slice(None),) + src_sl,
-            )
-        )
+        sources.append((
+            None if aligned == t.src_box else (nvar,) + aligned.shape,
+            (slice(None),) + inner,
+            t.delta,
+            frac,
+            (slice(None),) + dst_sl,
+            (slice(None),) + src_sl,
+        ))
     filled = vol > _FILLED_VOLUME
+    safe_vol = np.where(filled, vol, 1.0)
+    filled.flags.writeable = safe_vol.flags.writeable = False
+    return _RestrictTemplate(
+        *_framed(block, union), (nvar,) + union.shape, tuple(sources), filled, safe_vol,
+    )
+
+
+def _restrict_entry(
+    forest: BlockForest,
+    block: Block,
+    transfers: List[Transfer],
+    blocks: Mapping[BlockID, Block],
+) -> _Restrict:
+    """The fine→coarse transfers into one region, bound to the arrays."""
+    templates = [_template(t) for t in transfers]
+    key = tuple(tpl.key for tpl in templates)
+    group: Optional[_RestrictTemplate] = forest._ghost_templates.get(key)
+    if group is None:
+        group = _restrict_template(block, transfers, forest.ndim)
+        forest._ghost_templates[key] = group
+    srcs = tuple(blocks[t.src_id] for t in transfers)
     return _Restrict(
-        block.view(union),
-        (nvar,) + union.shape,
-        tuple(sources),
-        filled,
-        np.where(filled, vol, 1.0),
+        block.data[group.dst],
+        group.acc_shape,
+        tuple(
+            _RestrictSource(src.data[tpl.src], *rest)
+            for src, tpl, rest in zip(srcs, templates, group.sources)
+        ),
+        group.filled,
+        group.safe_vol,
         block,
-        union,
-        tuple(blocks[t.src_id] for t in transfers),
-    )
-
-
-def _compile_prolong(block: Block, src: Block, t: Transfer, order: int) -> _Prolong:
-    up = -t.delta
-    region = t.src_box
-    border = prolongation_border(up, order)
-    need, pad = _bordered_read(src, region, border)
-    # Two crops in one: the prolonged region inside the prolonged
-    # bordered array, then the destination box inside that region.
-    outer = _prolonged_slices(region, up, border)
-    cover = region.refined(up).shift(_neg(t.shift))
-    crop = (slice(None),) + tuple(
-        slice(o.start + s.start, o.start + s.stop)
-        for o, s in zip(outer, t.dst_box.slices(cover.lo))
-    )
-    return _Prolong(
-        block.view(t.dst_box), src.view(need), pad, up, crop,
-        block, t.dst_box, src, need,
+        group.dst_box.shift(block.index_origin),
+        srcs,
     )
 
 
 def _prolong_entry(
     t: Transfer,
     blocks: Mapping[BlockID, Block],
-    order: int,
     inbound: Mapping[BlockID, List[Transfer]],
     compiled: Dict[Any, _Prolong],
 ) -> _Prolong:
@@ -675,13 +805,20 @@ def _prolong_entry(
     key = (t.dst_id, t.offset, t.src_id)
     p = compiled.get(key)
     if p is None:
-        p = _compile_prolong(blocks[t.dst_id], blocks[t.src_id], t, order)
+        tpl = _template(t)
+        assert tpl.prolong is not None  # every template with delta < 0 has one
+        need, need_sl, pad, crop = tpl.prolong
+        dst, src = blocks[t.dst_id], blocks[t.src_id]
+        p = _Prolong(
+            dst.data[tpl.dst], src.data[need_sl], None if pad is None else list(pad),
+            -t.delta, crop, dst, t.dst_box, src, need.shift(src.index_origin),
+        )
         deps = []
         for q in inbound.get(t.src_id, ()):
             overlap = q.dst_box.intersect(p.need)
             if not overlap.empty:
                 deps.append((
-                    _prolong_entry(q, blocks, order, inbound, compiled),
+                    _prolong_entry(q, blocks, inbound, compiled),
                     (slice(None),) + overlap.slices(p.need.lo),
                     (slice(None),) + overlap.slices(q.dst_box.lo),
                 ))
@@ -709,6 +846,9 @@ def compile_plan(
     forest's own, ``dest`` keeps only the entries and boundary slabs
     whose destination it names (no dependency closure, unlike
     :func:`ghost_plan`: whoever owns the other blocks fills those).
+    Every entry is its transfers' templates bound to ``blocks`` — one
+    slice per view; the templates come from the forest's table, so
+    every caller binds the same geometry.
 
     Stage 2 gathers the source of every prolongation before it writes
     any.  The exchange it reproduces runs them in plan order, where a
@@ -723,7 +863,6 @@ def compile_plan(
         regions = _iter_regions(forest, fill_corners)
     if blocks is None:
         blocks = forest.blocks
-    order = forest.prolong_order
     copies: List[_Copy] = []
     restricts: List[_Restrict] = []
     prolongs: List[_Prolong] = []
@@ -737,23 +876,20 @@ def compile_plan(
         for t in transfers:
             if t.delta < 0:
                 if mine:
-                    prolongs.append(
-                        _prolong_entry(t, blocks, order, inbound, compiled)
-                    )
+                    prolongs.append(_prolong_entry(t, blocks, inbound, compiled))
                 inbound.setdefault(bid, []).append(t)
             elif not mine:
                 continue
             elif t.delta == 0:
+                tpl = _template(t)
                 dst, src = blocks[bid], blocks[t.src_id]
                 copies.append(_Copy(
-                    dst.view(t.dst_box), src.view(t.src_box), dst, t.dst_box, src,
+                    dst.data[tpl.dst], src.data[tpl.src], dst, t.dst_box, src,
                 ))
             else:
                 fine.append(t)
         if fine:
-            restricts.append(
-                _compile_restrict(blocks[bid], fine, blocks, forest.ndim)
-            )
+            restricts.append(_restrict_entry(forest, blocks[bid], fine, blocks))
     return GhostPlan(
         copies, restricts, prolongs,
         _bc_scan_faces(

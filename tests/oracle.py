@@ -11,10 +11,15 @@ captures a reflux register's face fluxes with a separate per-block
 interface geometry afresh on every call; the compiled ``apply`` must
 match it bitwise.
 
-:func:`fill_ghosts_in_order` is the ghost exchange with its prolongations
-run one after another in plan order, each reading what the earlier ones
-wrote — no gather, no replayed dependencies, no batching.  Production
-``fill_ghosts`` must match it bitwise.
+:func:`compile_plan_reference` is ``compile_plan`` by box algebra on
+every transfer: owners found by descending ``BlockID``s, every box
+intersected in global indices, every view taken through ``Block.view``
+— no templates.  The compiled plan must equal it entry by entry.
+
+:func:`fill_ghosts_in_order` runs that reference plan with its
+prolongations one after another in plan order, each reading what the
+earlier ones wrote — no gather, no replayed dependencies, no batching.
+Production ``fill_ghosts`` must match it bitwise.
 """
 
 import numpy as np
@@ -22,8 +27,29 @@ import numpy as np
 import repro.amr.driver
 import repro.amr.subcycle
 import repro.parallel.procworker
-from repro.core.block_id import IndexBox
-from repro.core.ghost import ghost_plan, run_boundaries, run_copies, run_restrictions
+from repro.core.block_id import BlockID, IndexBox
+from repro.core.ghost import (
+    GhostPlan,
+    Transfer,
+    _bc_scan_faces,
+    _bordered_read,
+    _cell_shift,
+    _Copy,
+    _FILLED_VOLUME,
+    _hull,
+    _Prolong,
+    _prolonged_slices,
+    _Restrict,
+    _restriction_geometry,
+    _restriction_weights,
+    _RestrictSource,
+    all_offsets,
+    ghost_region_for_offset,
+    prolongation_border,
+    run_boundaries,
+    run_copies,
+    run_restrictions,
+)
 from repro.core.prolong import prolong_inject, prolong_linear
 from repro.core.reflux import _restrict_transverse
 from repro.util.geometry import face_axis, face_side, opposite_face
@@ -72,8 +98,140 @@ def use_oracle(monkeypatch):
         monkeypatch.setattr(module, "PoolSweep", BlockOracle)
 
 
+def _owners_reference(forest, bid, offset):
+    coords, wrap = [], []
+    for axis in range(forest.ndim):
+        c, w = forest._wrap_coord(bid.level, axis, bid.coords[axis] + offset[axis])
+        if c is None:
+            return None
+        coords.append(c)
+        wrap.append(w)
+    cand = BlockID(bid.level, tuple(coords))
+    for level in range(cand.level, -1, -1):
+        if cand.ancestor(level) in forest.blocks:
+            return tuple(wrap), [cand.ancestor(level)]
+    region = ghost_region_for_offset(forest.blocks[bid], offset)
+    region = region.shift(_cell_shift(forest, wrap, bid.level))
+    owners, stack = [], [cand]
+    while stack:
+        for child in stack.pop().children():
+            if child.level > forest.max_level or region.refined(
+                child.level - bid.level
+            ).intersect(child.cell_box(forest.m)).empty:
+                continue
+            (owners if child in forest.blocks else stack).append(child)
+    return tuple(wrap), sorted(owners)
+
+
+def regions_reference(forest, fill_corners=True):
+    out = []
+    for bid in forest.sorted_ids():
+        for offset in all_offsets(forest.ndim, faces_only=not fill_corners):
+            found = _owners_reference(forest, bid, offset)
+            if found is None:
+                continue
+            shift = _cell_shift(forest, found[0], bid.level)
+            region = ghost_region_for_offset(forest.blocks[bid], offset).shift(shift)
+            transfers = []
+            for nid in found[1]:
+                box, delta = forest.blocks[nid].cell_box, nid.level - bid.level
+                if delta == 0:
+                    src = covered = region.intersect(box)
+                elif delta < 0:
+                    src = region.coarsened(-delta).intersect(box)
+                    covered = src.refined(-delta).intersect(region)
+                else:
+                    src = region.refined(delta).intersect(box)
+                    covered = src.coarsened(delta).intersect(region)
+                if not src.empty:
+                    back = covered.shift(tuple(-s for s in shift))
+                    transfers.append(Transfer(bid, nid, offset, src, back, shift))
+            if transfers:
+                out.append((bid, offset, transfers))
+    return out
+
+
+def _restrict_reference(block, transfers, blocks, ndim):
+    union = _hull([t.dst_box for t in transfers])
+    vol = np.zeros(union.shape)
+    sources = []
+    every = (slice(None),)
+    for t in transfers:
+        aligned, inner, frac, coarse_box = _restriction_geometry(t, ndim)
+        tgt = coarse_box.intersect(union)
+        src_sl, dst_sl = tgt.slices(coarse_box.lo), tgt.slices(union.lo)
+        vol[dst_sl] += _restriction_weights(aligned, inner, t.delta, frac, ndim)[src_sl]
+        staged = None if aligned == t.src_box else (block.nvar,) + aligned.shape
+        sources.append(_RestrictSource(
+            blocks[t.src_id].view(t.src_box), staged, every + inner, t.delta, frac,
+            every + dst_sl, every + src_sl,
+        ))
+    filled = vol > _FILLED_VOLUME
+    return _Restrict(
+        block.view(union), (block.nvar,) + union.shape, tuple(sources), filled,
+        np.where(filled, vol, 1.0), block, union, tuple(blocks[t.src_id] for t in transfers),
+    )
+
+
+def _prolong_reference(block, src, t, order):
+    up = -t.delta
+    border = prolongation_border(up, order)
+    need, pad = _bordered_read(src, t.src_box, border)
+    outer = _prolonged_slices(t.src_box, up, border)
+    cover = t.src_box.refined(up).shift(tuple(-s for s in t.shift))
+    crop = (slice(None),) + tuple(
+        slice(o.start + s.start, o.start + s.stop)
+        for o, s in zip(outer, t.dst_box.slices(cover.lo))
+    )
+    return _Prolong(
+        block.view(t.dst_box), src.view(need), pad, up, crop, block, t.dst_box, src, need
+    )
+
+
+def compile_plan_reference(forest, fill_corners=True, *, regions=None, blocks=None, dest=None):
+    """``compile_plan``'s contract (same arguments, same entries), by box
+    algebra on every transfer of :func:`regions_reference`."""
+    regions = regions_reference(forest, fill_corners) if regions is None else regions
+    blocks = forest.blocks if blocks is None else blocks
+    copies, restricts, prolongs, inbound, compiled = [], [], [], {}, {}
+
+    def prolong_entry(t):
+        key = (t.dst_id, t.offset, t.src_id)
+        if key not in compiled:
+            p = _prolong_reference(blocks[t.dst_id], blocks[t.src_id], t, forest.prolong_order)
+            deps = []
+            for q in inbound.get(t.src_id, ()):
+                overlap = q.dst_box.intersect(p.need)
+                if not overlap.empty:
+                    deps.append((
+                        prolong_entry(q),
+                        (slice(None),) + overlap.slices(p.need.lo),
+                        (slice(None),) + overlap.slices(q.dst_box.lo),
+                    ))
+            compiled[key] = p._replace(deps=tuple(deps))
+        return compiled[key]
+
+    for bid, _offset, transfers in regions:
+        mine = dest is None or bid in dest
+        fine = []
+        for t in transfers:
+            if t.delta < 0:
+                if mine:
+                    prolongs.append(prolong_entry(t))
+                inbound.setdefault(bid, []).append(t)
+            elif mine and t.delta == 0:
+                dst, src = blocks[bid], blocks[t.src_id]
+                copies.append(_Copy(dst.view(t.dst_box), src.view(t.src_box), dst, t.dst_box, src))
+            elif mine:
+                fine.append(t)
+        if fine:
+            restricts.append(_restrict_reference(blocks[bid], fine, blocks, forest.ndim))
+    mine = [blocks[bid] for bid in forest.sorted_ids() if dest is None or bid in dest]
+    return GhostPlan(copies, restricts, prolongs, _bc_scan_faces(mine, forest.ndim))
+
+
 def fill_ghosts_in_order(forest, bc=None):
-    plan = ghost_plan(forest)
+    plan = compile_plan_reference(forest)
     run_copies(plan)
     run_restrictions(plan, forest.ndim)
     run_boundaries(plan, bc, forest)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.block_id import BlockID
-from repro.core.forest import BlockForest
+from repro.core.forest import BlockForest, ForestError
 from repro.core.ghost import (
     all_offsets,
     fill_ghosts,
@@ -113,6 +113,19 @@ class TestRegionOwners:
         f.adapt([BlockID(0, (0, 0))])
         wrap, owners = region_owners(f, BlockID(1, (1, 1)), (1, 1))
         assert owners == [BlockID(0, (1, 1))]
+
+    @pytest.mark.parametrize("offset", [(2, 0), (0, 0), (1,), (1, 0, 0), (-2, 1)])
+    def test_offset_outside_the_directions_is_rejected(self, offset):
+        f = forest2d(periodic=(True, True))
+        with pytest.raises(ValueError, match="not a ghost-region direction"):
+            region_owners(f, BlockID(0, (0, 0)), offset)
+
+    def test_non_leaf_is_rejected(self):
+        f = forest2d(periodic=(True, True))
+        f.adapt([BlockID(0, (0, 0))])
+        for bid in (BlockID(0, (0, 0)), BlockID(2, (0, 0))):
+            with pytest.raises(ForestError, match="not a leaf"):
+                region_owners(f, bid, (1, 0))
 
 
 class TestExchangeExactness:
