@@ -53,7 +53,7 @@ class SimulationConfig:
     # time stepping: False advances every block with one global
     # CFL-limited dt; True subcycles — each level steps with its own dt
     # (2^delta substeps per coarse step, time-interpolated ghosts; see
-    # repro.amr.subcycle)
+    # repro.amr.driver.Simulation.advance)
     subcycle: bool = False
 
     def __post_init__(self) -> None:

@@ -3,9 +3,10 @@
 Orchestrates the cycle the paper's simulations ran:
 
 1. fill ghost cells (exchange + physical BC);
-2. advance every block by one time step (global CFL-limited dt,
-   midpoint two-stage for second order, with a ghost refresh between
-   stages so block-boundary fluxes stay consistent);
+2. advance every block by one time step (midpoint two-stage for
+   second order, with a ghost refresh between stages so block-boundary
+   fluxes stay consistent) — with one global CFL-limited dt, or, when
+   subcycling, level by level with each level's own dt;
 3. every ``adapt_interval`` steps, evaluate the refinement criterion,
    adapt the forest (cascading refinement, vetoed coarsening), and
    refresh connectivity — the blocks-adapt-less-frequently advantage is
@@ -18,8 +19,19 @@ so the benchmarks can attribute cost to compute / exchange / adaptation.
 from __future__ import annotations
 
 import time as _time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -35,15 +47,43 @@ from repro.solvers.timestep import stable_dt_batched
 from repro.util.timing import PhaseTimer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.block import Block
     from repro.obs.recorder import RunRecorder
     from repro.resilience.scrub import Scrubber
 
-__all__ = ["Simulation", "StepRecord"]
+__all__ = ["Simulation", "StepRecord", "level_divisors"]
 
 #: Hook called once per step after the hyperbolic update:
 #: ``hook(sim, dt)``.  Used for inner-boundary resets (solar wind body),
 #: driven perturbations (CME launch), and mass-loading sources (comet).
 StepHook = Callable[["Simulation", float], None]
+
+
+def level_divisors(levels: List[int]) -> Dict[int, int]:
+    """Substep divisor per *present* level (sparse-level aware).
+
+    The coarsest present level takes one substep per coarse step; each
+    next finer present level takes ``2^delta`` substeps of its
+    predecessor's, where ``delta`` is the (possibly > 1) level gap.
+    """
+    divisor = {lvl: 1 for lvl in levels}
+    for prev, cur in zip(levels, levels[1:]):
+        divisor[cur] = divisor[prev] * (1 << (cur - prev))
+    return divisor
+
+
+def _substeps(
+    groups: List[int], t0: float, dt: float
+) -> Iterator[Tuple[int, float, float]]:
+    """``(group, t0, dt)`` of every substep of one advance, in the order
+    they run: ``groups[0]`` steps by ``dt``, then after each substep of a
+    group the next finer group takes ``2^delta`` substeps within it."""
+    yield groups[0], t0, dt
+    if len(groups) > 1:
+        n_sub = 1 << (groups[1] - groups[0])
+        sub_dt = dt / n_sub
+        for j in range(n_sub):
+            yield from _substeps(groups[1:], t0 + j * sub_dt, sub_dt)
 
 
 @dataclass
@@ -104,11 +144,13 @@ class Simulation:
         divide by.  Bit-for-bit identical.
     subcycle:
         When True, step with level-local time steps (Berger–Colella
-        subcycling, :mod:`repro.amr.subcycle`) instead of one global
-        CFL-limited dt: each ``stable_dt``/``advance`` pair takes one
-        *coarsest-level* step while finer levels take ``2^delta``
-        substeps with time-interpolated ghost fills.  Composes with
-        ``reflux=True`` via per-substep time-weighted flux accumulation.
+        subcycling) instead of one global CFL-limited dt: the blocks of
+        each present level form their own group in :meth:`advance`, so
+        each ``stable_dt``/``advance`` pair takes one *coarsest-level*
+        step while finer levels take ``2^delta`` substeps, their ghost
+        fills reading coarser levels interpolated in time.  Composes
+        with ``reflux=True`` via per-substep time-weighted flux
+        accumulation.
     sanitize:
         When True, run under the ghost-poison sanitizer
         (:class:`repro.analysis.poison.GhostSanitizer`): every ghost
@@ -256,81 +298,148 @@ class Simulation:
                 reads=ghost_plan(self.forest, dest).ghost_reads(),
             )
 
-    def stable_dt(self) -> float:
-        with self.timer.phase("cfl"):
-            if self.subcycle:
-                from repro.amr.subcycle import stable_dt_subcycled
+    def _groups(self) -> Tuple[List[Block], List[int], Dict[int, int]]:
+        """The blocks group-major, Morton within a group; each block's
+        group key; and each group's substep divisor.
 
-                return stable_dt_subcycled(self)
+        One group (key 0) under global stepping, one per present level
+        under subcycling.  Compacted in this order every group is one
+        contiguous run of pool rows, and with one group the order is
+        plain Morton order.  The sort is stable and every caller
+        reproduces it, so the compaction only moves rows when the
+        topology actually changed."""
+        forest = self.forest
+        blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
+        if self.subcycle:
+            blocks.sort(key=attrgetter("level"))
+            keys = [b.level for b in blocks]
+        else:
+            keys = [0] * len(blocks)
+        return blocks, keys, level_divisors(sorted(set(keys)))
+
+    def stable_dt(self) -> float:
+        """Largest step of the coarsest group such that every group's
+        substeps satisfy their own CFL limit (one tiled pool reduction
+        in the advance's arena layout; the divisor weights are exact
+        powers of two, so scaling by them adds no rounding)."""
+        with self.timer.phase("cfl"):
+            blocks, keys, divisor = self._groups()
             return stable_dt_batched(
-                self.forest, self.scheme, tile=self.sweep_tile()
+                self.forest, self.scheme, tile=self.sweep_tile(), blocks=blocks,
+                weights=np.array([float(divisor[k]) for k in keys]),
             )
 
     def advance(self, dt: float) -> None:
-        """Advance the whole forest by ``dt`` (ghosts refreshed between
-        stages for the two-stage scheme).  Under subcycling ``dt`` is
-        the coarsest level's step; finer levels substep within it.
+        """Advance the whole forest by ``dt``: the coarsest group steps
+        first, then each finer group takes ``2^delta`` substeps of its
+        predecessor's, recursively (one group under global stepping).
 
-        The arena is compacted to a Morton-ordered contiguous prefix, so
-        the ``(B, nvar, *padded)`` pool prefix *is* the forest state and
+        The arena is compacted group-major, so every group is a
+        contiguous run of pool rows and
         :class:`~repro.solvers.sweep.PoolSweep` advances a tile of
-        blocks per numpy call.
+        blocks per numpy call.  Every substep fills its group's ghosts
+        before each stage.  The only sources of such a fill that are
+        not at the fill time are the blocks of coarser groups, which
+        have already stepped past it: their interiors are set to the
+        linear interpolant between the saved and the current state for
+        the exchange, then restored.  Finer groups have not yet stepped
+        to the fill time: the first-order lag of subcycling, confined
+        to the interface ring.
         """
-        if self.subcycle:
-            from repro.amr.subcycle import advance_subcycled
-
-            return advance_subcycled(self, dt)
         forest, scheme = self.forest, self.scheme
+        blocks, keys, divisor = self._groups()
+        groups = sorted(divisor)
+        pool = forest.arena.ensure_compact(blocks)
         register = self._flux_register() if self.reflux else None
         if register is not None:
             register.start_step()
-        blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
-        pool = forest.arena.ensure_compact(blocks)
-        self.fill_ghosts()
+        rows = {k: (bisect_left(keys, k), bisect_right(keys, k)) for k in groups}
+        # What each group's fill names: nothing (every block) when there
+        # is one group, else the group's own blocks.
+        dest: Dict[int, tuple] = {groups[0]: ()}
+        if len(groups) > 1:
+            dest = {
+                k: (frozenset(b.id for b in blocks[s:e]),)
+                for k, (s, e) in rows.items()
+            }
+        self.fill_ghosts(*dest[groups[0]])
         # Built after the fill: the first one compiles the ghost plan,
         # and the scratch pools then reuse what its temporaries freed.
+        save, rate_pool = forest.arena.save_pool(), forest.arena.rate_pool()
         sweep = PoolSweep(
             scheme, pool, enumerate(blocks), forest.n_ghost,
-            save=forest.arena.save_pool(), rate=forest.arena.rate_pool(),
-            tile=self.sweep_tile(),
+            save=save, rate=rate_pool, tile=self.sweep_tile(),
         )
-        # The final stage feeds the register its coarse–fine face fluxes.
-        if scheme.n_stages == 1:
+        # The sources of each group's fill that sit in coarser groups
+        # (looked up once the rows have settled: the plan holds views).
+        coarser = {
+            k: [b for b in ghost_plan(forest, *dest[k]).sources if keys[b.arena_row] < k]
+            for k in groups[1:]
+        }
+        #: the ``(t0, t1)`` of each group's current substep
+        span: Dict[int, Tuple[float, float]] = {}
+        substeps = {k: 0 for k in groups}
+        # The mode picks how the final stage hands the register its
+        # fluxes: recorded and scaled by dt once, or accumulated
+        # weighted by each substep's length.
+        accumulate = self.subcycle
+
+        def fill(k: int, t: float) -> None:
+            """Fill group ``k``'s ghosts at time ``t``."""
+            swapped = []
+            for block in coarser.get(k, ()):
+                row = block.arena_row
+                t0, t1 = span[keys[row]]
+                theta = (t - t0) / (t1 - t0)
+                current = rate_pool[row]
+                current[...] = block.interior
+                block.interior[...] = (1.0 - theta) * save[row] + theta * current
+                swapped.append((block, current))
+            self.fill_ghosts(*dest[k])
+            for block, current in swapped:
+                block.interior[...] = current
+
+        for k, t0, h in _substeps(groups, self.time, dt):
+            if span:  # the coarsest group's one fill ran before the sweep
+                fill(k, t0)
+            substeps[k] += 1
+            span[k] = (t0, t0 + h)
             with self.timer.phase("compute"):
-                sweep.forward(dt, register=register)
-        else:
-            with self.timer.phase("compute"):
-                sweep.snapshot()
-                sweep.forward(0.5 * dt)
-            self.fill_ghosts()
-            with self.timer.phase("compute"):
-                sweep.correct(dt, register=register)
-        self._finish_advance(dt, register)
+                sweep.snapshot(rows[k])
+                # The final stage feeds the register its coarse–fine fluxes.
+                if scheme.n_stages == 1:
+                    sweep.forward(h, rows[k], register=register, accumulate=accumulate)
+                else:
+                    sweep.forward(0.5 * h, rows[k])
+            if scheme.n_stages > 1:
+                fill(k, t0 + 0.5 * h)
+                with self.timer.phase("compute"):
+                    sweep.correct(h, rows[k], register=register, accumulate=accumulate)
+            if self.sanitizer is not None:
+                self.sanitizer.after_stage(forest)
+        if self.subcycle:
+            self._last_substeps = substeps
+            if METRICS.enabled:
+                METRICS.inc("subcycle.coarse_steps")
+                METRICS.inc("subcycle.substeps", sum(substeps.values()))
+                METRICS.inc("subcycle.block_updates", sum(divisor[k] for k in keys))
+                METRICS.gauge("subcycle.levels", len(groups))
+        self._finish_advance(dt, register, 1.0 if accumulate else dt)
 
     def updates_per_step(self) -> int:
-        """Block updates one ``advance`` performs: every block once
-        under global stepping; under subcycling each block steps with
-        its level's substep divisor — the work metric the subcycling
-        ablation compares."""
-        if not self.subcycle:
-            return self.forest.n_blocks
-        from repro.amr.subcycle import level_divisors
+        """Block updates one ``advance`` performs: each block once per
+        substep of its group (every block once under global stepping) —
+        the work metric the subcycling ablation compares."""
+        _, keys, divisor = self._groups()
+        return sum(divisor[k] for k in keys)
 
-        levels = sorted({b.level for b in self.forest.blocks.values()})
-        divisor = level_divisors(levels)
-        return sum(divisor[b.level] for b in self.forest)
-
-    def _finish_advance(
-        self, dt: float, register, *, flux_scale: Optional[float] = None
-    ) -> None:
-        """Common epilogue of every ``advance``: apply the accumulated
-        reflux correction, run the sanitizer's post-stage check, commit
-        the clock.  ``flux_scale`` overrides the dt the register scales
-        recorded fluxes by (the subcycled path passes 1.0 — its fluxes
-        already carry their substep-length weights)."""
+    def _finish_advance(self, dt: float, register, flux_scale: float) -> None:
+        """Epilogue of ``advance``: apply the reflux correction (the
+        register scales its fluxes by ``flux_scale``), run the
+        sanitizer's post-stage check, commit the clock."""
         if register is not None:
             with self.timer.phase("reflux"):
-                register.apply(dt if flux_scale is None else flux_scale)
+                register.apply(flux_scale)
         if self.sanitizer is not None:
             self.sanitizer.after_stage(self.forest)
         self.time += dt
@@ -432,11 +541,15 @@ class Simulation:
             )
         )
 
-    def step(self, dt: Optional[float] = None) -> StepRecord:
+    def step(
+        self, dt: Optional[float] = None, *, dt_max: float = 1e30
+    ) -> StepRecord:
         """One full cycle: (adapt) → dt → advance → hook.
 
-        In safe mode the advance is health-checked and retried with a
-        halved dt on failure; the record's ``dt`` is the one that
+        Without ``dt`` the step takes the stable dt of the forest as
+        adapted, capped at ``dt_max``; an explicit ``dt`` is taken as
+        given.  In safe mode the advance is health-checked and retried
+        with a halved dt on failure; the record's ``dt`` is the one that
         actually succeeded."""
         wall_start = _time.perf_counter()
         self._scrub_check()
@@ -446,7 +559,7 @@ class Simulation:
             # blocks need a baseline tag before anything mutates them.
             self.scrub_retag()
         if dt is None:
-            dt = self.stable_dt()
+            dt = min(self.stable_dt(), dt_max)
         if self.safe_mode:
             dt = self._advance_safely(dt)
         else:
@@ -512,7 +625,10 @@ class Simulation:
         n_steps: Optional[int] = None,
         dt_max: float = 1e30,
     ) -> StepRecord:
-        """Run until a time or step count is reached (whichever first)."""
+        """Run until a time or step count is reached (whichever first).
+
+        Each step's dt is the stable dt after that step's adaptation,
+        capped at ``dt_max`` and at the time left to ``t_end``."""
         if t_end is None and n_steps is None:
             raise ValueError("give t_end and/or n_steps")
         start_step = self.step_count
@@ -521,11 +637,14 @@ class Simulation:
                 break
             if t_end is not None and self.time >= t_end - 1e-14:
                 break
-            dt = min(self.stable_dt(), dt_max)
-            if t_end is not None:
-                dt = min(dt, t_end - self.time)
-            self.step(dt)
-        return self.history[-1] if self.history else StepRecord(0, 0.0, 0.0, self.forest.n_blocks, self.forest.n_cells)
+            self.step(
+                dt_max=dt_max if t_end is None else min(dt_max, t_end - self.time)
+            )
+        if self.history:
+            return self.history[-1]
+        return StepRecord(
+            self.step_count, self.time, 0.0, self.forest.n_blocks, self.forest.n_cells
+        )
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.amr.config import SimulationConfig
-from repro.amr.driver import Simulation
+from repro.amr.driver import Simulation, level_divisors
 from repro.solvers.mhd import MHDScheme
 from repro.util.geometry import Box
 from repro.util.timing import measure
@@ -250,7 +250,6 @@ def run_subcycle_case(
     subcycled run is faster in wall seconds, which the update count
     alone does not promise: every substep pays for its own ghost fill.
     """
-    from repro.amr.subcycle import level_divisors
 
     def build(subcycle: bool) -> Simulation:
         return build_deep_pulse(levels, engine=engine, subcycle=subcycle)

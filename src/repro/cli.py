@@ -503,7 +503,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{'step':>6} {'time':>10} {'dt':>10} {'blocks':>7} {'cells':>9}")
         while sim.step_count < target_steps and sim.time < t_end - 1e-14:
             try:
-                rec = sim.step(min(sim.stable_dt(), t_end - sim.time))
+                rec = sim.step(dt_max=t_end - sim.time)
             except CorruptionError as exc:
                 # The serial driver has no partner/checkpoint tier to heal
                 # from; the scrubber's job here is the loud, early abort.

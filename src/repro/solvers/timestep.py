@@ -8,13 +8,14 @@ each block's *own* cell width — finer blocks constrain the step more.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
 from repro.solvers.workspace import Workspace
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.block import Block
     from repro.core.forest import BlockForest
     from repro.solvers.scheme import FVScheme
 
@@ -40,30 +41,26 @@ def stable_dt_batched(
     forest: "BlockForest",
     scheme: "FVScheme",
     *,
+    blocks: List["Block"],
+    weights: np.ndarray,
+    tile: int,
     dt_max: float = 1e30,
-    tile: Optional[int] = None,
-    blocks: Optional[list] = None,
-    weights: Optional[np.ndarray] = None,
 ) -> float:
     """Batched :func:`stable_dt`: tiled reductions over the arena pool.
 
-    Compacts the arena (Morton order), evaluates every block's maximum
-    signal speed with one ``(B,)`` reduction per tile of blocks
-    (``tile`` rows per kernel call — None sweeps the whole pool at
-    once), and folds the per-block CFL steps with the same arithmetic —
-    same float64 divisions, same accumulation order over axes — as the
-    per-block loop, so the result is bit-for-bit identical for any tile
-    size.
+    Compacts the arena in the order of ``blocks`` (the driver's
+    advance layout, so the CFL pass never thrashes it), evaluates every
+    block's maximum signal speed with one ``(B,)`` reduction per
+    ``tile`` rows, and folds the per-block CFL steps with the same
+    arithmetic — same float64 divisions, same accumulation order over
+    axes — as the per-block loop, so the result is bit-for-bit
+    identical for any tile size.
 
-    ``blocks`` overrides the compaction order (the subcycled driver
-    passes level-major order so the CFL sweep shares the advance's
-    arena layout instead of thrashing it); ``weights`` scales each
-    block's CFL step before the fold (per-level substep divisors —
-    exact powers of two, so the scaled fold stays bit-for-bit with the
-    equivalent per-block ``min(own * divisor)`` loop).
+    ``weights`` scales each block's CFL step before the fold (the
+    driver's substep divisors — exact powers of two, so the scaled fold
+    stays bit-for-bit with the equivalent per-block ``min(own *
+    divisor)`` loop, and all-ones weights change nothing).
     """
-    if blocks is None:
-        blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
     if not blocks:
         return dt_max
     g = forest.n_ghost
@@ -72,11 +69,10 @@ def stable_dt_batched(
     interior = pool[
         (slice(None), slice(None)) + tuple(slice(g, g + mi) for mi in forest.m)
     ]
-    step = n if tile is None else max(tile, 1)
     s = np.empty(n)
     work = Workspace()  # one for every tile (not fresh buffers per tile)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
         scheme.kernels.dispatches += 1
         scheme.max_signal_speed_batched(
             interior[lo:hi].swapaxes(0, 1),  # var-major (nvar, b, *m)
@@ -88,8 +84,7 @@ def stable_dt_batched(
         for a in range(1, forest.ndim):
             denom = denom + s / dx[:, a]
         dt_b = np.where(s > 0.0, scheme.cfl / denom, np.inf)
-    if weights is not None:
-        dt_b = dt_b * weights
+    dt_b = dt_b * weights
     # fmin ignores NaN candidates, matching min()'s keep-current-on-
     # non-less semantics in the per-block loop; dt_max participates as
     # the loop's starting value.

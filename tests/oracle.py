@@ -20,13 +20,20 @@ intersected in global indices, every view taken through ``Block.view``
 prolongations one after another in plan order, each reading what the
 earlier ones wrote — no gather, no replayed dependencies, no batching.
 Production ``fill_ghosts`` must match it bitwise.
+
+:func:`advance_reference` is ``Simulation.advance`` as two step programs:
+the global body, and the subcycled sweep that tracks a time interval per
+block and interpolates every source whose interval spans the fill time
+(same level and finer included); :func:`stable_dt_reference` is the CFL
+loop per block.  ``use_reference_step(monkeypatch)`` substitutes both;
+the one group sweep must match them bitwise.
 """
 
 import numpy as np
 
 import repro.amr.driver
-import repro.amr.subcycle
 import repro.parallel.procworker
+from repro.amr.driver import level_divisors
 from repro.core.block_id import BlockID, IndexBox
 from repro.core.ghost import (
     GhostPlan,
@@ -44,6 +51,7 @@ from repro.core.ghost import (
     _restriction_weights,
     _RestrictSource,
     all_offsets,
+    ghost_plan,
     ghost_region_for_offset,
     prolongation_border,
     run_boundaries,
@@ -52,6 +60,7 @@ from repro.core.ghost import (
 )
 from repro.core.prolong import prolong_inject, prolong_linear
 from repro.core.reflux import _restrict_transverse
+from repro.solvers.sweep import PoolSweep
 from repro.util.geometry import face_axis, face_side, opposite_face
 
 
@@ -94,7 +103,7 @@ class BlockOracle:
 
 
 def use_oracle(monkeypatch):
-    for module in (repro.amr.driver, repro.amr.subcycle, repro.parallel.procworker):
+    for module in (repro.amr.driver, repro.parallel.procworker):
         monkeypatch.setattr(module, "PoolSweep", BlockOracle)
 
 
@@ -281,3 +290,140 @@ def apply_reflux_reference(register, dt):
             dst = layer_view[tuple(dst_sl)]
             delta = sign * dt / coarse.dx[axis] * (f_avg.reshape(fc.shape) - fc)
             dst += delta.reshape(dst.shape)
+
+
+#: dt-relative tolerance deciding whether a block's step interval extends
+#: beyond a fill time (its interior must then be interpolated)
+SPAN_RTOL = 1e-9
+
+
+def interval_spans(t, t0, t1):
+    return t1 > t0 and t1 - t > SPAN_RTOL * (t1 - t0)
+
+
+def stable_dt_reference(sim):
+    """The per-block CFL loop, each block's step scaled by its level's
+    substep divisor when subcycling."""
+    forest, scheme = sim.forest, sim.scheme
+    divisor = level_divisors(sorted(forest.level_histogram()))
+    dt = 1e30
+    for block in forest:
+        own = scheme.stable_dt(block.interior, block.dx, forest.ndim)
+        dt = min(dt, own * divisor[block.level] if sim.subcycle else own)
+    return dt
+
+
+class _SubcycleReference:
+    """One subcycled coarse step with a step interval per block."""
+
+    def __init__(self, sim, levels, register):
+        self.sim, self.forest, self.scheme = sim, sim.forest, sim.scheme
+        self.register, self.levels = register, levels
+        self.u_old, self.t_old, self.t_new = {}, {}, {}
+        self.substeps = {lvl: 0 for lvl in levels}
+        self.save = self.forest.arena.save_pool()
+        self.rate_pool = self.forest.arena.rate_pool()
+        self.level_ids = {
+            lvl: frozenset(bid for bid in self.forest.blocks if bid.level == lvl)
+            for lvl in levels
+        }
+        blocks = [self.forest.blocks[bid] for bid in self.forest.sorted_ids()]
+        self.blocks = blocks = sorted(blocks, key=lambda b: b.level)
+        pool = self.forest.arena.ensure_compact(blocks)
+        self.sweep = PoolSweep(
+            self.scheme, pool, enumerate(blocks), self.forest.n_ghost,
+            save=self.save, rate=self.rate_pool, tile=sim.sweep_tile(),
+        )
+        self.ranges = {}
+        for i, b in enumerate(blocks):
+            s, _ = self.ranges.get(b.level, (i, i))
+            self.ranges[b.level] = (s, i + 1)
+        self.fill_sources = {
+            lvl: ghost_plan(self.forest, ids).sources for lvl, ids in self.level_ids.items()
+        }
+
+    def advance_level(self, idx, t0, dt):
+        level = self.levels[idx]
+        self.substeps[level] += 1
+        self._step_level(level, t0, dt)
+        if self.sim.sanitizer is not None:
+            self.sim.sanitizer.after_stage(self.forest)
+        if idx + 1 < len(self.levels):
+            n_sub = 1 << (self.levels[idx + 1] - level)
+            sub_dt = dt / n_sub
+            for k in range(n_sub):
+                self.advance_level(idx + 1, t0 + k * sub_dt, sub_dt)
+
+    def interp_fill(self, t, level):
+        swapped = []
+        for block in self.fill_sources[level]:
+            u0 = self.u_old.get(block.id)
+            if u0 is None:
+                continue
+            t0, t1 = self.t_old[block.id], self.t_new[block.id]
+            if not interval_spans(t, t0, t1):
+                continue
+            theta = (t - t0) / (t1 - t0)
+            current = self.rate_pool[block.arena_row]
+            current[...] = block.interior
+            block.interior[...] = (1.0 - theta) * u0 + theta * current
+            swapped.append((block, current))
+        self.sim.fill_ghosts(self.level_ids[level])
+        for block, current in swapped:
+            block.interior[...] = current
+
+    def _step_level(self, level, t0, dt):
+        rows = s, e = self.ranges[level]
+        mine = self.blocks[s:e]
+        self.sweep.snapshot(rows)
+        for i, block in enumerate(mine):
+            self.u_old[block.id] = self.save[s + i]
+            self.t_old[block.id] = t0
+            self.t_new[block.id] = t0 + dt
+        self.interp_fill(t0, level)
+        if self.scheme.n_stages == 1:
+            self.sweep.forward(dt, rows, register=self.register, accumulate=True)
+        else:
+            self.sweep.forward(0.5 * dt, rows)
+            # the mid-stage fill runs at t0 + dt/2: the shrunk interval
+            # keeps this level's own half-time interiors out of it
+            for block in mine:
+                self.t_new[block.id] = t0 + 0.5 * dt
+            self.interp_fill(t0 + 0.5 * dt, level)
+            for block in mine:
+                self.t_new[block.id] = t0 + dt
+            self.sweep.correct(dt, rows, register=self.register, accumulate=True)
+
+
+def advance_reference(sim, dt):
+    forest, scheme = sim.forest, sim.scheme
+    register = sim._flux_register() if sim.reflux else None
+    if register is not None:
+        register.start_step()
+    if sim.subcycle:
+        levels = sorted(forest.level_histogram())
+        sweep = _SubcycleReference(sim, levels, register)
+        sweep.advance_level(0, sim.time, dt)
+        sim._last_substeps = dict(sweep.substeps)
+        return sim._finish_advance(dt, register, 1.0)
+    blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
+    pool = forest.arena.ensure_compact(blocks)
+    sim.fill_ghosts()
+    sweep = PoolSweep(
+        scheme, pool, enumerate(blocks), forest.n_ghost,
+        save=forest.arena.save_pool(), rate=forest.arena.rate_pool(),
+        tile=sim.sweep_tile(),
+    )
+    if scheme.n_stages == 1:
+        sweep.forward(dt, register=register)
+    else:
+        sweep.snapshot()
+        sweep.forward(0.5 * dt)
+        sim.fill_ghosts()
+        sweep.correct(dt, register=register)
+    sim._finish_advance(dt, register, dt)
+
+
+def use_reference_step(monkeypatch):
+    monkeypatch.setattr(repro.amr.driver.Simulation, "advance", advance_reference)
+    monkeypatch.setattr(repro.amr.driver.Simulation, "stable_dt", stable_dt_reference)

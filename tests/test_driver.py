@@ -11,6 +11,7 @@ import pytest
 from repro.amr import SimulationConfig, Simulation, advecting_pulse
 from repro.amr.boundary import OutflowBC
 from repro.core import BlockForest, BlockID
+from repro.core.refine_criteria import RefinementCriterion
 from repro.solvers import AdvectionScheme, EulerScheme
 from repro.util.geometry import Box
 
@@ -72,6 +73,39 @@ class TestStepping:
         assert rec.step == 3
         assert rec.n_blocks == sim.forest.n_blocks
         assert rec.dt > 0
+
+    def test_run_steps_with_the_adapted_forests_dt(self):
+        """Each step's dt respects the CFL limit of the forest that step
+        advances, after its adaptation refined a finer level."""
+        forest = BlockForest(Box((0.0, 0.0), (1.0, 1.0)), (2, 2), (8, 8), 1,
+                             n_ghost=2, periodic=(True, True), max_level=3)
+        for b in forest:
+            b.interior[...] = 1.0
+        sim = Simulation(
+            forest, AdvectionScheme((1.0, 0.5)), adapt_interval=2, buffer_band=0,
+            criterion=RefinementCriterion(
+                lambda b: float(all(lo <= 0.3 <= hi for lo, hi in zip(b.box.lo, b.box.hi))),
+                0.5, 0.25, max_level=3,
+            ),
+        )
+        advance, checked = sim.advance, []
+
+        def spy(dt):
+            checked.append((dt, sim.stable_dt()))
+            advance(dt)
+
+        sim.advance = spy
+        sim.run(n_steps=5)
+        assert sim.forest.level_histogram()[3] > 0  # refined at steps 1, 3 and 5
+        assert len(checked) == 5
+        assert all(dt <= limit for dt, limit in checked), checked
+
+    def test_run_without_steps_reports_the_current_step(self):
+        p = advecting_pulse(2)
+        sim = p.build(adaptive=False)
+        sim.step_count, sim.time = 7, 0.25  # as resumed from a checkpoint
+        rec = sim.run(t_end=0.25)
+        assert (rec.step, rec.time, rec.n_blocks) == (7, 0.25, sim.forest.n_blocks)
 
     def test_timer_phases_populated(self):
         p = advecting_pulse(2)

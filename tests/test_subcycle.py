@@ -162,7 +162,7 @@ class TestUniformEquivalence:
 from test_sweep_oracle import make_forest
 
 from repro.amr.config import SimulationConfig
-from repro.amr.subcycle import interval_spans, level_divisors
+from repro.amr.driver import level_divisors
 from repro.solvers import AdvectionScheme
 from repro.solvers.euler import EulerScheme
 from repro.solvers.mhd import MHDScheme
@@ -325,20 +325,6 @@ class TestInterpToleranceAndState:
     """Regression: the old ``_interp_fill`` used an absolute ``1e-14``
     time tolerance (misclassifying spanning intervals at tiny dt) and
     ``advance`` left the ``_t_old``/``_t_new`` dicts populated."""
-
-    def test_interval_spans_is_dt_relative(self):
-        # A tiny step still spans its own start (the old absolute
-        # epsilon said it did not once dt < 1e-14).
-        assert interval_spans(0.0, 0.0, 1e-15)
-        assert interval_spans(0.0, 0.0, 1e-300)
-        # The interval end and degenerate intervals never span.
-        assert not interval_spans(1e-15, 0.0, 1e-15)
-        assert not interval_spans(0.5, 0.5, 0.5)
-        # Within the relative tolerance of the end: treated as the end.
-        assert not interval_spans(1.0 + 1e-9 - 1e-22, 1.0, 1.0 + 1e-9)
-        # Scale invariance: same classification at any magnitude.
-        for scale in (1e-12, 1.0, 1e12):
-            assert interval_spans(0.25 * scale, 0.0, scale)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_tiny_dt_multilevel_finite(self, engine):

@@ -10,6 +10,11 @@ state exactly.  (Tile invariance of ``PoolSweep`` itself is pinned in
 The oracle calls the same stage kernel as production, so it cannot see
 a change in the kernel's arithmetic.  ``test_golden_bits`` can: it pins
 CRCs of ``flux_divergence`` and ``step`` outputs on seeded states.
+
+Both sides of those cases run the same step program.
+``test_step_program_matches_reference`` checks that program: the one
+group sweep of ``Simulation.advance`` against the global and the
+per-block-interval subcycled programs it replaced (``tests/oracle.py``).
 """
 
 import itertools
@@ -18,8 +23,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracle import use_oracle
-from repro.amr import Simulation
+from oracle import use_oracle, use_reference_step
+from repro.amr import Simulation, advecting_pulse
 from repro.core import BlockForest, BlockID
 from repro.core.integrity import crc_bytes
 from repro.core.refine_criteria import RefinementCriterion
@@ -109,6 +114,50 @@ def test_sweep_matches_oracle(name, ndim, subcycle, reflux, monkeypatch):
         assert min(u[0].min() for u in swept[1].values()) >= FLOOR
     use_oracle(monkeypatch)
     assert_same(swept, run(make(ndim), ndim, subcycle=subcycle, reflux=reflux))
+
+
+def run_hierarchy(jump, **kw):
+    """Three steps on a static hierarchy: ``jump=1`` is the levels
+    {0, 1, 2} of ``test_subcycle.py::TestSparseLevels``, ``jump=2`` a
+    level gap (levels {0, 2}: the finer group takes four substeps)."""
+    p = advecting_pulse(2)
+    forest = p.config.make_forest(p.scheme.nvar)
+    forest.max_level_jump = jump
+    forest.adapt([BlockID(0, (0, 0))])
+    forest.adapt(
+        [BlockID(1, (0, 0))] if jump == 1 else list(BlockID(0, (0, 0)).children())
+    )
+    p.init_forest(forest)
+    sim = Simulation(forest, p.scheme, **kw)
+    for _ in range(3):
+        sim.step()
+    assert sorted(forest.level_histogram()) == ([0, 1, 2] if jump == 1 else [0, 2])
+    return [r.dt for r in sim.history], {b.id: b.interior.copy() for b in sim.forest}
+
+
+STEP_PROGRAMS = [
+    pytest.param(name, True, reflux, id=f"{name}-subcycled" + "-reflux" * reflux)
+    for name, d in CASES if d == 2 for reflux in (False, True)
+] + [
+    pytest.param("mhd-mc", False, True, id="mhd-mc-global-reflux"),
+    pytest.param("levels-012", True, False, id="levels-012-subcycled"),
+    pytest.param("levels-02", True, False, id="levels-02-subcycled"),
+]
+
+
+@pytest.mark.parametrize("name,subcycle,reflux", STEP_PROGRAMS)
+def test_step_program_matches_reference(name, subcycle, reflux, monkeypatch):
+    """One group sweep ≡ the replaced step programs: every dt and the
+    final state, bit for bit, through mid-run adaptations."""
+    if name.startswith("levels-"):
+        def go():
+            return run_hierarchy(1 if name == "levels-012" else 2, subcycle=subcycle)
+    else:
+        def go():
+            return run(SCHEMES[name][0](2), 2, subcycle=subcycle, reflux=reflux)
+    swept = go()
+    use_reference_step(monkeypatch)
+    assert_same(swept, go())
 
 
 @MODES
