@@ -1,23 +1,22 @@
 """Static and dynamic correctness tooling for the adaptive-block code.
 
-Three independent layers, all opt-in and zero-cost when disabled:
+Two independent layers, both opt-in and zero-cost when disabled:
 
 * :mod:`repro.analysis.poison` — a runtime **ghost-poison sanitizer**:
   ghost layers are filled with a signaling-NaN bit pattern before every
   exchange and the exact region each stencil kernel reads is verified
   clean afterwards, so a stale or never-filled ghost read is reported
   (block, face, cell count) instead of silently corrupting fluxes.
-* :mod:`repro.analysis.races` — an **exchange race detector** for the
-  emulated distributed machine: per-block version counters and
-  per-epoch publish/receive/consume tracking detect write-after-publish
-  and read-before-receive orderings in the message schedule.
+  On the rank machines it localizes a transfer missing from the
+  schedule; an ordering fault there (stages swapped, a phase skipped)
+  shows as a bitwise difference from the serial driver instead.
 * :mod:`repro.analysis.lint` — a custom **AST lint** (``repro lint``)
   encoding project invariants (no ``Block.data`` mutation outside
   kernel modules, no unseeded RNG, no bare ``except`` in recovery
   paths, no wall-clock reads in deterministic-replay code) with
   per-rule codes and ``# repro: noqa[RULE]`` suppression.
 
-A fourth, fully static layer verifies the distributed backends
+A third, fully static layer verifies the distributed backends
 (``repro check``):
 
 * :mod:`repro.analysis.protocol` — a declarative, machine-readable
@@ -82,11 +81,6 @@ from repro.analysis.poison import (
     poison_ghosts,
     poison_forest,
 )
-from repro.analysis.races import (
-    ExchangeRaceError,
-    RaceDetector,
-    RaceViolation,
-)
 
 __all__ = [
     "GhostSanitizer",
@@ -99,9 +93,6 @@ __all__ = [
     "poisoned_mask",
     "poison_ghosts",
     "poison_forest",
-    "ExchangeRaceError",
-    "RaceDetector",
-    "RaceViolation",
     "LintViolation",
     "Rule",
     "RULES",

@@ -1,12 +1,13 @@
 """Static phase-effect analyzer: arena regions a function reads/writes.
 
-The runtime :class:`~repro.analysis.races.RaceDetector` witnesses the
-exchange orderings that *happen to occur*; this module is its static
-counterpart.  An AST/dataflow pass infers, per function, which arena
-regions (``interior`` / ``ghost`` / ``mirror`` / ``staging``) the body
-can touch, and checks the inferred effect set of every
-``@phase_effect("...")``-annotated function against that phase's
-declared contract in :data:`repro.analysis.protocol.PROTOCOL`.
+A run witnesses only the exchange orderings that *happen to occur*
+(a rank machine's final state against the serial driver's, bit for
+bit); this module checks every phase statically.  An AST/dataflow pass
+infers, per function, which arena regions (``interior`` / ``ghost`` /
+``mirror`` / ``staging``) the body can touch, and checks the inferred
+effect set of every ``@phase_effect("...")``-annotated function against
+that phase's declared contract in
+:data:`repro.analysis.protocol.PROTOCOL`.
 
 A write to a region the phase's contract forbids — the classic seeded
 bug being a ghost write inside the ``step`` phase, which the exchange

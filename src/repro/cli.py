@@ -20,7 +20,7 @@ Commands
 ``emulate``
     Run a problem on the emulated distributed machine and verify the
     result against the serial driver (bit-exact check); ``--sanitize``
-    adds the ghost-poison sanitizer and the exchange race detector (see
+    runs the ranks under the ghost-poison sanitizer (see
     :mod:`repro.analysis`).
 ``lint``
     Run the repo's AMR-specific AST lint (rules REPRO101-107) over
@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     checks = argparse.ArgumentParser(add_help=False)
     checks.add_argument("--sanitize", action="store_true",
                         help="run under the ghost-poison sanitizer (debug; "
-                             "raises on any consumed unfilled ghost cell); "
-                             "emulate adds the exchange race detector")
+                             "raises on any consumed unfilled ghost cell), "
+                             "on the serial driver or on every rank")
     checks.add_argument("--scrub-every", type=_positive, metavar="N",
                         default=None,
                         help="verify per-block (and partner-mirror) CRC "
@@ -954,8 +954,6 @@ def cmd_emulate(args: argparse.Namespace) -> int:
         if isinstance(emu, ProcessMachine):
             stack.enter_context(emu)
             emu.recorder = recorder
-        if args.sanitize:
-            emu.attach_race_detector()
         scrubber = None
         if args.scrub_every is not None:
             # Attached before the run so the recovery driver can hand the
@@ -1086,8 +1084,8 @@ def cmd_emulate(args: argparse.Namespace) -> int:
         if emu.sanitizer is not None:
             print(
                 f"ghost sanitizer: {emu.sanitizer.n_exchanges_checked} "
-                f"exchanges verified; race detector: "
-                f"{emu.race_detector.epoch} epochs, 0 violations"
+                f"exchanges verified, {emu.sanitizer.n_cells_poisoned} "
+                f"ghost values poisoned, 0 violations"
             )
         if scrubber is not None:
             print(

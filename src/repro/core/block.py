@@ -95,6 +95,8 @@ class Block:
     #: BlockArena` (None for standalone blocks, e.g. a rank process's
     #: views into shared segments).
     arena_row: Optional[int] = field(default=None, repr=False, compare=False)
+    #: physical cell widths (``box`` and ``m`` never change)
+    dx: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.m) != self.id.ndim:
@@ -110,6 +112,7 @@ class Block:
                 )
         if self.nvar < 1:
             raise ValueError("nvar must be >= 1")
+        self.dx = self.box.cell_widths(self.m)
         padded = tuple(mi + 2 * self.n_ghost for mi in self.m)
         if self.data is None:
             self.data = np.zeros((self.nvar,) + padded)
@@ -147,11 +150,6 @@ class Block:
         for p in self.padded_shape:
             n *= p
         return n - self.n_cells
-
-    @property
-    def dx(self) -> Tuple[float, ...]:
-        """Physical cell widths."""
-        return self.box.cell_widths(self.m)
 
     @property
     def cell_box(self) -> IndexBox:

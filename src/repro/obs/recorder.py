@@ -9,7 +9,7 @@ printout.  Every event carries the envelope
 plus the kind's required payload (see :data:`EVENT_SCHEMA`).  Timestamps
 are read through :func:`repro.util.timing.wall_clock` — the repo's only
 sanctioned time source for deterministic-replay code — so recording a
-sanitized, race-checked, or fault-recovered run never perturbs it and a
+sanitized or fault-recovered run never perturbs it and a
 replay harness can stub one function to script time.
 
 The stream is append-only and flushed per event, so a crashed run still

@@ -63,7 +63,6 @@ from repro.solvers.scheme import FVScheme
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.poison import GhostSanitizer
-    from repro.analysis.races import InboundKey, RaceDetector
     from repro.resilience.faults import BitFlip, FaultPlan, RetryPolicy
     from repro.resilience.partner import PartnerStore
     from repro.resilience.scrub import Scrubber
@@ -146,12 +145,10 @@ class RankMachine:
         :class:`repro.analysis.poison.GhostSanitizer`).  Because ghost
         data reaches a rank only through its compiled entries, a
         sanitizer trip pinpoints a transfer missing from the schedule.
-
-    A :class:`repro.analysis.races.RaceDetector` can additionally be
-    attached with :meth:`attach_race_detector`; the machine then emits
-    publish / receive / ghost-read / consume / interior-write events so
-    ordering violations in the bulk-synchronous schedule (write-after-
-    publish, read-before-receive) surface immediately.
+        An ordering fault (stages swapped, a compute phase skipped, an
+        interior written mid-exchange) leaves no ghost unfilled: only a
+        :meth:`gather` that differs from the serial driver's state bit
+        for bit shows it.
 
     A subclass supplies the transport: ``_open`` creates the ranks'
     storage and populates it, ``_arena(rank)`` is a rank's pool,
@@ -198,7 +195,6 @@ class RankMachine:
         #: the ranks' compiled phases are stale: the next exchange
         #: reconfigures them (set whenever blocks move)
         self._config_dirty = True
-        self.race_detector: Optional["RaceDetector"] = None
         self.sanitizer: Optional["GhostSanitizer"] = None
         self.scrubber: Optional["Scrubber"] = None
         self._staged_flips: List["BitFlip"] = []
@@ -334,13 +330,6 @@ class RankMachine:
         self._check_assignment(assignment)
         self.assignment = dict(assignment)
         self._populate(forest)
-        if self.race_detector is not None:
-            # A restore is the rollback after a failure that may have
-            # aborted an exchange mid-epoch; close that dead epoch so
-            # the checkpoint repopulation is not a write-after-publish.
-            self.race_detector.end_epoch()
-            for bid, rank in self.assignment.items():
-                self.race_detector.on_interior_write(bid, rank)
         self.time = time
         if step_index is not None:
             self.step_index = step_index
@@ -368,8 +357,6 @@ class RankMachine:
         clone.interior[...] = interior
         self.assignment[bid] = rank
         self._config_dirty = True
-        if self.race_detector is not None:
-            self.race_detector.on_interior_write(bid, rank)
         if self.scrubber is not None:
             self.scrubber.retag_block(bid, clone)
 
@@ -414,13 +401,10 @@ class RankMachine:
                 )
         self._flip_and_scrub()
         self._msg_index = 0
-        if self.race_detector is not None:
-            self.race_detector.begin_step()
         stages = ("step",) if self.scheme.n_stages == 1 else ("predictor", "corrector")
         for op in stages:
             self.exchange()
             self._compute(op, dt)
-            self._replay_compute()
         if self.sanitizer is not None:
             self.sanitizer.after_stage(self._all_blocks())
         self.time += dt
@@ -450,17 +434,10 @@ class RankMachine:
             )
         if self._config_dirty:
             self._configure()
-        det = self.race_detector
         if self.sanitizer is not None:
             self.sanitizer.before_exchange(self._all_blocks())
-        if det is not None:
-            det.begin_epoch()
         self._stage1()
-        self._replay_exchange(stage2=False)
         self._stage2()
-        self._replay_exchange(stage2=True)
-        if det is not None:
-            det.end_epoch()
         if self.sanitizer is not None:
             self.sanitizer.after_exchange(self._all_blocks())
 
@@ -558,61 +535,6 @@ class RankMachine:
         write boundaries: post-step, post-restore, post-repair)."""
         if self.scrubber is not None:
             self.scrubber.retag_blocks(self.blocks_by_id())
-
-    def attach_race_detector(
-        self, detector: Optional["RaceDetector"] = None
-    ) -> "RaceDetector":
-        """Attach (and return) an exchange race detector.
-
-        The expected-inbound message sets are derived from the machine's
-        own exchange schedule — the one its ranks execute — keyed
-        ``(src block, ghost-region offset)`` and split into stage 1
-        (same-level copies + restrictions, ``delta >= 0``) and stage 2
-        (prolongations, ``delta < 0``).  The machine replays the
-        schedule's publish / receive events at the phase barriers
-        (:meth:`_replay_exchange`) and every block's consume /
-        interior-write around the compute phase.
-        """
-        from repro.analysis.races import RaceDetector
-
-        if detector is None:
-            detector = RaceDetector()
-        expected: Dict[object, Tuple[Set["InboundKey"], Set["InboundKey"]]] = {}
-        for bid, offset, transfers in self._plan:
-            stage1, stage2 = expected.setdefault(bid, (set(), set()))
-            for t in transfers:
-                (stage1 if t.delta >= 0 else stage2).add((t.src_id, offset))
-        detector.set_expected_inbound(expected)
-        self.race_detector = detector
-        return detector
-
-    def _replay_exchange(self, stage2: bool) -> None:
-        """The race-detector events of one exchange stage, at the barrier
-        that closes it: every transfer of the stage published by its
-        source's rank and received by its destination's; a prolongation
-        first reads its source's ghost cells, which stage 1 filled."""
-        det = self.race_detector
-        if det is None:
-            return
-        for bid, offset, transfers in self._plan:
-            dst_rank = self.owner_rank(bid)
-            for t in transfers:
-                if (t.delta < 0) == stage2:
-                    src_rank = self.owner_rank(t.src_id)
-                    if stage2:
-                        det.on_ghost_read(t.src_id, src_rank)
-                    det.on_publish(t.src_id, bid, offset, src_rank)
-                    det.on_receive(bid, t.src_id, offset, dst_rank)
-
-    def _replay_compute(self) -> None:
-        """The race-detector events of a compute phase: every block's
-        ghosts consumed and its interior written."""
-        det = self.race_detector
-        if det is not None:
-            for rank in self.alive_ranks:
-                for bid in self.rank_blocks[rank]:
-                    det.on_consume(bid, rank)
-                    det.on_interior_write(bid, rank)
 
 
 class EmulatedMachine(RankMachine):

@@ -25,11 +25,12 @@ which the emulated machine runs in-process as well:
     Write half of stage 2: prolong the staged payloads into the rank's
     own ghost regions, then BCs.  Splitting stage 2 around a barrier
     makes every gather see exactly the post-stage-1 state whatever the
-    cross-rank timing — the two-stage data dependency contract checked
-    by the race detector.  A slope border that reaches ghost cells an
+    cross-rank timing.  A slope border that reaches ghost cells an
     earlier prolongation writes is served by the entry's
     :attr:`repro.core.ghost._Prolong.deps`, which the gather replays on
-    its private copy — the serial fill runs the same two halves.
+    its private copy — the serial fill runs the same two halves.  So no
+    gather reads what a write changes: run in-process, writing before
+    the barrier leaves every bit as it is (``docs/static-analysis.md``).
 ``step``, ``predictor``, ``corrector``
     Rank-local compute on own blocks (reads own ghosts, writes own
     interiors): the driver's tiled stage update

@@ -78,7 +78,7 @@ def stable_dt_batched(
             interior[lo:hi].swapaxes(0, 1),  # var-major (nvar, b, *m)
             forest.ndim, out=s[lo:hi], work=work,
         )
-    dx = np.array([[b.dx[a] for a in range(forest.ndim)] for b in blocks])
+    dx = np.array([b.dx for b in blocks])
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = s / dx[:, 0]
         for a in range(1, forest.ndim):

@@ -2,8 +2,9 @@
 
 Every layer is tested from both sides: each detector must *fire* on a
 seeded violation, and must be *silent* on the clean code paths — a
-sanitized/race-checked run reproduces the plain run bit-for-bit, and
-the AMR lint reports zero violations over ``src/repro``.
+sanitized run reproduces the plain run bit-for-bit, and the AMR lint
+reports zero violations over ``src/repro``.  The machine-mutant matrix
+pins which check catches each seeded rank-machine fault.
 """
 
 import subprocess
@@ -17,10 +18,8 @@ import pytest
 from repro.amr import Simulation, advecting_pulse, sedov_blast
 from repro.analysis import (
     POISON_BITS,
-    ExchangeRaceError,
     GhostSanitizer,
     PoisonError,
-    RaceDetector,
     check_interior_clean,
     check_stencil_ghosts,
     lint_paths,
@@ -32,8 +31,12 @@ from repro.analysis import (
     rule_codes,
 )
 from repro.core import BlockForest, BlockID
+from repro.cli import _refine_center
 from repro.core.ghost import fill_ghosts
-from repro.parallel.emulator import EmulatedMachine
+from repro.parallel import emulator
+from repro.parallel.emulator import EmulatedMachine, RankMachine
+from repro.parallel.procmachine import ProcessMachine
+from repro.parallel.procworker import RankPhases
 from repro.util.geometry import Box
 
 REPO = Path(__file__).resolve().parents[1]
@@ -192,7 +195,7 @@ class TestGhostSanitizerSerial:
 
 
 # ---------------------------------------------------------------------------
-# sanitizer + race detector on the emulated machine
+# sanitizer on the emulated machine
 # ---------------------------------------------------------------------------
 
 class TestEmulatedMachineTooling:
@@ -208,104 +211,174 @@ class TestEmulatedMachineTooling:
 
     def test_clean_run_is_silent_and_bit_exact(self):
         serial, machine = self._serial_and_machine()
-        detector = machine.attach_race_detector()
         dt = 0.5 * serial.stable_dt()
         for _ in range(4):
             serial.advance(dt)
             machine.advance(dt)
-        detector.check()
-        assert detector.violations == []
         for bid, arr in machine.gather().items():
             np.testing.assert_array_equal(
                 arr, serial.forest.blocks[bid].interior
             )
 
-    def test_sanitizer_catches_dropped_plan_entry(self):
-        _, machine = self._serial_and_machine()
-        # Seeded bug: the derived schedule silently loses one message.
-        machine._plan = machine._plan[1:]
-        with pytest.raises(PoisonError) as err:
-            machine.exchange()
-        assert any(s.where == "ghost" for s in err.value.sites)
-
-    def test_race_kernel_before_exchange(self):
-        _, machine = self._serial_and_machine(sanitize=False)
-        detector = machine.attach_race_detector()
-        machine.advance(1e-4)  # clean step primes the receive ledger
-        detector.begin_step()  # a new step begins...
-        bid = next(iter(machine.topology.blocks))
-        with pytest.raises(ExchangeRaceError) as err:
-            detector.on_consume(bid, machine.owner_rank(bid))
-        v = err.value.violations[0]
-        assert v.kind == "read-before-receive"
-        assert v.block == bid
-
-    def test_race_write_after_publish(self):
-        _, machine = self._serial_and_machine(sanitize=False)
-        detector = machine.attach_race_detector()
-        machine.advance(1e-4)
-        # Seeded bug: mutate an interior mid-epoch after its data was
-        # already sent (receivers now hold data that never existed).
-        detector.begin_step()
-        detector.begin_epoch()
-        bid, offset, transfers = machine._plan[0]
-        src = transfers[0].src_id
-        detector.on_publish(src, bid, offset, machine.owner_rank(src))
-        with pytest.raises(ExchangeRaceError) as err:
-            detector.on_interior_write(src, machine.owner_rank(src))
-        assert err.value.violations[0].kind == "write-after-publish"
-
-    def test_race_report_carries_rank_block_face_epoch(self):
-        _, machine = self._serial_and_machine(sanitize=False)
-        detector = machine.attach_race_detector()
-        machine.advance(1e-4)
-        detector.begin_step()
-        bid = next(iter(machine.topology.blocks))
-        with pytest.raises(ExchangeRaceError) as err:
-            detector.on_consume(bid, machine.owner_rank(bid))
-        v = err.value.violations[0]
-        assert v.rank == machine.owner_rank(bid)
-        assert v.epoch == detector.epoch
-        assert v.offset is not None
-        text = str(err.value)
-        assert str(bid) in text and "epoch" in text
-
-    def test_deferred_mode_accumulates(self):
-        _, machine = self._serial_and_machine(sanitize=False)
-        detector = RaceDetector(raise_immediately=False)
-        machine.attach_race_detector(detector)
-        machine.advance(1e-4)
-        detector.begin_step()
-        bid = next(iter(machine.topology.blocks))
-        detector.on_consume(bid, 0)  # does not raise
-        assert detector.violations
-        with pytest.raises(ExchangeRaceError):
-            detector.check()
-
-    def test_recovery_restore_is_not_flagged(self):
-        # A checkpoint restore rewrites every interior; with a detector
-        # attached this must not read as a race.
+    def test_recovery_restore_is_not_flagged(self, tmp_path):
+        # A checkpoint restore rewrites every interior and leaves the
+        # ghosts stale; the sanitized recovery must neither trip nor
+        # move a bit of the fault-free serial run.
         from repro.resilience import Checkpointer, FaultPlan, RankKill
         from repro.resilience.recovery import run_with_recovery
 
-        prob = advecting_pulse()
-        forest = prob.config.make_forest(prob.scheme.nvar)
-        prob.init_forest(forest)
-        machine = EmulatedMachine(
-            forest, 3, prob.scheme, bc=prob.bc,
-            fault_plan=FaultPlan(kills=[RankKill(step=2, rank=1)]),
-            sanitize=True,
+        serial, machine = self._serial_and_machine()
+        machine.fault_plan = FaultPlan(kills=[RankKill(step=2, rank=1)])
+        run_with_recovery(
+            machine, n_steps=4, dt=1e-3,
+            checkpointer=Checkpointer(tmp_path), checkpoint_every=1,
         )
-        detector = machine.attach_race_detector()
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as d:
-            run_with_recovery(
-                machine, n_steps=4, dt=1e-3,
-                checkpointer=Checkpointer(d), checkpoint_every=1,
+        for _ in range(4):
+            serial.advance(1e-3)
+        for bid, arr in machine.gather().items():
+            np.testing.assert_array_equal(
+                arr, serial.forest.blocks[bid].interior
             )
-        detector.check()
-        assert detector.violations == []
+
+
+# ---------------------------------------------------------------------------
+# machine mutants: which check catches each seeded fault, on both machines
+# ---------------------------------------------------------------------------
+#
+# Every mutant is patched in before the machine is built (the process
+# machine forks its workers from the patched classes).  The run is the
+# pulse refined twice at the centre on 3 ranks for 4 steps, with one
+# block adopted onto another rank after step 1 — the receiving half of
+# localized recovery.  The serial driver ≡ machine comparison catches
+# every mutant; the ghost sanitizer only those that leave a ghost
+# unfilled, which it then localizes.
+
+MUTANT_STEPS = 4
+
+
+def _compute_before_exchange(machine, mp):
+    exchange, compute = machine.exchange, machine._compute
+
+    def configure_only(self):
+        if self._config_dirty:
+            self._configure()
+
+    def compute_then_exchange(self, op, dt):
+        compute(self, op, dt)
+        exchange(self)
+
+    mp.setattr(machine, "exchange", configure_only)
+    mp.setattr(machine, "_compute", compute_then_exchange)
+
+
+def _stage2_before_stage1(machine, mp):
+    stage1, stage2 = machine._stage1, machine._stage2
+    mp.setattr(machine, "_stage1", stage2)
+    mp.setattr(machine, "_stage2", stage1)
+
+
+def _rank_skips(phase, rank):
+    def apply(machine, mp):
+        run = getattr(RankPhases, phase)
+        mp.setattr(RankPhases, phase, lambda self, *args: (
+            {"status": "ok"} if self.rank == rank else run(self, *args)
+        ))
+    return apply
+
+
+def _dropped_plan_entry(machine, mp):
+    regions = emulator.exchange_regions
+    mp.setattr(emulator, "exchange_regions", lambda forest: regions(forest)[1:])
+
+
+def _adopt_keeps_config(machine, mp):
+    adopt = RankMachine.adopt_block
+
+    def stale(self, bid, rank, interior):
+        dirty = self._config_dirty
+        adopt(self, bid, rank, interior)
+        self._config_dirty = dirty
+
+    mp.setattr(RankMachine, "adopt_block", stale)
+
+
+def _write_during_gather(machine, mp):
+    write = RankPhases.exch2_write
+
+    def after_gather(self, cmd=None):
+        if self.plan.prolongs:
+            self.plan.prolongs[0].src.interior[...] = 0.0
+        return write(self, cmd)
+
+    mp.setattr(RankPhases, "exch2_write", after_gather)
+
+
+#: mutant -> (how to patch it in, whether the ghost sanitizer catches it)
+MUTANTS = {
+    "none": (lambda machine, mp: None, False),
+    "compute-before-exchange": (_compute_before_exchange, True),
+    "stage2-before-stage1": (_stage2_before_stage1, False),
+    "rank1-skips-exch1": (_rank_skips("exch1", 1), True),
+    "rank2-skips-corrector": (_rank_skips("corrector", 2), False),
+    "dropped-plan-entry": (_dropped_plan_entry, True),
+    "adopt-keeps-stale-config": (_adopt_keeps_config, True),
+    "source-written-between-gather-and-write": (_write_during_gather, False),
+}
+
+
+def _refined_pulse(sim=None):
+    prob = advecting_pulse()
+    forest = sim.forest if sim else prob.config.make_forest(prob.scheme.nvar)
+    _refine_center(forest, 2)
+    prob.init_forest(forest)
+    return prob, forest
+
+
+@pytest.fixture(scope="module")
+def serial_pulse():
+    sim = advecting_pulse().build(adaptive=False)
+    _refined_pulse(sim)
+    dt = 0.5 * sim.stable_dt()
+    for _ in range(MUTANT_STEPS):
+        sim.advance(dt)
+    return dt, {bid: b.interior.copy() for bid, b in sim.forest.blocks.items()}
+
+
+def _run_machine(machine_cls, dt, sanitize):
+    prob, forest = _refined_pulse()
+    machine = machine_cls(forest, 3, prob.scheme, bc=prob.bc, sanitize=sanitize)
+    try:
+        for step in range(MUTANT_STEPS):
+            if step == 1:
+                bid = machine.topology.sorted_ids()[0]
+                machine.adopt_block(
+                    bid, (machine.owner_rank(bid) + 1) % 3,
+                    machine.local_block(bid).interior.copy(),
+                )
+            machine.advance(dt)
+        return machine.gather()
+    finally:
+        getattr(machine, "close", lambda: None)()
+
+
+@pytest.mark.parametrize(
+    "machine", [EmulatedMachine, ProcessMachine], ids=lambda m: m.__name__
+)
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_machine_mutant_matrix(mutant, machine, monkeypatch, serial_pulse):
+    apply, sanitizer_catches = MUTANTS[mutant]
+    apply(machine, monkeypatch)
+    dt, serial = serial_pulse
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # arithmetic on poisoned ghosts
+        if sanitizer_catches:
+            with pytest.raises(PoisonError):
+                _run_machine(machine, dt, sanitize=True)
+        else:
+            _run_machine(machine, dt, sanitize=True)
+    gathered = _run_machine(machine, dt, sanitize=False)
+    bitwise = all(np.array_equal(gathered[bid], u) for bid, u in serial.items())
+    assert bitwise == (mutant == "none")
 
 
 # ---------------------------------------------------------------------------

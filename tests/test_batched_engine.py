@@ -7,7 +7,7 @@ for bit across physics, orders, limiters, mid-run adaptation and
 refluxing; ``PoolSweep`` itself is pinned for any tile size and row
 range.  (The sweep against the per-block update it replaced is
 ``test_sweep_oracle.py``.)  Also: the tile rule, the ghost sanitizer,
-the exchange race detector, rank-kill recovery, unit tests of the block
+the emulated machine, rank-kill recovery, unit tests of the block
 arena, and the settings that no longer exist.
 """
 
@@ -328,7 +328,7 @@ def test_equivalence_3d():
 
 
 # ---------------------------------------------------------------------------
-# sanitizer / race detector / recovery
+# sanitizer / emulator / recovery
 # ---------------------------------------------------------------------------
 
 
@@ -347,9 +347,9 @@ def test_batched_under_ghost_sanitizer():
     assert_forests_identical(plain.forest, sanitized.forest)
 
 
-def test_batched_reference_vs_emulator_with_race_detector():
-    """The emulated distributed machine (race-checked) must match a
-    batched-engine serial reference bit-for-bit."""
+def test_batched_reference_vs_emulator_plain():
+    """The emulated distributed machine must match a batched-engine
+    serial reference bit-for-bit."""
     from repro.parallel.emulator import EmulatedMachine
 
     def make_forest():
@@ -377,10 +377,8 @@ def test_batched_reference_vs_emulator_with_race_detector():
     emu_forest = make_forest()
     init(emu_forest)
     emu = EmulatedMachine(emu_forest, 4, scheme)
-    detector = emu.attach_race_detector()
     for _ in range(n_steps):
         emu.advance(dt)
-    detector.check()  # no exchange races
     gathered = emu.gather()
     for bid, blk in ref_forest.blocks.items():
         assert np.array_equal(gathered[bid], blk.interior), bid

@@ -338,7 +338,6 @@ class TestBitForBit:
         with METRICS.enabled_scope():
             emu_obs = EmulatedMachine(seeded_forest(), 3, scheme,
                                       sanitize=True)
-            emu_obs.attach_race_detector()
             for _ in range(3):
                 emu_plain.advance(1e-3)
                 emu_obs.advance(1e-3)

@@ -184,7 +184,7 @@ class TestBitwiseAgreement:
                 m.advance(DT)
             assert_bitwise(m, ref)
 
-    def test_sanitizer_and_race_detector_attach(self):
+    def test_sanitizer_attach(self):
         scheme = AdvectionScheme((1.0, 0.5), order=2)
         ref = serial_reference(scheme, 3, DT)
         forest = make_amr_forest()
@@ -192,12 +192,10 @@ class TestBitwiseAgreement:
         with ProcessMachine(
             forest, 3, scheme, sanitize=True, config=FAST
         ) as m:
-            m.attach_race_detector()
             for _ in range(3):
                 m.advance(DT)
             assert m.sanitizer is not None
             assert m.sanitizer.n_exchanges_checked > 0
-            assert m.race_detector.epoch > 0
             assert_bitwise(m, ref)
 
     def test_rank_cells_and_gather_cover_forest(self):

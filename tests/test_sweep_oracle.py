@@ -173,14 +173,12 @@ def test_sanitized_sweep_matches_oracle(subcycle, monkeypatch):
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])
 def test_emulated_ranks_match_oracle(n_ranks, order, monkeypatch):
     """Each rank's private pool swept by ``PoolSweep`` ≡ per block, with
-    floors active and the race detector watching both."""
+    floors active."""
     def emulate():
         scheme = EulerScheme(2, order=order, rho_floor=FLOOR)
         machine = EmulatedMachine(make_forest(scheme, 2), n_ranks, scheme)
-        detector = machine.attach_race_detector()
         for _ in range(3):
             machine.advance(2e-3)
-        detector.check()
         return None, machine.gather()
 
     swept = emulate()
