@@ -365,10 +365,17 @@ class Simulation:
         self.fill_ghosts(*dest[groups[0]])
         # Built after the fill: the first one compiles the ghost plan,
         # and the scratch pools then reuse what its temporaries freed.
-        save, rate_pool = forest.arena.save_pool(), forest.arena.rate_pool()
+        # Under subcycling the rate rows double as each coarser source's
+        # stash during a fill (below), so every row needs one; one group
+        # needs only a tile.
+        tile = self.sweep_tile()
+        save = forest.arena.save_pool()
+        rate_pool = forest.arena.rate_pool(
+            None if len(groups) > 1 else min(tile, forest.arena.capacity)
+        )
         sweep = PoolSweep(
             scheme, pool, enumerate(blocks), forest.n_ghost,
-            save=save, rate=rate_pool, tile=self.sweep_tile(),
+            save=save, rate=rate_pool, tile=tile,
         )
         # The sources of each group's fill that sit in coarser groups
         # (looked up once the rows have settled: the plan holds views).

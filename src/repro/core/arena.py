@@ -250,13 +250,15 @@ class BlockArena:
             self._save = np.zeros((self.capacity, self.nvar) + self.m)
         return self._save
 
-    def rate_pool(self) -> np.ndarray:
+    def rate_pool(self, rows: Optional[int] = None) -> np.ndarray:
         """Interior-shaped scratch for flux-divergence rates,
-        ``(capacity, nvar, *m)`` — reused across every tile of every
-        stage instead of allocating one temporary per tile.  Contents
-        are meaningless between kernel calls."""
-        if self._rate is None or self._rate.shape[0] != self.capacity:
-            self._rate = np.zeros((self.capacity, self.nvar) + self.m)
+        ``(rows, nvar, *m)`` (``rows`` defaults to the capacity) — reused
+        across every tile of every stage instead of allocating one
+        temporary per tile.  Contents are meaningless between kernel
+        calls."""
+        rows = self.capacity if rows is None else rows
+        if self._rate is None or self._rate.shape[0] != rows:
+            self._rate = np.zeros((rows, self.nvar) + self.m)
         return self._rate
 
     def save_row(self, block: "Block") -> np.ndarray:
