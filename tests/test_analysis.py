@@ -30,8 +30,8 @@ from repro.analysis import (
     poisoned_mask,
     rule_codes,
 )
-from repro.core import BlockForest, BlockID
 from repro.cli import _refine_center
+from repro.core import BlockForest, BlockID
 from repro.core.ghost import fill_ghosts
 from repro.parallel import emulator
 from repro.parallel.emulator import EmulatedMachine, RankMachine
@@ -249,9 +249,10 @@ class TestEmulatedMachineTooling:
 # machine forks its workers from the patched classes).  The run is the
 # pulse refined twice at the centre on 3 ranks for 4 steps, with one
 # block adopted onto another rank after step 1 — the receiving half of
-# localized recovery.  The serial driver ≡ machine comparison catches
-# every mutant; the ghost sanitizer only those that leave a ghost
-# unfilled, which it then localizes.
+# localized recovery, adopted directly because a rank kill would mark
+# the configuration dirty before the adopt.  The serial driver ≡
+# machine comparison catches every mutant; the ghost sanitizer only
+# those that leave a ghost unfilled, which it then localizes.
 
 MUTANT_STEPS = 4
 
@@ -306,6 +307,7 @@ def _write_during_gather(machine, mp):
     write = RankPhases.exch2_write
 
     def after_gather(self, cmd=None):
+        # idempotent, so concurrent rank processes leave one state
         if self.plan.prolongs:
             self.plan.prolongs[0].src.interior[...] = 0.0
         return write(self, cmd)
