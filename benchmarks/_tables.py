@@ -45,16 +45,3 @@ def emit_table(
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     return text
 
-
-def emit_bench_json(name: str, **payload) -> "Path":
-    """Persist a machine-readable ``BENCH_<name>.json`` at the repo root.
-
-    Thin wrapper over :mod:`repro.util.benchio` (imported lazily so the
-    table helpers stay usable without the package on ``sys.path``);
-    returns the path written.
-    """
-    from repro.util.benchio import make_bench_record, write_bench_json
-
-    path = write_bench_json(make_bench_record(name, **payload))
-    print(f"[bench] wrote {path}")
-    return path

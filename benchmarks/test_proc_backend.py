@@ -9,9 +9,10 @@ on one process.  Every row is min-of-N
 (:func:`repro.util.timing.measure`: system noise only ever adds time)
 with the mean alongside.
 
-Numbers land in ``BENCH_proc_backend.json``: µs/cell, the speed-up over
-the serial driver, the exchange share of the supervisor's phase clocks
-and, from the ranks' own clocks, the share of wall they spent waiting.
+The table in ``benchmarks/results/proc_backend.txt`` gives µs/cell, the
+speed-up over the serial driver, the exchange share of the supervisor's
+phase clocks and, from the ranks' own clocks, the share of wall they
+spent waiting.
 
 CI runs on two cores, so four ranks oversubscribe the machine and the
 thresholds are loose — the hard assertions are *correctness under
@@ -31,7 +32,7 @@ from repro.solvers import AdvectionScheme
 from repro.util.geometry import Box
 from repro.util.timing import measure
 
-from _tables import emit_bench_json, emit_table
+from _tables import emit_table
 
 WORKLOAD = "advecting pulse 2-D, 112 blocks of 32x32, 2nd order, fixed dt"
 STEPS = 10
@@ -139,9 +140,6 @@ def test_proc_backend_bench():
         ],
         notes="ms/step and us/cell include the supervisor control plane;\n"
               "4 ranks oversubscribe a 2-core host",
-    )
-    emit_bench_json(
-        "proc_backend", workload=WORKLOAD, nproc=os.cpu_count(), cases=results
     )
 
     for r in results[1:]:

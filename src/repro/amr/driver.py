@@ -455,13 +455,9 @@ class Simulation:
         """Attach a memory scrubber, tagging the current state as the
         trusted baseline.
 
-        Tags live in the forest arena's
-        :class:`~repro.core.integrity.RowLedger`, so they follow rows
-        through compaction and pool growth by construction.  Scrubbing
-        only reads state: a scrub-enabled run is bit-for-bit identical
-        to baseline.
+        Scrubbing only reads state: a scrub-enabled run is bit-for-bit
+        identical to baseline.
         """
-        scrubber.attach_arena(self.forest.arena)
         self.scrubber = scrubber
         self.scrub_retag()
         return scrubber

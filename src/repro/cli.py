@@ -7,16 +7,11 @@ Commands
     Run one of the bundled problems (pulse, blasts, solar wind, comet)
     with live progress and optional checkpointing; ``--sanitize`` runs
     it under the ghost-poison sanitizer.
-``bench``
-    Tiled-vs-one-row sweep speedup on the Fig-5-style workload, gated on
-    bitwise equivalence.
 ``info``
     Summarize a checkpoint written by ``run --save`` /
     :func:`repro.amr.save_forest`, or audit a checkpoint directory.
 ``scaling``
     Simulated-T3D scaled-efficiency sweep (the Figure-6 series).
-``fig5``
-    Measured time-per-cell vs block size (the Figure-5 series).
 ``emulate``
     Run a problem on the emulated distributed machine and verify the
     result against the serial driver (bit-exact check); ``--sanitize``
@@ -35,9 +30,7 @@ Commands
     JSONL event stream) and print the phase breakdown, hottest blocks,
     and engine comparison (see :mod:`repro.obs`).
 ``report``
-    Validate and render a previously recorded ``*.jsonl`` event stream,
-    optionally diffing it against the committed ``BENCH_*.json``
-    performance trajectory.
+    Validate and render a previously recorded ``*.jsonl`` event stream.
 """
 
 from __future__ import annotations
@@ -108,11 +101,6 @@ def _bit_flip(text: str) -> "BitFlip":
         return BitFlip(step=step, target=parts[1], block=block, byte=byte, bit=bit)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _size_list(text: str) -> List[int]:
-    """Comma-separated positive block sizes."""
-    return [_positive(s) for s in text.split(",")]
 
 
 def _engine_list(text: str) -> List[str]:
@@ -195,24 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="health-check each step; roll back and halve "
                           "dt on NaN/Inf or negative density/pressure")
 
-    bench = sub.add_parser(
-        "bench",
-        help="tiled-vs-one-row sweep speedup (Fig-5-style workload)",
-    )
-    bench.set_defaults(handler=cmd_bench)
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced sweep for smoke runs")
-    bench.add_argument("--steps", type=_positive, default=None,
-                       help="override timed steps per case")
-    bench.add_argument("--no-json", action="store_true",
-                       help="skip writing BENCH_batched_engine.json")
-    bench.add_argument("--subcycle", action="store_true",
-                       help="also run the deep-hierarchy subcycling case: "
-                            "subcycled vs global-dt updates per unit "
-                            "physical time on a nested multi-level forest, "
-                            "checked against the ablation-predicted factor "
-                            "and for blocked/batched bitwise equivalence")
-
     info = sub.add_parser("info", help="summarize or audit checkpoints")
     info.set_defaults(handler=cmd_info)
     info.add_argument("checkpoint",
@@ -231,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     scaling = sub.add_parser("scaling", help="simulated-T3D efficiency sweep")
     scaling.set_defaults(handler=cmd_scaling)
     scaling.add_argument("--steps", type=_positive, default=10)
-
-    fig5 = sub.add_parser("fig5", help="measured time/cell vs block size")
-    fig5.set_defaults(handler=cmd_fig5)
-    fig5.add_argument(
-        "--sizes", type=_size_list, default="2,4,8,16",
-        help="comma-separated block sizes (default 2,4,8,16)",
-    )
 
     emulate = sub.add_parser(
         "emulate",
@@ -328,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "profile_<problem>.jsonl)")
     profile.add_argument("--top-k", type=_non_negative, default=5,
                          help="hottest blocks to show (default 5)")
-    profile.add_argument("--compare-bench", action="store_true",
-                         help="diff the profiled numbers against the "
-                              "committed BENCH_batched_engine.json")
 
     report = sub.add_parser(
         "report",
@@ -339,14 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(handler=cmd_report)
     report.add_argument("run", metavar="RUN.jsonl")
     report.add_argument("--top-k", type=_non_negative, default=5)
-    report.add_argument("--compare-bench", metavar="NAME", nargs="?",
-                        const="batched_engine", default=None,
-                        help="diff profiled numbers against the committed "
-                             "BENCH_<NAME>.json (default name: "
-                             "batched_engine)")
-    report.add_argument("--strict", action="store_true",
-                        help="exit non-zero when --compare-bench flags a "
-                             "regression")
 
     lint = sub.add_parser(
         "lint", help="run the AMR-specific AST lint (REPRO101-107)"
@@ -557,95 +509,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.analysis.engine_bench import (
-        DEFAULT_CASES,
-        QUICK_CASES,
-        check_equivalence,
-        check_subcycle_equivalence,
-        run_case,
-        run_subcycle_case,
-    )
-    from repro.util.benchio import make_bench_record, write_bench_json
-
-    cases = list(QUICK_CASES if args.quick else DEFAULT_CASES)
-    if args.steps is not None:
-        cases = [replace(c, steps=args.steps) for c in cases]
-
-    print("tiled (batched) vs one-row (blocked) sweep speedup "
-          "(uniform MHD, time per cell)")
-    print(
-        f"{'case':>16} {'blocked us/cell':>16} {'batched us/cell':>16} "
-        f"{'speedup':>8}"
-    )
-    results = []
-    for case in cases:
-        res = run_case(case)
-        results.append(res)
-        print(
-            f"{res['label']:>16} {res['blocked']['us_per_cell']:16.3f} "
-            f"{res['batched']['us_per_cell']:16.3f} {res['speedup']:8.2f}"
-        )
-    ok = check_equivalence(cases[-1], steps=3)
-    print(
-        "bitwise engine equivalence (spot check): "
-        f"{'ok' if ok else 'VIOLATED'}"
-    )
-    sub_result = None
-    if args.subcycle:
-        print("\ndeep-hierarchy subcycling (advection, nested refinement)")
-        sub_result = run_subcycle_case()
-        s, g = sub_result["subcycled"], sub_result["global"]
-        print(
-            f"  {sub_result['label']}: {sub_result['n_blocks']} blocks over "
-            f"{sub_result['levels']} levels (depth {sub_result['depth']})"
-        )
-        print(
-            f"  updates per unit time: global {g['updates_per_time']:.0f} "
-            f"({g['updates']} updates), subcycled {s['updates_per_time']:.0f} "
-            f"({s['updates']} updates)"
-        )
-        print(
-            f"  work factor: measured {sub_result['measured_factor']:.2f}x "
-            f"vs predicted {sub_result['predicted_factor']:.2f}x "
-            f"({'ok' if sub_result['beats_global'] else 'BELOW PREDICTION'})"
-        )
-        print(
-            f"  wall (best of {sub_result['wall_repeats']}): global "
-            f"{g['wall_s']:.3f} s, subcycled {s['wall_s']:.3f} s "
-            f"({'ok' if sub_result['wins_wall'] else 'SUBCYCLING SLOWER'})"
-        )
-        print(
-            f"  L1 error: global {g['error']:.3e}, subcycled {s['error']:.3e} "
-            f"(matched: {'ok' if sub_result['matched_error'] else 'VIOLATED'})"
-        )
-        eq = check_subcycle_equivalence()
-        print(
-            "  bitwise subcycled engine equivalence: "
-            f"{'ok' if eq else 'VIOLATED'}"
-        )
-        ok = (
-            ok and eq
-            and sub_result["beats_global"]
-            and sub_result["wins_wall"]
-            and sub_result["matched_error"]
-        )
-    if not args.no_json:
-        payload = dict(
-            workload="uniform periodic MHD, Fig-5-style time per cell",
-            cases=results,
-            equivalence_ok=ok,
-        )
-        if sub_result is not None:
-            payload["subcycle"] = sub_result
-        record = make_bench_record("batched_engine", **payload)
-        path = write_bench_json(record)
-        print(f"wrote {path}")
-    return 0 if ok else 1
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -789,26 +652,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         )
     eff = scaled_efficiency(times)
     print("efficiency:", "  ".join(f"P={p}: {e:.3f}" for p, e in eff.items()))
-    return 0
-
-
-def cmd_fig5(args: argparse.Namespace) -> int:
-    from repro.solvers import MHDScheme
-    from repro.util.timing import measure
-
-    rng = np.random.default_rng(0)
-    print(f"{'block':>7} {'cells':>7} {'us/cell':>9}")
-    for m in args.sizes:
-        g = 2
-        scheme = MHDScheme(3, order=2)
-        w = np.empty((8,) + (m + 2 * g,) * 3)
-        w[0] = 1.0 + 0.1 * rng.random(w.shape[1:])
-        w[1:4] = 0.0
-        w[4] = 1.0
-        w[5:8] = 0.1
-        u = scheme.prim_to_cons(w)
-        t = measure(lambda: scheme.step(u, (1.0 / m,) * 3, 1e-4, g), repeats=3).best
-        print(f"{m:>5d}^3 {m**3:7d} {t / m**3 * 1e6:9.2f}")
     return 0
 
 
@@ -1113,7 +956,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import (
         METRICS,
         RunRecorder,
-        compare_to_bench,
         read_events,
         render_report,
     )
@@ -1188,24 +1030,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     )
             recorder.emit("summary", **summary)
     print(render_report(read_events(out), top_k=args.top_k))
-    if args.compare_bench:
-        flags = compare_to_bench(profiles)
-        if flags:
-            for f in flags:
-                print(f"bench regression: {f}")
-        else:
-            print("bench comparison: within the committed trajectory")
     print(f"\nevent stream written to {out}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        compare_to_bench,
-        read_events,
-        render_report,
-        validate_events,
-    )
+    from repro.obs import read_events, render_report, validate_events
 
     try:
         events = read_events(args.run)
@@ -1219,16 +1049,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {args.run} failed schema validation", file=sys.stderr)
         return 1
     print(render_report(events, top_k=args.top_k))
-    if args.compare_bench is not None:
-        profiles = [e for e in events if e.get("kind") == "profile"]
-        flags = compare_to_bench(profiles, name=args.compare_bench)
-        if flags:
-            for f in flags:
-                print(f"bench regression: {f}")
-            if args.strict:
-                return 1
-        else:
-            print("bench comparison: within the committed trajectory")
     return 0
 
 

@@ -34,7 +34,6 @@ from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.block import Block
-    from repro.core.integrity import RowLedger
 
 __all__ = ["BlockArena"]
 
@@ -102,10 +101,6 @@ class BlockArena:
         self._free: List[int] = list(range(cap - 1, -1, -1))
         self._save: Optional[np.ndarray] = None
         self._rate: Optional[np.ndarray] = None
-        #: opt-in integrity ledger (see :mod:`repro.core.integrity`);
-        #: ``None`` until a scrubber attaches one, so the disabled cost
-        #: is one branch per arena operation, like ``METRICS``.
-        self.ledger: Optional["RowLedger"] = None
 
     # -- capacity bookkeeping ----------------------------------------------
 
@@ -133,8 +128,6 @@ class BlockArena:
             self._grow(self.capacity * 2)
         row = self._free.pop()
         self.pool[row] = 0.0
-        if self.ledger is not None:
-            self.ledger.drop(row)
         if METRICS.enabled:
             METRICS.inc("arena.acquires")
             METRICS.gauge("arena.occupancy", self.n_active / self.capacity)
@@ -167,8 +160,6 @@ class BlockArena:
         self._blocks[row] = None
         block.arena_row = None
         self._free.append(row)
-        if self.ledger is not None:
-            self.ledger.drop(row)
         if METRICS.enabled:
             METRICS.inc("arena.releases")
             METRICS.gauge("arena.occupancy", self.n_active / self.capacity)
@@ -195,9 +186,6 @@ class BlockArena:
         self._rate = None
         self.layout_epoch += 1
         self.n_grows += 1
-        if self.ledger is not None:
-            # Rows keep their indices across growth: identity rekey.
-            self.ledger.epoch = self.layout_epoch
         if METRICS.enabled:
             METRICS.inc("arena.grows")
             METRICS.gauge("arena.capacity", new_capacity)
@@ -232,8 +220,6 @@ class BlockArena:
         self._free = list(range(self.capacity - 1, n - 1, -1))
         self.layout_epoch += 1
         self.n_compactions += 1
-        if self.ledger is not None:
-            self.ledger.permute(rows, self.layout_epoch)
         if METRICS.enabled:
             METRICS.inc("arena.compactions")
         return self.pool[:n]

@@ -830,7 +830,6 @@ def _prolong_entry(
 
 def compile_plan(
     forest: BlockForest,
-    fill_corners: bool = True,
     *,
     regions: Optional[Iterable[Region]] = None,
     blocks: Optional[Mapping[BlockID, Block]] = None,
@@ -860,7 +859,7 @@ def compile_plan(
     """
     if regions is None:
         # streamed: a region's transfers are garbage once compiled
-        regions = _iter_regions(forest, fill_corners)
+        regions = _iter_regions(forest, fill_corners=True)
     if blocks is None:
         blocks = forest.blocks
     copies: List[_Copy] = []
@@ -925,8 +924,6 @@ def _bc_scan_faces(blocks: Sequence[Block], ndim: int) -> List[_Boundary]:
 def ghost_plan(
     forest: BlockForest,
     dest: Optional[FrozenSet[BlockID]] = None,
-    *,
-    fill_corners: bool = True,
 ) -> GhostPlan:
     """The compiled plan that fills the ghosts of the ``dest`` blocks
     (None: of every block), from the cache.
@@ -936,11 +933,11 @@ def ghost_plan(
     whenever rows move — growth or compaction); the part of it serving a
     given ``dest`` is cached on the full plan.
     """
-    key = (forest.revision, forest.arena.layout_epoch, fill_corners)
+    key = (forest.revision, forest.arena.layout_epoch)
     if getattr(forest, "_ghost_plan_key", None) != key:
         if METRICS.enabled:
             METRICS.inc("ghost.plan_misses")
-        forest._ghost_plan = compile_plan(forest, fill_corners)  # type: ignore[attr-defined]
+        forest._ghost_plan = compile_plan(forest)  # type: ignore[attr-defined]
         forest._ghost_plan_key = key  # type: ignore[attr-defined]
     elif METRICS.enabled:
         METRICS.inc("ghost.plan_hits")
@@ -1090,7 +1087,6 @@ def fill_ghosts(
     forest: BlockForest,
     bc: Optional[BoundaryHandler] = None,
     *,
-    fill_corners: bool = True,
     dest: Optional[FrozenSet[BlockID]] = None,
 ) -> FillCounts:
     """Fill block ghost cells from their neighbors.
@@ -1099,11 +1095,10 @@ def fill_ghosts(
     :mod:`repro.amr.boundary`); with ``bc=None`` they are left untouched.
     Returns the block-to-block transfers executed, by kind.
 
-    With ``fill_corners=True`` (default) edge and corner ghost regions
-    are exchanged as well, via the generalized lower-dimensional
-    connectivity; ``False`` restricts the exchange to face slabs — all a
-    first-order dimension-split scheme needs, and the paper's minimal
-    configuration.
+    Edge and corner ghost regions are exchanged as well as faces, via
+    the generalized lower-dimensional connectivity.  Face-only
+    schedules, the paper's minimal configuration, serve only the cost
+    model (:func:`exchange_regions`).
 
     ``dest`` names the blocks whose ghosts the caller is about to read
     (None: every block).  Only the transfers into those blocks, and the
@@ -1116,7 +1111,7 @@ def fill_ghosts(
     one per barrier phase (:class:`repro.parallel.procworker.RankPhases`),
     here back to back on the whole plan.
     """
-    plan = ghost_plan(forest, dest, fill_corners=fill_corners)
+    plan = ghost_plan(forest, dest)
     ndim = forest.ndim
     order = forest.prolong_order
     # Stage 1: same-level copies + restrictions (read interiors only).

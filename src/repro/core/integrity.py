@@ -1,4 +1,4 @@
-"""Canonical checksum path and the arena integrity ledger (SDC defense).
+"""Canonical checksum path (SDC defense).
 
 This module is the *single* owner of content checksums for live
 simulation state.  Lint rule REPRO105 forbids ``zlib``/``hashlib``
@@ -7,27 +7,16 @@ there is exactly one way a block, a mirror copy, or a wire payload gets
 tagged — and therefore exactly one place a tag-format change has to
 happen.
 
-Two layers live here:
-
-* :func:`content_crc` / :func:`crc_bytes` / :func:`crc_text` — the
-  canonical CRC32 helpers everything else calls.
-* :class:`RowLedger` — per-pool-row CRC tags for a
-  :class:`~repro.core.arena.BlockArena`, keyed by the arena's
-  ``layout_epoch`` so compaction permutes tags with their rows and
-  growth re-keys them in place.  The ledger is *opt-in*: an arena
-  carries ``ledger = None`` until a scrubber attaches one, so the
-  disabled cost is a single ``is not None`` branch per arena operation
-  (the same contract as the ``METRICS`` registry).
-
-The verification pass itself (what to scrub, when, and how to heal)
-lives in :mod:`repro.resilience.scrub`; this module is deliberately
+:func:`content_crc` / :func:`crc_bytes` / :func:`crc_text` are the
+canonical CRC32 helpers everything else calls.  The verification pass
+itself (the tags, what to scrub, when, and how to heal) lives in
+:mod:`repro.resilience.scrub`; this module is deliberately
 dependency-free so ``core`` never imports ``resilience``.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +24,6 @@ __all__ = [
     "content_crc",
     "crc_bytes",
     "crc_text",
-    "RowLedger",
 ]
 
 
@@ -56,66 +44,3 @@ def content_crc(arr: np.ndarray) -> int:
     compacted copy of the same cells produce the same tag.
     """
     return crc_bytes(np.ascontiguousarray(arr).tobytes())
-
-
-class RowLedger:
-    """CRC tags of arena pool rows, carried across layout changes.
-
-    Each tagged row stores a ``(data_crc, interior_crc)`` pair: the CRC
-    of the whole padded row (state + ghost halo) and of the interior
-    alone.  The pair lets a scrubber classify a mismatch — interior CRC
-    bad means live state corruption; interior good but row bad means the
-    ghost halo was hit.
-
-    The ledger belongs to one arena and tracks its ``layout_epoch``:
-
-    * :meth:`permute` is called by ``ensure_compact`` with the row
-      permutation it applied, so tags travel with their rows.
-    * growth keeps row indices (identity rekey) — the arena just
-      advances :attr:`epoch`.
-    * ``acquire``/``release`` drop the row's tag: a recycled row's
-      contents are unrelated to whatever was tagged before.
-
-    Rows with no tag are simply not verifiable yet (e.g. blocks created
-    by refinement before the next retag boundary); the scrubber skips
-    them rather than guessing.
-    """
-
-    __slots__ = ("epoch", "_tags")
-
-    def __init__(self, epoch: int = 0) -> None:
-        self.epoch = int(epoch)
-        self._tags: Dict[int, Tuple[int, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._tags)
-
-    def tag(self, row: int, data_crc: int, interior_crc: int) -> None:
-        self._tags[row] = (int(data_crc), int(interior_crc))
-
-    def get(self, row: int) -> Optional[Tuple[int, int]]:
-        return self._tags.get(row)
-
-    def drop(self, row: int) -> None:
-        self._tags.pop(row, None)
-
-    def clear(self) -> None:
-        self._tags.clear()
-
-    def permute(self, rows: np.ndarray, epoch: int) -> None:
-        """Re-key tags after a compaction that moved ``rows[i] -> i``.
-
-        Tags of rows outside the permutation belonged to blocks that are
-        no longer bound (their rows were freed by the compaction), so
-        they are dropped.
-        """
-        old = self._tags
-        self._tags = {
-            i: old[int(src)]
-            for i, src in enumerate(rows)
-            if int(src) in old
-        }
-        self.epoch = int(epoch)
-
-    def __repr__(self) -> str:
-        return f"RowLedger(epoch={self.epoch}, tagged={len(self._tags)})"

@@ -2,7 +2,7 @@
 
 The unifying layer over the stack's previously disconnected
 instrumentation islands (``PhaseTimer``, ``ExchangeStats``, the tracing
-machine, ``BENCH_*.json``):
+machine):
 
 * :mod:`repro.obs.metrics` — process-global :data:`METRICS` registry of
   counters/gauges/summaries wired into the hot paths, near-free while
@@ -10,9 +10,7 @@ machine, ``BENCH_*.json``):
 * :mod:`repro.obs.recorder` — :class:`RunRecorder`, a structured JSONL
   event stream with monotonic ``wall_clock()`` timestamps, plus the
   schema and its validator;
-* :mod:`repro.obs.report` — renderers for ``repro report`` and
-  :func:`compare_to_bench`, which diffs a profiled run against the
-  committed benchmark trajectory.
+* :mod:`repro.obs.report` — renderers for ``repro report``.
 
 See ``docs/observability.md`` for the metric catalog and the event
 schema.
@@ -27,9 +25,7 @@ from repro.obs.recorder import (
     validate_events,
 )
 from repro.obs.report import (
-    compare_to_bench,
     engine_comparison,
-    load_bench_record,
     phase_breakdown,
     render_report,
     top_blocks_lines,
@@ -44,9 +40,7 @@ __all__ = [
     "RunRecorder",
     "read_events",
     "validate_events",
-    "compare_to_bench",
     "engine_comparison",
-    "load_bench_record",
     "phase_breakdown",
     "render_report",
     "top_blocks_lines",

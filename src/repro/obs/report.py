@@ -1,4 +1,4 @@
-"""Render profiled runs and diff them against the benchmark trajectory.
+"""Render profiled runs.
 
 Consumes the JSONL event stream a :class:`repro.obs.recorder.RunRecorder`
 wrote (``repro profile`` produces one) and renders the human-readable
@@ -8,10 +8,7 @@ side of the observability layer:
   fractions — the numbers every perf PR argues from);
 * **top-k hottest blocks** (residency steps: blocks advance in stacked
   tiles, so per-block time does not exist);
-* **engine-vs-engine comparison** when a stream profiles both engines;
-* :func:`compare_to_bench` — diff a profiled run against the committed
-  ``BENCH_*.json`` trajectory (see :mod:`repro.util.benchio`) and flag
-  apparent regressions.
+* **engine-vs-engine comparison** when a stream profiles both engines.
 
 Everything here is read-only over dicts, so the renderer is equally
 usable on a live run's events and on a stream read back from disk.
@@ -19,19 +16,13 @@ usable on a live run's events and on a stream read back from disk.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
-
-from repro.util.benchio import repo_root
+from typing import Any, Dict, List, Sequence
 
 __all__ = [
     "phase_breakdown",
     "top_blocks_lines",
     "engine_comparison",
     "render_report",
-    "compare_to_bench",
-    "load_bench_record",
 ]
 
 
@@ -161,93 +152,3 @@ def render_report(events: Sequence[Dict[str, Any]], *, top_k: int = 5) -> str:
     if not out:
         return "(no events)"
     return "\n".join(out)
-
-
-def load_bench_record(
-    name: str = "batched_engine", directory: Optional[Union[str, Path]] = None
-) -> Optional[Dict[str, Any]]:
-    """The committed ``BENCH_<name>.json`` record, or None if absent."""
-    path = Path(directory or repo_root()) / f"BENCH_{name}.json"
-    if not path.exists():
-        return None
-    with path.open() as f:
-        record = json.load(f)
-    return record if isinstance(record, dict) else None
-
-
-def compare_to_bench(
-    profiles: Sequence[Dict[str, Any]],
-    record: Optional[Dict[str, Any]] = None,
-    *,
-    name: str = "batched_engine",
-    directory: Optional[Union[str, Path]] = None,
-    rel_tol: float = 0.5,
-) -> List[str]:
-    """Diff profiled per-engine numbers against the committed benchmark
-    trajectory; returns human-readable regression flags (empty = within
-    the trajectory, or nothing comparable).
-
-    ``profiles`` are ``profile`` events (or equivalent dicts) carrying
-    ``engine``, ``us_per_cell``, and optionally ``ndim`` and
-    ``workload``.  Absolute ``us_per_cell`` is only meaningful between
-    runs of the *same* workload, so that check applies only to profiles
-    whose ``workload`` string matches the record's: the reference is the
-    best matching-ndim case, and a run is flagged when slower than it by
-    more than ``rel_tol`` (relative).  The engine-relative check needs no
-    matching workload: when both engines were profiled, the observed
-    batched speedup is compared against the record's worst (smallest)
-    case speedup and flagged when it falls more than ``rel_tol`` below
-    it.
-    """
-    if record is None:
-        record = load_bench_record(name, directory)
-    if record is None or not record.get("cases"):
-        return []
-
-    flags: List[str] = []
-    by_engine: Dict[str, Dict[str, Any]] = {}
-    for p in profiles:
-        engine = p.get("engine")
-        if engine is not None and p.get("us_per_cell") is not None:
-            by_engine[str(engine)] = dict(p)
-    cases = [c for c in record["cases"] if isinstance(c, dict)]
-
-    for engine, prof in sorted(by_engine.items()):
-        if prof.get("workload") != record.get("workload"):
-            continue
-        ndim = prof.get("ndim")
-        refs = [
-            float(c[engine]["us_per_cell"])
-            for c in cases
-            if (ndim is None or c.get("ndim") == ndim)
-            and isinstance(c.get(engine), dict)
-            and c[engine].get("us_per_cell") is not None
-        ]
-        if not refs:
-            continue
-        best = min(refs)
-        ours = float(prof["us_per_cell"])
-        if ours > best * (1.0 + rel_tol):
-            flags.append(
-                f"{engine}: {ours:.3f} us/cell is "
-                f"{ours / best:.2f}x the best committed case "
-                f"({best:.3f} us/cell in {record.get('name', name)})"
-            )
-
-    blocked, batched = by_engine.get("blocked"), by_engine.get("batched")
-    if blocked is not None and batched is not None:
-        a = float(blocked["us_per_cell"])
-        b = float(batched["us_per_cell"])
-        speedups = [
-            float(c["speedup"]) for c in cases if c.get("speedup") is not None
-        ]
-        if b > 0 and speedups:
-            observed = a / b
-            floor = min(speedups) * (1.0 - rel_tol)
-            if observed < floor:
-                flags.append(
-                    f"batched speedup {observed:.2f}x fell below the "
-                    f"committed trajectory floor "
-                    f"({min(speedups):.2f}x worst case)"
-                )
-    return flags

@@ -17,9 +17,8 @@ Design constraints, mirroring the rest of the resilience stack:
   scrub-enabled runs replay identically after a rollback.
 * **Bit-for-bit transparent.**  Verification only *reads* state; a
   scrub-enabled fault-free run is bit-for-bit identical to baseline on
-  every engine.  The tags live beside the data (arena
-  :class:`~repro.core.integrity.RowLedger` or the scrubber's own map),
-  never in it.
+  every engine.  The tags live beside the data, in the scrubber's own
+  map, never in it.
 * **One detection per corruption.**  After reporting a mismatch the
   scrubber re-baselines the block's tag; the *recovery* tier decides
   what happens next (mirror repair, rewind, rollback, abort) and
@@ -41,12 +40,11 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.analysis.protocol import phase_effect
-from repro.core.integrity import RowLedger, content_crc
+from repro.core.integrity import content_crc
 from repro.obs.metrics import METRICS
 from repro.resilience.faults import BitFlip, FaultDetected, apply_bitflip
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.arena import BlockArena
     from repro.core.block import Block
     from repro.resilience.partner import PartnerStore
 
@@ -107,16 +105,13 @@ class CorruptionError(FaultDetected):
 class Scrubber:
     """Deterministic integrity verification over tagged blocks.
 
-    One scrubber serves every engine:
-
-    * the **serial driver** attaches it to the forest's arena
-      (:meth:`attach_arena`), so tags live in the arena's
-      :class:`~repro.core.integrity.RowLedger` and survive compaction
-      and growth by construction;
-    * the **emulated** and **process** machines key tags by
-      :class:`~repro.core.block_id.BlockID` in the scrubber's own map
-      (their supervisor-side blocks are plain views — per-rank private
-      copies or shared-memory rows — with no common arena binding).
+    One scrubber serves the serial driver and both machines.  Tags are
+    keyed by :class:`~repro.core.block_id.BlockID`, and each remembers
+    the :class:`~repro.core.block.Block` it was taken from: a block
+    rebuilt under the same id (refine, coarsen, adopt, restore) is
+    unverified until the next retag, and a block moved to another pool
+    row (compaction, growth) keeps its tag, because its object and its
+    contents move together.
 
     ``every`` is the scrub interval in steps; :meth:`due` gates the
     verification pass, while re-tagging at write boundaries is
@@ -128,8 +123,8 @@ class Scrubber:
         if every < 1:
             raise ValueError("scrub interval must be >= 1")
         self.every = int(every)
-        self._tags: Dict[Hashable, Tuple[int, int]] = {}
-        self._arena: Optional["BlockArena"] = None
+        #: key -> (block tagged, data CRC, interior CRC)
+        self._tags: Dict[Hashable, Tuple["Block", int, int]] = {}
         #: partner store whose mirrors the scrub also verifies; set by
         #: the recovery driver when the localized tier is active.
         self.partner: Optional["PartnerStore"] = None
@@ -143,12 +138,6 @@ class Scrubber:
     # wiring
     # ------------------------------------------------------------------
 
-    def attach_arena(self, arena: "BlockArena") -> None:
-        """Store tags in ``arena``'s row ledger (serial-driver mode)."""
-        if arena.ledger is None:
-            arena.ledger = RowLedger(epoch=arena.layout_epoch)
-        self._arena = arena
-
     def due(self, step: int) -> bool:
         """Whether a verification pass runs before executing ``step``."""
         return step % self.every == 0
@@ -157,35 +146,30 @@ class Scrubber:
     # tagging
     # ------------------------------------------------------------------
 
-    def _ledger_row(self, block: "Block") -> Optional[int]:
-        if self._arena is None:
-            return None
-        row = getattr(block, "arena_row", None)
-        return int(row) if row is not None else None
+    @staticmethod
+    def _tag(block: "Block") -> Tuple["Block", int, int]:
+        return (block, content_crc(block.data), content_crc(block.interior))
 
     def retag_block(self, key: Hashable, block: "Block") -> None:
         """Tag ``block``'s current contents as the trusted baseline."""
-        tags = (content_crc(block.data), content_crc(block.interior))
-        row = self._ledger_row(block)
-        if row is not None:
-            assert self._arena is not None and self._arena.ledger is not None
-            self._arena.ledger.tag(row, *tags)
-        else:
-            self._tags[key] = tags
+        self._tags[key] = self._tag(block)
 
     def retag_blocks(self, blocks: Mapping[Hashable, "Block"]) -> None:
-        for key, block in blocks.items():
-            self.retag_block(key, block)
+        """Tag every block of ``blocks`` and forget every other tag, so a
+        removed block's tag (and the view it pins) does not outlive
+        the retag."""
+        self._tags = {key: self._tag(block) for key, block in blocks.items()}
 
     def drop(self, key: Hashable) -> None:
         self._tags.pop(key, None)
 
     def lookup(self, key: Hashable, block: "Block") -> Optional[Tuple[int, int]]:
-        row = self._ledger_row(block)
-        if row is not None:
-            assert self._arena is not None and self._arena.ledger is not None
-            return self._arena.ledger.get(row)
-        return self._tags.get(key)
+        """``(data_crc, interior_crc)`` tagged for ``key``, or None when
+        ``key`` is untagged or its tag was taken from another block."""
+        tag = self._tags.get(key)
+        if tag is None or tag[0] is not block:
+            return None
+        return tag[1], tag[2]
 
     # ------------------------------------------------------------------
     # verification

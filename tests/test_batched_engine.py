@@ -460,7 +460,7 @@ def test_invalid_engine_rejected():
 
 
 def test_cli_engine_flag(capsys):
-    # `run` always sweeps in tiles; only `profile`/`bench` compare modes
+    # `run` always sweeps in tiles; only `profile` compares modes
     from repro.cli import main
 
     assert main(["run", "pulse", "--steps", "2", "--engine", "batched"]) == 2
@@ -472,7 +472,7 @@ def test_cli_engine_flag(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_tile_bytes_param():
+def test_tile_bytes_param(capsys):
     # the tile is not a setting any more: constructor and CLI reject it
     problem = advecting_pulse(ndim=2)
     forest = problem.config.make_forest(problem.scheme.nvar)
@@ -480,7 +480,9 @@ def test_tile_bytes_param():
         Simulation(forest, problem.scheme, batch_tile_bytes=8192)
     from repro.cli import main
 
-    assert main(["bench", "--quick", "--tile-bytes", "8192"]) == 2
+    for argv in (["run", "pulse"], ["profile", "pulse"]):
+        assert main(argv + ["--tile-bytes", "8192"]) == 2
+        assert "--tile-bytes" in capsys.readouterr().err
 
 
 def test_tile_bytes_env_var(monkeypatch, capsys):
@@ -525,7 +527,7 @@ def test_kernel_backend_setting_removed():
 def test_cli_kernel_backend_flag_removed(capsys):
     from repro.cli import main
 
-    for argv in (["run", "pulse"], ["emulate", "pulse"], ["profile", "pulse"], ["bench"]):
+    for argv in (["run", "pulse"], ["emulate", "pulse"], ["profile", "pulse"]):
         assert main(argv + ["--kernel-backend", "numpy"]) == 2
         assert "--kernel-backend" in capsys.readouterr().err
 

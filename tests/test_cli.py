@@ -28,7 +28,6 @@ class TestBadInput:
     @pytest.mark.parametrize("argv,named", [
         ("run pulse --steps 2 --report-every 0", "--report-every"),
         ("scaling --steps 0", "--steps"),
-        ("fig5 --sizes x", "--sizes"),
         ("emulate pulse --ranks 0", "--ranks"),
         ("emulate pulse --ranks -1", "--ranks"),
         ("run pulse --steps 2 --checkpoint-every 1 --checkpoint-keep 0",
@@ -145,17 +144,6 @@ class TestResilienceFlags:
 
 
 class TestOtherCommands:
-    def test_fig5(self, capsys):
-        rc = main(["fig5", "--sizes", "2,4"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        lines = [l for l in out.splitlines() if "^3" in l]
-        assert len(lines) == 2
-        # Per-cell time falls with block size.
-        t2 = float(lines[0].split()[-1])
-        t4 = float(lines[1].split()[-1])
-        assert t4 < t2
-
     def test_scaling(self, capsys):
         rc = main(["scaling", "--steps", "2"])
         out = capsys.readouterr().out
@@ -271,32 +259,6 @@ class TestProfileAndReport:
         assert rc == 0
         assert "engine: batched" in capsys.readouterr().out
 
-    def test_profile_compare_bench_no_false_flags(self, tmp_path, capsys, monkeypatch):
-        # The wiring only, with no wall clock in the verdict: the
-        # profiles the CLI hands compare_to_bench get a fixed 2x speedup
-        # against a record whose worst case is 2x.  The flagging logic
-        # itself is pinned on synthetic profiles in tests/test_obs.py.
-        import repro.obs
-        from repro.obs.report import compare_to_bench
-
-        seen = []
-        record = {"workload": "other", "cases": [{"speedup": 2.0}]}
-
-        def pinned(profiles):
-            seen.extend(p["engine"] for p in profiles)
-            us = {"blocked": 2.0, "batched": 1.0}
-            return compare_to_bench(
-                [dict(p, us_per_cell=us[p["engine"]]) for p in profiles], record
-            )
-
-        monkeypatch.setattr(repro.obs, "compare_to_bench", pinned)
-        rc, _ = self._profile(tmp_path, "--compare-bench")
-        text = capsys.readouterr().out
-        assert rc == 0
-        assert seen == ["blocked", "batched"]
-        assert "bench regression" not in text
-        assert "within the committed trajectory" in text
-
     def test_profile_rejects_unknown_engine(self, tmp_path, capsys):
         rc = main([
             "profile", "pulse", "--steps", "1", "--engines", "warp",
@@ -337,26 +299,3 @@ class TestProfileAndReport:
         bad.write_text('{"v": 1, "t": 0.0, "ki')
         assert main(["report", str(bad)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
-
-    def test_report_strict_flags_regression(self, tmp_path, capsys):
-        import json
-
-        # Synthesize a stream whose workload matches the committed MHD
-        # record but is absurdly slow: --strict must exit nonzero.
-        from repro.obs import load_bench_record
-
-        record = load_bench_record()
-        assert record is not None
-        stream = tmp_path / "slow.jsonl"
-        events = [
-            {"v": 1, "t": 0.0, "kind": "meta", "source": "profile"},
-            {"v": 1, "t": 1.0, "kind": "profile", "engine": "batched",
-             "wall_s": 1.0, "us_per_cell": 1e6, "ndim": 2,
-             "workload": record["workload"], "phases": {"solve": 1.0}},
-        ]
-        stream.write_text(
-            "".join(json.dumps(e) + "\n" for e in events))
-        capsys.readouterr()
-        rc = main(["report", str(stream), "--compare-bench", "--strict"])
-        assert rc == 1
-        assert "bench regression" in capsys.readouterr().out

@@ -197,17 +197,6 @@ class TestExchangeExactness:
         assert ghost_errors_inside_domain(f, (0.0, 0.0)) == pytest.approx(2.0)
         # i.e. ghosts hold the constant -2 exactly (error vs 0-field is 2).
 
-    def test_faces_only_leaves_corners_untouched(self):
-        f = forest2d()
-        for b in f:
-            b.interior[...] = 1.0
-        fill_ghosts(f, fill_corners=False)
-        b = f.blocks[BlockID(0, (0, 0))]
-        # The (+x,+y) corner ghost region was never written.
-        assert np.all(b.data[0, -2:, -2:] == 0.0)
-        # But the face slabs were.
-        assert np.all(b.data[0, 2:-2, -2:] == 1.0)
-
     def test_smooth_field_second_order(self):
         # Prolonged ghosts converge at second order in h on smooth data.
         errs = []

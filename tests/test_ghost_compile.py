@@ -101,12 +101,12 @@ def test_compiled_plan_equals_reference(forest, fill_corners, n_ranks, seed):
     regions = exchange_regions(forest, fill_corners=fill_corners)
     assert regions == regions_reference(forest, fill_corners)
     assert_plans_equal(
-        compile_plan(forest, fill_corners), compile_plan_reference(forest, fill_corners)
+        compile_plan(forest, regions=regions), compile_plan_reference(forest, fill_corners)
     )
     # the rank processes' form: the schedule passed in, other arrays, one rank's part
     blocks, own = rank_blocks(forest, np.random.default_rng(seed), n_ranks)
     assert_plans_equal(
-        compile_plan(forest, fill_corners, regions=regions, blocks=blocks, dest=own),
+        compile_plan(forest, regions=regions, blocks=blocks, dest=own),
         compile_plan_reference(forest, fill_corners, blocks=blocks, dest=own),
     )
 

@@ -1,9 +1,9 @@
 """Tests for the observability layer (repro.obs).
 
 Covers the metrics registry, the JSONL event recorder and its schema
-validator, report rendering, the bench-comparison helper, and the
-load-bearing contract of the whole subsystem: an instrumented run is
-bit-for-bit identical to an uninstrumented one on both engines.
+validator, report rendering, and the load-bearing contract of the whole
+subsystem: an instrumented run is bit-for-bit identical to an
+uninstrumented one on both engines.
 """
 
 import io
@@ -21,7 +21,6 @@ from repro.obs import (
     RunRecorder,
     SCHEMA_VERSION,
     Summary,
-    compare_to_bench,
     engine_comparison,
     phase_breakdown,
     read_events,
@@ -29,7 +28,6 @@ from repro.obs import (
     top_blocks_lines,
     validate_events,
 )
-from repro.util.benchio import make_bench_record, write_bench_json
 from repro.util.geometry import Box
 
 
@@ -467,101 +465,3 @@ class TestRendering:
 
     def test_render_report_empty(self):
         assert render_report([]) == "(no events)"
-
-
-class TestCompareToBench:
-    RECORD = {
-        "name": "batched_engine",
-        "workload": "uniform periodic MHD",
-        "cases": [
-            {"ndim": 2, "speedup": 5.0,
-             "blocked": {"us_per_cell": 10.0},
-             "batched": {"us_per_cell": 2.0}},
-            {"ndim": 3, "speedup": 2.5,
-             "blocked": {"us_per_cell": 30.0},
-             "batched": {"us_per_cell": 12.0}},
-        ],
-    }
-
-    def _prof(self, engine, us, **over):
-        p = {"engine": engine, "us_per_cell": us, "ndim": 2,
-             "workload": "uniform periodic MHD"}
-        p.update(over)
-        return p
-
-    def test_within_trajectory(self):
-        flags = compare_to_bench(
-            [self._prof("blocked", 11.0), self._prof("batched", 2.2)],
-            self.RECORD)
-        assert flags == []
-
-    def test_us_per_cell_regression_flagged(self):
-        flags = compare_to_bench([self._prof("batched", 9.0)], self.RECORD)
-        assert len(flags) == 1
-        assert "batched: 9.000 us/cell" in flags[0]
-        assert "4.50x" in flags[0]
-
-    def test_matches_on_ndim(self):
-        # 30 us/cell is fine for the 3-D case but 3x the 2-D best.
-        assert compare_to_bench(
-            [self._prof("blocked", 30.0, ndim=3)], self.RECORD) == []
-        assert compare_to_bench(
-            [self._prof("blocked", 30.0, ndim=2)], self.RECORD)
-
-    def test_different_workload_skips_absolute_check(self):
-        # us/cell across workloads is meaningless: no flag even at 100x.
-        flags = compare_to_bench(
-            [self._prof("batched", 200.0, workload="adaptive pulse")],
-            self.RECORD)
-        assert flags == []
-
-    def test_speedup_floor_is_workload_independent(self):
-        flags = compare_to_bench(
-            [self._prof("blocked", 10.0, workload="adaptive pulse"),
-             self._prof("batched", 10.0, workload="adaptive pulse")],
-            self.RECORD)
-        assert len(flags) == 1
-        assert "speedup 1.00x fell below" in flags[0]
-        assert "2.50x worst case" in flags[0]
-
-    def test_missing_record_is_not_a_failure(self, tmp_path):
-        assert compare_to_bench(
-            [self._prof("batched", 9.0)], None,
-            name="nonexistent", directory=tmp_path) == []
-
-    def test_loads_committed_record_from_directory(self, tmp_path):
-        # records written before the kernel path was fixed still carry
-        # per-backend tags; they load and compare like untagged ones
-        old = dict(self.RECORD, kernel_backends=["numpy"], cases=[
-            dict(c, kernel_backend="numpy",
-                 batched=dict(c["batched"], compile_s=0.0))
-            for c in self.RECORD["cases"]
-        ])
-        path = tmp_path / "BENCH_batched_engine.json"
-        path.write_text(json.dumps(old))
-        flags = compare_to_bench(
-            [self._prof("batched", 9.0)], directory=tmp_path)
-        assert len(flags) == 1
-
-
-# ---------------------------------------------------------------------------
-# benchio atomic write (satellite bugfix)
-# ---------------------------------------------------------------------------
-
-
-class TestBenchWriteAtomicity:
-    def test_write_leaves_no_tmp_file(self, tmp_path):
-        record = make_bench_record("t", value=1)
-        out = write_bench_json(record, directory=tmp_path)
-        write_bench_json(make_bench_record("t", value=2), directory=tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_t.json"]
-        assert json.loads(out.read_text())["value"] == 2
-
-    def test_failed_write_preserves_old_record(self, tmp_path):
-        write_bench_json(make_bench_record("t", value=1), directory=tmp_path)
-        bad = make_bench_record("t", value=object())  # not JSON-serializable
-        with pytest.raises(TypeError):
-            write_bench_json(bad, directory=tmp_path)
-        out = tmp_path / "BENCH_t.json"
-        assert json.loads(out.read_text())["value"] == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_t.json"]

@@ -2,8 +2,7 @@
 
 Four layers under test:
 
-* the canonical checksum helpers and the arena :class:`RowLedger`
-  (tags follow pool rows through compaction and growth);
+* the canonical checksum helpers;
 * seeded bitflip injection (:class:`BitFlip`, :func:`apply_bitflip`);
 * the phase-boundary :class:`Scrubber` on the serial driver and the
   emulated machine — with the acceptance criterion that scrub-enabled
@@ -23,7 +22,7 @@ import pytest
 
 from repro.amr import Simulation
 from repro.core import BlockForest, BlockID
-from repro.core.integrity import RowLedger, content_crc, crc_text
+from repro.core.integrity import content_crc, crc_text
 from repro.obs import RunRecorder, read_events, validate_events
 from repro.parallel.emulator import EmulatedMachine
 from repro.resilience import (
@@ -69,7 +68,7 @@ DT = 1e-3
 
 
 # ---------------------------------------------------------------------------
-# checksum helpers + row ledger
+# checksum helpers
 # ---------------------------------------------------------------------------
 
 
@@ -92,47 +91,6 @@ class TestIntegrityHelpers:
     def test_crc_text_is_deterministic(self):
         assert crc_text("repro:1:2") == crc_text("repro:1:2")
         assert crc_text("repro:1:2") != crc_text("repro:1:3")
-
-
-class TestRowLedger:
-    def test_tag_get_drop(self):
-        led = RowLedger(epoch=5)
-        assert led.get(0) is None
-        led.tag(0, 111, 222)
-        assert led.get(0) == (111, 222)
-        assert len(led) == 1
-        led.drop(0)
-        assert led.get(0) is None and len(led) == 0
-        led.drop(0)  # idempotent
-
-    def test_permute_moves_tags_with_rows(self):
-        led = RowLedger()
-        led.tag(0, 10, 11)
-        led.tag(2, 20, 21)
-        led.tag(5, 50, 51)
-        # Compaction wrote old rows [2, 0] into new rows [0, 1]; row 5
-        # was freed and must lose its tag.
-        led.permute(np.array([2, 0]), epoch=7)
-        assert led.get(0) == (20, 21)
-        assert led.get(1) == (10, 11)
-        assert led.get(2) is None and led.get(5) is None
-        assert led.epoch == 7
-
-    def test_ledger_survives_driver_compaction(self):
-        """Batched-engine compaction must permute tags, not orphan them:
-        a scrub right after an adapt+compact sees zero mismatches."""
-        problem_forest = make_amr_forest()
-        init_pulse(problem_forest)
-        scheme = AdvectionScheme((1.0, 0.5), order=2)
-        from repro.amr.problems import advecting_pulse
-
-        problem = advecting_pulse(2)
-        sim = problem.build(adaptive=True, engine="batched")
-        scrubber = sim.attach_scrubber(Scrubber(every=1))
-        for _ in range(6):
-            sim.step(DT)
-        assert scrubber.scrubs >= 5
-        assert scrubber.mismatches == 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +267,39 @@ class TestSerialDriverScrub:
             sim.step(DT)
         # due at step_count 0 (skipped? executed at step start), 3, 6
         assert scrubber.scrubs == 2
+
+    def test_block_rebuilt_under_its_id_is_not_flagged(self):
+        """A block refined and coarsened back outside the driver's adapt
+        is a new block under the old id, with zeroed ghosts: it stays
+        unverified until the next retag instead of reading as
+        corruption."""
+        forest = make_amr_forest()
+        init_pulse(forest)
+        sim = Simulation(forest, AdvectionScheme((1.0, 0.5), order=2))
+        scrubber = sim.attach_scrubber(Scrubber(every=1))
+        sim.step(DT)
+        before = set(forest.blocks)
+        forest.adapt([BlockID(1, (0, 0))])
+        forest.adapt([], set(forest.blocks) - before)
+        assert set(forest.blocks) == before
+        sim.step(DT)
+        sim.step(DT)
+        assert scrubber.scrubs == 3
+        assert scrubber.mismatches == 0
+
+    def test_ledger_survives_driver_compaction(self):
+        """Compaction moves a block's row, not the block: its tag still
+        holds, so a scrub right after an adapt+compact sees zero
+        mismatches."""
+        from repro.amr.problems import advecting_pulse
+
+        problem = advecting_pulse(2)
+        sim = problem.build(adaptive=True, engine="batched")
+        scrubber = sim.attach_scrubber(Scrubber(every=1))
+        for _ in range(6):
+            sim.step(DT)
+        assert scrubber.scrubs >= 5
+        assert scrubber.mismatches == 0
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,38 @@ class TestWorkSavings:
         sub_updates = coarse_steps * sim_s.updates_per_step()
         assert sub_updates < 0.7 * global_updates
 
+    def test_deep_hierarchy_saves_predicted_updates(self):
+        """At matched error, subcycling on the deep static hierarchy
+        saves at least the block updates the level histogram predicts:
+        ``n_blocks * 2^depth / sum_l n_l * divisor_l`` (exact when both
+        runs step at their CFL limits).  Counts only, no wall clock."""
+        from repro.amr.driver import level_divisors
+        from repro.analysis.engine_bench import _deep_pulse_exact, build_deep_pulse
+
+        sim_s = build_deep_pulse(3, subcycle=True)
+        updates_s = 0
+        for _ in range(6):
+            sim_s.advance(sim_s.stable_dt())
+            updates_s += sim_s.updates_per_step()
+        t_end = sim_s.time
+        sim_g = build_deep_pulse(3)
+        updates_g = 0
+        while sim_g.time < t_end - 1e-12:
+            sim_g.advance(min(sim_g.stable_dt(), t_end - sim_g.time))
+            updates_g += sim_g.updates_per_step()
+
+        hist = sim_s.forest.level_histogram()
+        levels = sorted(hist)
+        divisor = level_divisors(levels)
+        depth = levels[-1] - levels[0]
+        predicted = sum(hist.values()) * (1 << depth) / sum(
+            n * divisor[lvl] for lvl, n in hist.items()
+        )
+        assert updates_g / updates_s >= predicted * (1.0 - 1e-9)
+        err_s = sim_s.error_vs(_deep_pulse_exact(t_end))
+        err_g = sim_g.error_vs(_deep_pulse_exact(sim_g.time))
+        assert err_s <= 3.0 * err_g + 1e-4
+
     def test_updates_per_step_counts_levels(self):
         _, sim = build(True)
         hist = sim.forest.level_histogram()
