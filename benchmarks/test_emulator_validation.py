@@ -7,7 +7,10 @@ phase per barrier, every remote transfer charged as a wire message) and
 confirm
 
 * the result matches the serial driver bit-for-bit,
-* the wire traffic matches the schedule the cost model charges for.
+* the wire traffic matches the cost model's face schedule: on this
+  level-jump-1 forest the exchange reads no edge or corner region.  The
+  Figures 6–7 model charges the full schedule, edges and corners
+  included (``build_schedule``'s default), an upper bound on it.
 
 Reported per rank count: messages, KB per exchange, max solution
 difference vs serial (must be exactly 0).
@@ -73,7 +76,9 @@ def test_emulated_vs_serial(benchmark):
             float(np.abs(gathered[bid] - reference[bid]).max())
             for bid in reference
         )
-        sched = build_schedule(forest, assignment, nvar=4, aggregate=False)
+        sched = build_schedule(
+            forest, assignment, nvar=4, aggregate=False, fill_corners=False
+        )
         per_exchange = emu.stats.n_messages // (2 * steps) if p > 1 else 0
         rows.append(
             (
@@ -92,12 +97,12 @@ def test_emulated_vs_serial(benchmark):
         "Distributed-emulation validation: per-exchange wire traffic and "
         "solution difference vs the serial driver (4 steps, 2-D Euler, "
         "3-level AMR forest)",
-        ("ranks", "msgs/exchange (emulated)", "msgs (schedule)",
+        ("ranks", "msgs/exchange (emulated)", "msgs (face schedule)",
          "KB/exchange", "max |diff| vs serial"),
         rows,
         notes="bit-exact equality proves the transfer geometry carries "
         "all data the algorithm needs; message counts equal the cost "
-        "model's schedule",
+        "model's face schedule",
     )
     forest = make_forest()
     init(forest, scheme)

@@ -36,6 +36,7 @@ from typing import (
 import numpy as np
 
 from repro.amr.config import SimulationConfig
+from repro.analysis.poison import quiet_poison
 from repro.core.block_id import BlockID
 from repro.core.forest import AdaptSummary, BlockForest
 from repro.core.ghost import BoundaryHandler, fill_ghosts, ghost_plan
@@ -563,10 +564,11 @@ class Simulation:
             self.scrub_retag()
         if dt is None:
             dt = min(self.stable_dt(), dt_max)
-        if self.safe_mode:
-            dt = self._advance_safely(dt)
-        else:
-            self.advance(dt)
+        with quiet_poison(self.sanitizer is not None):
+            if self.safe_mode:
+                dt = self._advance_safely(dt)
+            else:
+                self.advance(dt)
         if self.hook is not None:
             with self.timer.phase("hook"):
                 self.hook(self, dt)

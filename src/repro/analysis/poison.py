@@ -27,8 +27,9 @@ attributed to step 3 (contamination), never step 2 (unfilled ghosts).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, ContextManager, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "check_stencil_ghosts",
     "check_exchange_reads",
     "check_interior_clean",
+    "quiet_poison",
 ]
 
 #: Bit pattern of the poison value: sign 0, exponent all-ones, quiet bit
@@ -114,6 +116,19 @@ def _ghost_mask(block: "Block") -> np.ndarray:
     mask = np.ones(block.padded_shape, dtype=bool)
     mask[block.interior_slices] = False
     return mask
+
+
+def quiet_poison(active: bool) -> ContextManager[Any]:
+    """``np.errstate(invalid="ignore")`` while ``active`` (a run under the
+    sanitizer), else a no-op.
+
+    The exchange fills only the ghost cells something reads, so the
+    unread edge and corner ghosts keep the poison through a step.
+    Whole-tile conversions (``cons_to_prim``) and boundary slabs compute
+    on it and discard the result — :meth:`GhostSanitizer.after_stage`
+    proves none reaches an interior — and numpy would warn about each.
+    """
+    return np.errstate(invalid="ignore") if active else contextlib.nullcontext()
 
 
 def poison_ghosts(block: "Block") -> int:

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set,
 
 import numpy as np
 
+from repro.analysis.poison import quiet_poison
 from repro.analysis.protocol import phase_effect
 from repro.core.arena import BlockArena
 from repro.core.block import Block
@@ -402,9 +403,10 @@ class RankMachine:
         self._flip_and_scrub()
         self._msg_index = 0
         stages = ("step",) if self.scheme.n_stages == 1 else ("predictor", "corrector")
-        for op in stages:
-            self.exchange()
-            self._compute(op, dt)
+        with quiet_poison(self.sanitizer is not None):
+            for op in stages:
+                self.exchange()
+                self._compute(op, dt)
         if self.sanitizer is not None:
             self.sanitizer.after_stage(self._all_blocks())
         self.time += dt

@@ -157,6 +157,9 @@ class ProcessMachine(RankMachine):
         self._work = {b: [0.0] * n_ranks for b in self.phase_seconds}
         self._wait = dict.fromkeys(self.phase_seconds, 0.0)
         self.recorder: Optional["RunRecorder"] = None
+        #: whether the workers run on the sanitizer's poison (known
+        #: before they fork; the sanitizer itself comes after)
+        self._sanitize = bool(machine.get("sanitize", False))
         super().__init__(forest, n_ranks, scheme, **machine)
 
     # ------------------------------------------------------------------
@@ -247,6 +250,7 @@ class ProcessMachine(RankMachine):
                     "payload": self._config_payload()},
             test_hooks=dict(self.test_hooks.get(rank, {})),
             inherited=inherited,
+            sanitize=self._sanitize,
         )
         proc = self._ctx.Process(
             target=_worker_entry, args=(spec,), daemon=True,

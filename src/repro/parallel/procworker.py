@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.poison import quiet_poison
 from repro.analysis.protocol import phase_effect
 from repro.core.block import Block
 from repro.core.block_id import BlockID
@@ -110,6 +111,9 @@ class WorkerSpec:
     #: connections inherited from the parent that this worker must close
     #: so a dead supervisor EOFs every worker instead of leaking pipes
     inherited: List[Connection] = field(default_factory=list)
+    #: the run is under the ghost sanitizer (see
+    #: :func:`repro.analysis.poison.quiet_poison`)
+    sanitize: bool = False
 
 
 class _Heartbeat:
@@ -438,7 +442,8 @@ def worker_main(spec: WorkerSpec) -> None:
                 spec.conn.send(cached)  # duplicate command: idempotent
                 continue
             t0 = wall_clock()
-            body = _execute(worker, msg)
+            with quiet_poison(spec.sanitize):
+                body = _execute(worker, msg)
             # the rank's own busy time for the phase (supervisor-side
             # phase wall minus this is pipe + wait for the slowest rank)
             body["busy_s"] = wall_clock() - t0

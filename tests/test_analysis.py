@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import read_cells
 from repro.amr import Simulation, advecting_pulse, sedov_blast
 from repro.analysis import (
     POISON_BITS,
@@ -101,8 +102,11 @@ class TestPoisonChecks:
         poison_forest(f)
         fill_ghosts(f, None)
         assert check_stencil_ghosts(f) == []
-        # The exchange fills even corner ghosts on this forest.
-        assert all(not poisoned_mask(b.data).any() for b in f)
+        # The exchange fills every cell a kernel or a prolongation reads;
+        # only the unread edge and corner ghosts keep the poison.
+        read = read_cells(f)
+        assert all(not poisoned_mask(b.data[:, read[b.id]]).any() for b in f)
+        assert any(poisoned_mask(b.data).any() for b in f)
 
     def test_unfilled_face_slab_is_reported_with_face_and_block(self):
         f = make_amr_forest()

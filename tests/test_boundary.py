@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import read_cells
 from repro.amr.boundary import (
     CompositeBC,
     ExtrapolationBC,
@@ -48,13 +49,17 @@ class TestOutflow:
 
 class TestExtrapolation:
     def test_linear_exact(self):
+        """Exact in every ghost cell outside the domain and every one the
+        exchange fills (the corner between four blocks is not read)."""
         f = forest2d()
         linear_field(f, (2.0, -1.0))
         fill_ghosts(f, bc=ExtrapolationBC())
+        read = read_cells(f)
         for b in f:
             Xg, Yg = b.meshgrid(include_ghost=True)
+            check = read[b.id] | (Xg < 0) | (Xg > 1) | (Yg < 0) | (Yg > 1)
             np.testing.assert_allclose(
-                b.data[0], 2 * Xg - Yg, rtol=1e-12, atol=1e-12
+                b.data[0][check], (2 * Xg - Yg)[check], rtol=1e-12, atol=1e-12
             )
 
 

@@ -4,10 +4,12 @@ Production gathers the source of every prolongation before it writes
 any, replaying per entry the earlier prolongations its slope border
 reads (``_Prolong.deps``).  ``tests/oracle.py`` runs the prolongations
 one after another in plan order instead, so each reads what the earlier
-ones wrote.  Every padded array must come out byte-equal — for a scoped
-fill, every array of the ``dest`` blocks.  The two sides start from
-*different* stale ghosts, so a cell either side leaves unwritten, or
-writes from the wrong state, shows up.
+ones wrote, and it runs the full exchange: every face, edge and corner
+region.  Every interior and every ghost cell a kernel or a prolongation
+reads (``oracle.read_cells``) must come out byte-equal — for a scoped
+fill, those of the ``dest`` blocks.  The two sides start from
+*different* stale ghosts, so a read cell production leaves unwritten,
+or writes from the wrong state, shows up.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import fill_ghosts_in_order
-from test_ghost_scoped import level_ids, random_forest, stale_copy
+from test_ghost_scoped import assert_same_bytes, level_ids, random_forest, stale_copy
 from repro.amr.boundary import ReflectingBC
 from repro.analysis.engine_bench import build_deep_pulse
 from repro.core.ghost import fill_ghosts, ghost_plan
@@ -27,8 +29,7 @@ def assert_fill_equals_oracle(forest, bc, dest=None):
     oracle = stale_copy(forest, -7e200)
     fill_ghosts(ours, bc, dest=dest)
     fill_ghosts_in_order(oracle, bc)
-    for bid in forest.blocks if dest is None else dest:
-        assert ours.blocks[bid].data.tobytes() == oracle.blocks[bid].data.tobytes(), bid
+    assert_same_bytes(ours, oracle, forest.blocks if dest is None else dest)
 
 
 @settings(max_examples=30, deadline=None)
